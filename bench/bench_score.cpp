@@ -5,25 +5,19 @@
 //
 //   bench_score [--repeat R] [--full]
 //
-// Three scoring configurations per model:
+// Two scoring configurations per model:
 //   reference — Detector::score_segment (ForwardResult matrix + scales
-//               allocation per window, the pre-kernel serve path);
-//   kernel    — ScoringKernel::score_window, exact mode (flat two-row
-//               scratch, bit-identical doubles);
-//   pruned    — opt-in top-K kernel (never enabled implicitly in serving).
+//               allocation per window, the offline classify path);
+//   kernel    — ScoringKernel::score_window (hmm::forward_pass over flat
+//               two-row scratch, bit-identical doubles).
 //
-// The bench also verifies, over every window it times, that the exact
-// kernel's log-likelihoods are BIT-IDENTICAL to the reference, and
-// characterizes the opt-in pruned kernel empirically: pruning can only
-// remove path probability, so LL_pruned <= LL_exact always, but there is
-// NO unconditional deficit bound (see ScoringKernel::max_dropped_mass) —
-// the numbers that matter are the worst observed deficit and how many
-// window verdicts flip on a representative feed. Finally it reports the
-// monitor-level event rate (OnlineMonitor::on_event with the kernel, no
+// The bench also verifies, over every window it times, that the kernel's
+// log-likelihoods are BIT-IDENTICAL to the reference. Finally it reports
+// the monitor-level event rate (OnlineMonitor::on_event with the kernel, no
 // serve layer) — the ceiling a single worker thread can reach before
 // queueing costs.
-#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -96,13 +90,7 @@ struct ModelReport {
   std::size_t windows = 0;
   double reference_ns = 0.0;
   double kernel_ns = 0.0;
-  double pruned_ns = 0.0;
   bool bit_identical = true;
-  std::size_t pruned_entries = 0;
-  double pruned_dropped_mass = 0.0;  ///< max dropped incoming mass D
-  double pruned_worst = 0.0;         ///< worst observed LL deficit
-  std::size_t pruned_flips = 0;      ///< windows whose verdict changed
-  bool pruned_monotone = true;       ///< LL_pruned <= LL_exact everywhere
   double monitor_events_per_sec = 0.0;
   std::size_t kernel_image_bytes = 0;
 };
@@ -120,13 +108,7 @@ ModelReport run_model(const std::string& name, const core::Detector& detector,
   report.windows = windows.size();
 
   const auto kernel = core::ScoringKernel::compile(detector);
-  core::KernelOptions prune_options;
-  prune_options.prune = true;
-  prune_options.prune_epsilon = 1e-4;
-  const auto pruned = core::ScoringKernel::compile(detector, prune_options);
   report.kernel_image_bytes = kernel->image_bytes();
-  report.pruned_entries = pruned->pruned_entries();
-  report.pruned_dropped_mass = pruned->max_dropped_mass();
 
   // Timed loops accumulate the summed LL so the work cannot be elided; the
   // sums also cross-check that repeats scored identical values.
@@ -153,18 +135,7 @@ ModelReport run_model(const std::string& name, const core::Detector& detector,
     report.kernel_ns =
         watch.micros() * 1e3 / static_cast<double>(repeat * windows.size());
   }
-  double pruned_sum = 0.0;
-  {
-    Stopwatch watch;
-    for (std::size_t r = 0; r < repeat; ++r) {
-      for (const auto& window : windows) {
-        pruned_sum += pruned->score_window(window, scratch).log_likelihood;
-      }
-    }
-    report.pruned_ns =
-        watch.micros() * 1e3 / static_cast<double>(repeat * windows.size());
-  }
-  static_cast<void>(reference_sum + kernel_sum + pruned_sum);
+  static_cast<void>(reference_sum + kernel_sum);
 
   for (const auto& window : windows) {
     const core::SegmentVerdict ref = detector.score_segment(window);
@@ -173,13 +144,6 @@ ModelReport run_model(const std::string& name, const core::Detector& detector,
         ref.flagged != fast.flagged ||
         ref.unknown_symbol != fast.unknown_symbol) {
       report.bit_identical = false;
-    }
-    const core::SegmentVerdict approx = pruned->score_window(window, scratch);
-    if (approx.flagged != ref.flagged) ++report.pruned_flips;
-    if (std::isfinite(ref.log_likelihood)) {
-      const double deficit = ref.log_likelihood - approx.log_likelihood;
-      if (deficit > report.pruned_worst) report.pruned_worst = deficit;
-      if (deficit < -1e-12) report.pruned_monotone = false;
     }
   }
 
@@ -232,14 +196,13 @@ int main(int argc, char** argv) {
   reports.push_back(run_model("vim-libcall", large, vim, repeat, 7));
 
   TablePrinter table({"Model", "N", "M", "Windows", "Ref ns/win",
-                      "Kernel ns/win", "Speedup", "Pruned ns/win",
-                      "Bit-identical", "Monitor ev/s"});
+                      "Kernel ns/win", "Speedup", "Bit-identical",
+                      "Monitor ev/s"});
   for (const auto& r : reports) {
     table.add_row({r.name, std::to_string(r.states), std::to_string(r.symbols),
                    std::to_string(r.windows), format_double(r.reference_ns, 0),
                    format_double(r.kernel_ns, 0),
                    format_double(r.reference_ns / r.kernel_ns, 2) + "x",
-                   format_double(r.pruned_ns, 0),
                    r.bit_identical ? "yes" : "NO",
                    format_double(r.monitor_events_per_sec, 0)});
   }
@@ -247,15 +210,10 @@ int main(int argc, char** argv) {
 
   bool pass = true;
   for (const auto& r : reports) {
-    std::cout << r.name << ": image=" << r.kernel_image_bytes
-              << "B pruned_entries=" << r.pruned_entries
-              << " dropped_mass=" << format_double(r.pruned_dropped_mass, 6)
-              << " worst_deficit=" << format_double(r.pruned_worst, 4)
-              << " verdict_flips=" << r.pruned_flips << "/" << r.windows
-              << (r.pruned_monotone ? "" : " (MONOTONICITY VIOLATED)") << "\n";
-    pass = pass && r.bit_identical && r.pruned_monotone;
+    std::cout << r.name << ": image=" << r.kernel_image_bytes << "B\n";
+    pass = pass && r.bit_identical;
   }
-  std::cout << "exact kernel bit-compatibility + pruned monotonicity: "
+  std::cout << "kernel bit-compatibility: "
             << (pass ? "PASS" : "FAIL") << "\n";
   return pass ? 0 : 1;
 }

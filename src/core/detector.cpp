@@ -203,7 +203,7 @@ SegmentVerdict Detector::score_segment(const hmm::ObservationSeq& segment,
 
 obs::DecisionRecord Detector::make_decision_record(
     const hmm::ObservationSeq& segment, const SegmentVerdict& verdict,
-    const hmm::ForwardResult& forward) const {
+    std::span<const double> scales, std::span<const double> alpha) const {
   obs::DecisionRecord record;
   record.log_likelihood = verdict.log_likelihood;
   record.threshold = threshold_;
@@ -214,9 +214,9 @@ obs::DecisionRecord Detector::make_decision_record(
   // Per-symbol contributions and argmax states are computed inline (same
   // semantics as hmm::per_symbol_log_contributions /
   // per_symbol_argmax_states, asserted by decision_trace_test) rather than
-  // through the helpers: this runs per sampled window on the scoring hot
+  // through the helpers: this runs per recorded window on the scoring hot
   // path, and the helpers' temporary vectors are measurable there.
-  const std::size_t num_states = forward.alpha.cols();
+  const std::size_t num_states = hmm_.num_states();
   bool dead = false;  // scoring stopped at an earlier impossible step
   record.symbols.reserve(segment.size());
   for (std::size_t t = 0; t < segment.size(); ++t) {
@@ -233,22 +233,16 @@ obs::DecisionRecord Detector::make_decision_record(
       entry.log_prob = entry.unknown
                            ? -std::numeric_limits<double>::infinity()
                            : 0.0;
-    } else {
-      if (t < forward.scales.size() && !dead) {
-        const double c = forward.scales[t];
-        if (c <= 0.0) {
-          entry.log_prob = -std::numeric_limits<double>::infinity();
-          dead = true;
-        } else {
-          entry.log_prob = std::log(c);
-        }
-      }
-      if (t < forward.alpha.rows()) {
-        std::size_t best = 0;
+    } else if (!dead) {
+      if (scales[t] <= 0.0) {
+        entry.log_prob = -std::numeric_limits<double>::infinity();
+        dead = true;
+      } else {
+        entry.log_prob = std::log(scales[t]);
+        const double* row = alpha.data() + t * num_states;
         for (std::size_t i = 1; i < num_states; ++i) {
-          if (forward.alpha(t, i) > forward.alpha(t, best)) best = i;
+          if (row[i] > row[entry.state]) entry.state = i;
         }
-        entry.state = best;
       }
     }
     record.symbols.push_back(entry);

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,22 +112,26 @@ class Detector {
   /// Scores one segment (alphabet-frozen encoding).
   SegmentVerdict score_segment(const hmm::ObservationSeq& segment) const;
 
-  /// Scores one segment and exposes the forward pass (for decision
-  /// tracing). Same cost as the plain overload — the likelihood already
-  /// requires the full forward recursion. For segments with unknown
-  /// observations (which the forward pass cannot consume) `forward` comes
-  /// back empty with impossible=true and log_likelihood=-infinity.
+  /// Scores one segment and exposes the reference forward pass. Same cost
+  /// as the plain overload — the likelihood already requires the full
+  /// forward recursion. For segments with unknown observations (which the
+  /// forward pass cannot consume) `forward` comes back empty with
+  /// impossible=true and log_likelihood=-infinity.
   SegmentVerdict score_segment(const hmm::ObservationSeq& segment,
                                hmm::ForwardResult* forward) const;
 
-  /// Assembles the `cmarkov.decision.v1` audit record for a segment scored
-  /// via the forward-exposing overload: per-symbol log c_t contributions
-  /// (summing exactly to verdict.log_likelihood), argmax hidden states,
-  /// unknown-call marks, and the threshold margin. session / trace_id /
-  /// window_index / alarm / sampled are left for the caller to fill.
+  /// Assembles the `cmarkov.decision.v1` audit record for a scored
+  /// segment from its forward pass's T scales c_t (0 from an impossible
+  /// step on) and T kept normalized alpha rows (row t at alpha[t*N], read
+  /// only where c_t > 0) — ScoringKernel::score_window's WindowAudit:
+  /// per-symbol log c_t contributions (summing exactly to
+  /// verdict.log_likelihood), argmax hidden states, unknown-call marks,
+  /// and the threshold margin. Unknown-symbol verdicts ignore `scales` /
+  /// `alpha`. session / trace_id / window_index / alarm / sampled are left
+  /// for the caller to fill.
   obs::DecisionRecord make_decision_record(
       const hmm::ObservationSeq& segment, const SegmentVerdict& verdict,
-      const hmm::ForwardResult& forward) const;
+      std::span<const double> scales, std::span<const double> alpha) const;
 
   /// Viterbi attribution: the most likely hidden-state path for a segment,
   /// rendered with the static state labels ("read@fill_window",

@@ -90,19 +90,13 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
     at += 1;
     if (at == length) at = 0;
   }
-  // Decision tracing needs the full alpha matrix for the audit record, so
-  // it keeps the reference recursion; everything else scores through the
-  // compiled kernel with flat scratch (bit-identical in exact mode).
+  // With tracing on, the pass keeps its alpha rows and scales: a flagged
+  // window's record needs them, and whether the window flags is only known
+  // once the pass has run.
   const bool tracing =
       options_.decisions.enabled && options_.decisions.ring_capacity > 0;
-  hmm::ForwardResult forward;
-  SegmentVerdict verdict;
-  if (tracing) {
-    verdict = detector_->score_segment(segment_, &forward);
-  } else {
-    verdict = kernel_->score_window(segment_, scratch_);
-    update.scored_by_kernel = true;
-  }
+  const SegmentVerdict verdict =
+      kernel_->score_window(segment_, scratch_, tracing ? &audit_ : nullptr);
   update.log_likelihood = verdict.log_likelihood;
   update.flagged = verdict.flagged;
   update.unknown_symbol = verdict.unknown_symbol;
@@ -132,8 +126,8 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
     const bool forced = options_.decisions.always_on_flagged &&
                         (verdict.flagged || update.alarm);
     if (sampled || forced) {
-      obs::DecisionRecord record =
-          detector_->make_decision_record(segment_, verdict, forward);
+      obs::DecisionRecord record = detector_->make_decision_record(
+          segment_, verdict, audit_.scales, audit_.alpha);
       record.window_index = stats_.windows_scored;
       record.alarm = update.alarm;
       record.sampled = sampled;
@@ -216,7 +210,8 @@ void OnlineMonitor::rebind(const Detector& detector,
 std::size_t OnlineMonitor::state_bytes() const {
   return sizeof(OnlineMonitor) +
          (window_.capacity() + segment_.capacity()) * sizeof(std::size_t) +
-         scratch_.capacity_bytes();
+         scratch_.capacity_bytes() +
+         (audit_.alpha.capacity() + audit_.scales.capacity()) * sizeof(double);
 }
 
 MonitorStorage OnlineMonitor::release_storage() {

@@ -43,9 +43,15 @@ namespace cmarkov::core {
 ///     periodic sample);
 ///   - flagged windows and alarms are always recorded when
 ///     `always_on_flagged` is set, regardless of the period.
-/// Detailed scoring reuses the forward pass the verdict already needs, so
-/// the steady-state overhead is the sampling branch plus record assembly
-/// for admitted windows only.
+/// Every window scores through the compiled kernel. With tracing enabled
+/// its one pass keeps its T alpha rows and scales (WindowAudit) instead of
+/// ping-ponging two rows, which costs the same stores; the argmax states
+/// are then derived for admitted windows only. So the steady-state
+/// overhead is the sampling branch plus record assembly for admitted
+/// windows. Re-scoring admitted windows instead would cost a second pass
+/// per flagged window, and writing argmax states on every pass ~12% of
+/// it; under a flag-heavy feed either exceeds the 3% tracing budget
+/// (BENCH_obs.json).
 struct DecisionTraceOptions {
   bool enabled = false;
   /// Record every Nth scored window (1 = all, 0 = only flagged/alarms).
@@ -119,11 +125,6 @@ struct MonitorUpdate {
   bool unknown_symbol = false;
   /// Alarm fired on this event (hysteresis + cooldown applied).
   bool alarm = false;
-  /// Window scored through the compiled ScoringKernel (the fast path).
-  /// False for windows scored via the reference forward pass — the
-  /// decision-audit path, which needs the full alpha matrix. Both paths
-  /// produce bit-identical verdicts in exact-kernel mode.
-  bool scored_by_kernel = false;
   /// Audit record for this window when decision tracing admitted it; null
   /// otherwise. Points into the monitor's ring — valid until the next
   /// on_event / reset_window call on the same monitor.
@@ -207,7 +208,8 @@ class OnlineMonitor {
 
   /// Heap bytes held by this monitor's scoring state (the per-session
   /// memory bill the serving tier budgets): the object itself plus window
-  /// ring, segment scratch, and the kernel's flat forward scratch.
+  /// ring, segment scratch, the kernel's flat forward scratch, and, while
+  /// tracing, the kept alpha rows and scales.
   /// Excludes the decision-audit ring (a debug facility that is empty in
   /// production configurations) and the shared kernel image, which is
   /// per-model-version, not per-session (ScoringKernel::image_bytes).
@@ -221,9 +223,10 @@ class OnlineMonitor {
   const Detector* detector_;
   const trace::Symbolizer* symbolizer_;
   MonitorOptions options_;
-  /// Shared compiled model image; scores every non-audited window.
+  /// Shared compiled model image; scores every window.
   std::shared_ptr<const ScoringKernel> kernel_;
   KernelScratch scratch_;            // flat forward rows, pool-recycled
+  WindowAudit audit_;                // per-step outputs while tracing
   std::vector<std::size_t> window_;  // ring of encoded observation ids
   std::size_t window_head_ = 0;      // index of the oldest id
   std::size_t window_count_ = 0;

@@ -1,7 +1,6 @@
 #include "src/core/scoring_kernel.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -42,15 +41,11 @@ std::size_t carve(std::size_t& cursor, std::size_t bytes) {
 }  // namespace
 
 std::shared_ptr<const ScoringKernel> ScoringKernel::compile(
-    const Detector& detector, KernelOptions options) {
+    const Detector& detector) {
   const Stopwatch watch;
   if (!detector.trained()) {
     throw std::invalid_argument(
         "ScoringKernel: detector is not trained; the serve tier only scores");
-  }
-  if (options.prune && options.prune_epsilon < 0.0) {
-    throw std::invalid_argument(
-        "ScoringKernel: prune_epsilon must be >= 0");
   }
   const hmm::Hmm& model = detector.model();
   const hmm::Alphabet& alphabet = detector.alphabet();
@@ -65,58 +60,6 @@ std::shared_ptr<const ScoringKernel> ScoringKernel::compile(
   kernel->alphabet_size_ = a;
   kernel->threshold_ = detector.threshold();
   kernel->context_sensitive_ = detector.config().pipeline.context_sensitive;
-  kernel->options_ = options;
-
-  // Pruned predecessor lists are shaped before sizing the arena. Entries
-  // stay in ascending predecessor order so the pruned inner sum is
-  // deterministic (same order every run, every host).
-  std::vector<std::uint32_t> prune_offsets;
-  std::vector<std::uint32_t> prune_idx;
-  std::vector<double> prune_val;
-  if (options.prune) {
-    prune_offsets.reserve(n + 1);
-    prune_offsets.push_back(0);
-    std::vector<std::pair<double, std::uint32_t>> kept;
-    for (std::size_t j = 0; j < n; ++j) {
-      kept.clear();
-      double dropped = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double value = model.transition(i, j);
-        if (value <= options.prune_epsilon) {
-          dropped += value;
-        } else {
-          kept.emplace_back(value, static_cast<std::uint32_t>(i));
-        }
-      }
-      if (options.top_k > 0 && kept.size() > options.top_k) {
-        // Keep the top_k heaviest entries; ties break to the lower
-        // predecessor id so compilation is deterministic.
-        std::sort(kept.begin(), kept.end(), [](const auto& x, const auto& y) {
-          return x.first != y.first ? x.first > y.first
-                                    : x.second < y.second;
-        });
-        for (std::size_t k = options.top_k; k < kept.size(); ++k) {
-          dropped += kept[k].first;
-        }
-        kept.resize(options.top_k);
-      }
-      std::sort(kept.begin(), kept.end(), [](const auto& x, const auto& y) {
-        return x.second < y.second;
-      });
-      for (const auto& [value, index] : kept) {
-        prune_idx.push_back(index);
-        prune_val.push_back(value);
-      }
-      prune_offsets.push_back(static_cast<std::uint32_t>(prune_idx.size()));
-      kernel->pruned_entries_ += n - kept.size();
-      kernel->max_dropped_mass_ = std::max(kernel->max_dropped_mass_, dropped);
-    }
-    if (prune_idx.empty() && n > 0) {
-      throw std::invalid_argument(
-          "ScoringKernel: pruning dropped every transition entry; "
-          "lower prune_epsilon or raise top_k");
-    }
-  }
 
   std::size_t blob_bytes = 0;
   for (const std::string& symbol : alphabet.symbols()) {
@@ -131,23 +74,13 @@ std::shared_ptr<const ScoringKernel> ScoringKernel::compile(
   const std::size_t emission_at = carve(cursor, m * n * sizeof(double));
   const std::size_t slots_at = carve(cursor, table_size * sizeof(Slot));
   const std::size_t blob_at = carve(cursor, blob_bytes);
-  const std::size_t offsets_at =
-      carve(cursor, options.prune ? prune_offsets.size() * sizeof(std::uint32_t)
-                                  : 0);
-  const std::size_t idx_at =
-      carve(cursor, prune_idx.size() * sizeof(std::uint32_t));
-  const std::size_t val_at = carve(cursor, prune_val.size() * sizeof(double));
   kernel->arena_.assign(cursor, std::byte{0});
   std::byte* base = kernel->arena_.data();
 
   const auto initial = reinterpret_cast<double*>(base + initial_at);
   for (std::size_t i = 0; i < n; ++i) initial[i] = model.initial[i];
 
-  // Natural (source-major) layout: row i holds A(i, *) contiguously. The
-  // forward step iterates sources outer / destinations inner, so the inner
-  // loop updates n independent accumulators from one contiguous row — a
-  // vectorizable form that still adds into each cur[j] in ascending-i
-  // order, exactly like the reference recursion's per-destination sum.
+  // hmm::ForwardTables layout: A source-major (row i holds A(i, *)), B^T.
   const auto transition = reinterpret_cast<double*>(base + transition_at);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -177,29 +110,10 @@ std::shared_ptr<const ScoringKernel> ScoringKernel::compile(
     blob_cursor += symbol.size();
   }
 
-  kernel->initial_ = initial;
-  kernel->transition_ = transition;
-  kernel->emission_t_ = emission_t;
+  kernel->tables_ = {initial, transition, emission_t, n};
   kernel->slots_ = slots;
   kernel->slot_mask_ = mask;
   kernel->blob_ = blob;
-  if (options.prune) {
-    const auto offsets = reinterpret_cast<std::uint32_t*>(base + offsets_at);
-    std::memcpy(offsets, prune_offsets.data(),
-                prune_offsets.size() * sizeof(std::uint32_t));
-    const auto idx = reinterpret_cast<std::uint32_t*>(base + idx_at);
-    if (!prune_idx.empty()) {
-      std::memcpy(idx, prune_idx.data(),
-                  prune_idx.size() * sizeof(std::uint32_t));
-    }
-    const auto val = reinterpret_cast<double*>(base + val_at);
-    if (!prune_val.empty()) {
-      std::memcpy(val, prune_val.data(), prune_val.size() * sizeof(double));
-    }
-    kernel->prune_offsets_ = offsets;
-    kernel->prune_idx_ = idx;
-    kernel->prune_val_ = val;
-  }
   kernel->build_micros_ = watch.micros();
   return kernel;
 }
@@ -244,9 +158,20 @@ std::size_t ScoringKernel::find_symbol(std::string_view observation) const {
   return probe(fnv1a(kFnvOffset, observation), observation, false, {});
 }
 
-SegmentVerdict ScoringKernel::score_window(
-    std::span<const std::size_t> window, KernelScratch& scratch) const {
+SegmentVerdict ScoringKernel::score_window(std::span<const std::size_t> window,
+                                           KernelScratch& scratch,
+                                           WindowAudit* audit) const {
   SegmentVerdict verdict;
+  hmm::ForwardOutputs out;
+  if (audit != nullptr) {
+    audit->alpha.resize(window.size() * num_states_);
+    audit->scales.resize(window.size());
+    out = {.alpha = audit->alpha.data(),
+           .keep_rows = true,
+           .scales = audit->scales.data()};
+  } else {
+    out.alpha = scratch.ensure(num_states_);
+  }
   for (const std::size_t id : window) {
     if (id >= num_symbols_) {
       // Same contract as Detector::score_segment: out-of-vocabulary means
@@ -257,84 +182,8 @@ SegmentVerdict ScoringKernel::score_window(
       return verdict;
     }
   }
-  const std::size_t t_len = window.size();
-  if (t_len == 0) {
-    verdict.log_likelihood = 0.0;
-    verdict.flagged = verdict.log_likelihood < threshold_;
-    return verdict;
-  }
-  const std::size_t n = num_states_;
-  double* prev = scratch.ensure(n);
-  double* cur = prev + n;
-
-  // Identical operations in identical order to hmm::forward_scaled (exact
-  // mode): every cur[j] accumulates its predecessor terms in ascending-i
-  // order, the emission multiply happens once after the sum, the per-step
-  // scale is accumulated over destinations in ascending order, rows are
-  // normalized in place, and log c_t is summed in step order. Interchanging
-  // the i/j loops only changes WHEN each addition happens, not the sequence
-  // of additions into any one accumulator — so not a single double differs,
-  // while the inner loop becomes n independent lanes the compiler can
-  // vectorize (a j-outer dot product is a serial FP reduction and cannot).
-  double scale = 0.0;
-  {
-    const double* em = emission_col(window[0]);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = initial_[i] * em[i];
-      prev[i] = v;
-      scale += v;
-    }
-  }
-  if (scale <= 0.0) {
-    verdict.log_likelihood = -std::numeric_limits<double>::infinity();
-    verdict.flagged = verdict.log_likelihood < threshold_;
-    return verdict;
-  }
-  double log_lik = std::log(scale);
-  for (std::size_t i = 0; i < n; ++i) prev[i] /= scale;
-
-  for (std::size_t t = 1; t < t_len; ++t) {
-    const double* em = emission_col(window[t]);
-    scale = 0.0;
-    if (options_.prune) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::uint32_t begin = prune_offsets_[j];
-        const std::uint32_t end = prune_offsets_[j + 1];
-        double sum = 0.0;
-        for (std::uint32_t e = begin; e < end; ++e) {
-          sum += prev[prune_idx_[e]] * prune_val_[e];
-        }
-        const double v = sum * em[j];
-        cur[j] = v;
-        scale += v;
-      }
-    } else {
-      for (std::size_t j = 0; j < n; ++j) cur[j] = 0.0;
-      const double* row = transition_;
-      for (std::size_t i = 0; i < n; ++i, row += n) {
-        const double p = prev[i];
-        for (std::size_t j = 0; j < n; ++j) {
-          cur[j] += p * row[j];
-        }
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        const double v = cur[j] * em[j];
-        cur[j] = v;
-        scale += v;
-      }
-    }
-    if (scale <= 0.0) {
-      verdict.log_likelihood = -std::numeric_limits<double>::infinity();
-      verdict.flagged = verdict.log_likelihood < threshold_;
-      return verdict;
-    }
-    log_lik += std::log(scale);
-    for (std::size_t j = 0; j < n; ++j) cur[j] /= scale;
-    std::swap(prev, cur);
-  }
-
-  verdict.log_likelihood = log_lik;
-  verdict.flagged = log_lik < threshold_;
+  verdict.log_likelihood = hmm::forward_pass(tables_, window, out);
+  verdict.flagged = verdict.log_likelihood < threshold_;
   return verdict;
 }
 

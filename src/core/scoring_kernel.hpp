@@ -11,33 +11,22 @@
 // epoch-reclamation scheme as the detector itself).
 //
 // One contiguous arena allocation holds, in order:
-//   - pi     : N doubles, the initial distribution;
-//   - A      : N x N doubles, source-major (transition[i*N + j] = A(i, j)) —
-//              the forward step iterates sources outer / destinations inner,
-//              so the inner loop streams one contiguous row into N
-//              independent accumulators (vectorizable, and still bit-exact:
-//              each destination's sum adds its terms in ascending-i order,
-//              same as the reference's per-destination dot product);
-//   - B^T    : M x N doubles, emission_t[k*N + j] = B(j, k) — the emission
-//              column of the observed symbol is a contiguous row, resolved
-//              once per timestep via emission_col(k);
+//   - pi, A, B^T : the hmm::ForwardTables layout (N, N x N source-major,
+//              M x N doubles) that hmm::forward_pass reads — the same
+//              recursion the Trainer runs over its model;
 //   - slots  : open-addressing hash table (power-of-two, linear probing)
 //              interning the alphabet's observation strings to dense ids —
 //              find_observation() hashes "name[@caller]" piecewise, so the
 //              per-event lookup builds no std::string and touches no
 //              node-based map;
-//   - blob   : the interned string bytes the slots point into;
-//   - pruned : (top-K mode only) per-destination-state sparse predecessor
-//              lists replacing near-zero transition rows entries.
+//   - blob   : the interned string bytes the slots point into.
 //
 // Scoring runs against a flat two-row scratch buffer (KernelScratch, owned
 // per monitor and recycled through the serve StatePool) — no ForwardResult
-// matrix, no per-window allocation. In exact mode (the default) the kernel
-// performs the same floating-point operations in the same order as
-// hmm::forward_scaled, so window log-likelihoods are BIT-IDENTICAL to the
-// reference path (asserted by detector_test / online_monitor_test golden
-// tests). Top-K pruning is opt-in and documented in DESIGN.md §"Scoring
-// kernel" with its error bound; it is never enabled implicitly.
+// matrix, no per-window allocation. hmm::forward_pass performs the same
+// floating-point operations in the same order as hmm::forward_scaled, so
+// window log-likelihoods are BIT-IDENTICAL to the reference path (asserted
+// by detector_test / online_monitor_test golden tests).
 #pragma once
 
 #include <cstddef>
@@ -48,20 +37,9 @@
 #include <vector>
 
 #include "src/core/detector.hpp"
+#include "src/hmm/forward_backward.hpp"
 
 namespace cmarkov::core {
-
-/// Compilation controls. Defaults compile the exact kernel; pruning is the
-/// off-by-default speed/accuracy trade (see DESIGN.md for the bound).
-struct KernelOptions {
-  /// Replace each destination state's dense predecessor row with a sparse
-  /// list, dropping entries <= prune_epsilon and keeping at most top_k of
-  /// the rest (largest mass first; 0 = no count cap). Scored windows are
-  /// then no longer bit-identical to forward_scaled.
-  bool prune = false;
-  double prune_epsilon = 1e-8;
-  std::size_t top_k = 0;
-};
 
 /// Per-monitor forward scratch: two ping-pong alpha rows, recycled through
 /// the serve StatePool with the rest of the monitor storage.
@@ -78,13 +56,24 @@ struct KernelScratch {
   }
 };
 
+/// What a decision record needs from a window's forward pass (see
+/// hmm::ForwardOutputs): the T normalized alpha rows, kept (row t at
+/// alpha[t*N]), and the T scales c_t, which read 0 from an impossible step
+/// on. Rows after that step are not written, and a window holding an
+/// unknown observation runs no pass and writes neither.
+/// Detector::make_decision_record builds the audit record from them.
+struct WindowAudit {
+  std::vector<double> alpha;
+  std::vector<double> scales;
+};
+
 class ScoringKernel {
  public:
   /// Compiles the immutable image from a trained detector. Throws
   /// std::invalid_argument for untrained detectors (the serve tier never
-  /// scores against one) and for nonsensical prune options.
+  /// scores against one).
   static std::shared_ptr<const ScoringKernel> compile(
-      const Detector& detector, KernelOptions options = {});
+      const Detector& detector);
 
   /// Dense observation id for a call event, or unknown_id() when the model
   /// never saw this call in this context. Equivalent to interning
@@ -102,35 +91,20 @@ class ScoringKernel {
   /// are interchangeable between kernel and reference scoring.
   std::size_t unknown_id() const { return alphabet_size_; }
 
-  /// Scores one complete window against the compiled tables. Exact mode is
+  /// Scores one complete window against the compiled tables,
   /// bit-identical to Detector::score_segment (same verdict fields, same
-  /// doubles); pruned mode under-estimates the likelihood within the
-  /// documented bound. `scratch` is grown on demand and holds no state
-  /// across calls.
+  /// doubles). `scratch` is grown on demand and holds no state across
+  /// calls. With `audit`, the pass keeps its alpha rows and scales there
+  /// instead, for a decision record.
   SegmentVerdict score_window(std::span<const std::size_t> window,
-                              KernelScratch& scratch) const;
+                              KernelScratch& scratch,
+                              WindowAudit* audit = nullptr) const;
 
   std::size_t num_states() const { return num_states_; }
   std::size_t num_symbols() const { return num_symbols_; }
   std::size_t alphabet_size() const { return alphabet_size_; }
   double threshold() const { return threshold_; }
   bool context_sensitive() const { return context_sensitive_; }
-
-  const KernelOptions& options() const { return options_; }
-  bool pruned() const { return options_.prune; }
-  /// Transition entries dropped by pruning (0 in exact mode).
-  std::size_t pruned_entries() const { return pruned_entries_; }
-  /// Largest incoming-transition probability mass pruning dropped for any
-  /// destination state, D. The pruned forward pass under-estimates each
-  /// step's scale by at most D (alpha is normalized and emissions are
-  /// <= 1), so the per-window deficit obeys the CONDITIONAL bound
-  ///   0 <= LL_exact - LL_pruned <= sum_t -log(1 - D / c_t)
-  /// in the exact per-step scales c_t. No unconditional bound exists —
-  /// when the dropped entries carry the dominant alpha flow of a step, c_t
-  /// itself approaches D — which is why pruning is opt-in and must be
-  /// validated empirically per feed (bench_score measures the worst
-  /// observed deficit and verdict flips; DESIGN.md §"Scoring kernel").
-  double max_dropped_mass() const { return max_dropped_mass_; }
 
   /// Arena footprint of the compiled image (the shared, per-model-version
   /// memory bill — deliberately NOT part of any per-session state_bytes).
@@ -149,9 +123,6 @@ class ScoringKernel {
 
   ScoringKernel() = default;
 
-  const double* emission_col(std::size_t symbol) const {
-    return emission_t_ + symbol * num_states_;
-  }
   /// Linear-probe lookup. `joined` compares the stored string against
   /// name + '@' + caller without concatenating them.
   std::size_t probe(std::uint64_t hash, std::string_view name, bool joined,
@@ -162,24 +133,14 @@ class ScoringKernel {
   std::size_t alphabet_size_ = 0;
   double threshold_ = 0.0;
   bool context_sensitive_ = true;
-  KernelOptions options_;
-  std::size_t pruned_entries_ = 0;
-  double max_dropped_mass_ = 0.0;
   double build_micros_ = 0.0;
 
   /// The single arena allocation; every pointer below aims into it.
   std::vector<std::byte> arena_;
-  const double* initial_ = nullptr;
-  const double* transition_ = nullptr;
-  const double* emission_t_ = nullptr;
+  hmm::ForwardTables tables_;
   const Slot* slots_ = nullptr;
   std::size_t slot_mask_ = 0;
   const char* blob_ = nullptr;
-  /// Pruned mode: entry ranges per destination state j are
-  /// [prune_offsets_[j], prune_offsets_[j+1]) into the idx/val arrays.
-  const std::uint32_t* prune_offsets_ = nullptr;
-  const std::uint32_t* prune_idx_ = nullptr;
-  const double* prune_val_ = nullptr;
 };
 
 }  // namespace cmarkov::core

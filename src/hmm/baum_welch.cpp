@@ -1,8 +1,9 @@
 #include "src/hmm/baum_welch.hpp"
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
-#include "src/hmm/forward_backward.hpp"
 #include "src/util/parallel.hpp"
 
 namespace cmarkov::hmm {
@@ -19,24 +20,39 @@ double mean_log_likelihood(const Hmm& model,
                            double impossible_penalty,
                            std::size_t num_threads) {
   if (sequences.empty()) return 0.0;
-  const HmmKernelCache cache(model);
+  for (const ObservationSeq& seq : sequences) {
+    for (const std::size_t symbol : seq) {
+      if (symbol >= model.num_symbols()) {
+        throw std::out_of_range(
+            "mean_log_likelihood: observation id out of range");
+      }
+    }
+  }
+  const Matrix emission_t = model.emission.transposed();
   WorkerPool pool(num_threads);
+  return pooled_log_likelihood_sum(forward_tables(model, emission_t),
+                                   sequences, impossible_penalty, pool) /
+         static_cast<double>(sequences.size());
+}
+
+double pooled_log_likelihood_sum(const ForwardTables& tables,
+                                 std::span<const ObservationSeq> sequences,
+                                 double impossible_penalty, WorkerPool& pool,
+                                 double sum) {
   std::vector<double> per_sequence(sequences.size());
   pool.run(chunk_count(sequences.size(), kScoreChunk), [&](std::size_t c) {
     const ChunkRange range = chunk_range(sequences.size(), kScoreChunk, c);
+    std::vector<double> rows(2 * tables.num_states);
     for (std::size_t s = range.begin; s < range.end; ++s) {
-      if (sequences[s].empty()) {
-        per_sequence[s] = impossible_penalty;
-        continue;
-      }
       const double ll =
-          forward_scaled(model, sequences[s], cache).log_likelihood;
+          sequences[s].empty()
+              ? -std::numeric_limits<double>::infinity()
+              : forward_pass(tables, sequences[s], {.alpha = rows.data()});
       per_sequence[s] = std::isinf(ll) ? impossible_penalty : ll;
     }
   });
-  double total = 0.0;
-  for (double ll : per_sequence) total += ll;
-  return total / static_cast<double>(sequences.size());
+  for (const double ll : per_sequence) sum += ll;
+  return sum;
 }
 
 }  // namespace cmarkov::hmm

@@ -21,10 +21,16 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "src/hmm/forward_backward.hpp"
 #include "src/hmm/hmm.hpp"
 #include "src/util/exec_context.hpp"
+
+namespace cmarkov {
+class WorkerPool;
+}  // namespace cmarkov
 
 namespace cmarkov::hmm {
 
@@ -71,5 +77,17 @@ double mean_log_likelihood(const Hmm& model,
                            const std::vector<ObservationSeq>& sequences,
                            double impossible_penalty = -1e4,
                            std::size_t num_threads = 1);
+
+/// The pooled sequence scorer behind mean_log_likelihood and the Trainer's
+/// holdout scoring: continues the left fold `sum` with each sequence's
+/// forward_pass log-likelihood, in sequence order, counting impossible and
+/// empty sequences as `impossible_penalty`. Scoring fans out over `pool`
+/// on ping-pong alpha rows (no alpha matrix); the fold runs on the calling
+/// thread, so the result is identical at any thread count. Observation ids
+/// are not range-checked.
+double pooled_log_likelihood_sum(const ForwardTables& tables,
+                                 std::span<const ObservationSeq> sequences,
+                                 double impossible_penalty, WorkerPool& pool,
+                                 double sum = 0.0);
 
 }  // namespace cmarkov::hmm

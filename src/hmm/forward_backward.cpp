@@ -1,5 +1,6 @@
 #include "src/hmm/forward_backward.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -91,109 +92,80 @@ Matrix backward_scaled(const Hmm& model,
   return beta;
 }
 
-void HmmKernelCache::rebuild(const Hmm& model) {
-  transition_t = model.transition.transposed();
-  emission_t = model.emission.transposed();
+ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t) {
+  return {model.initial.data(), model.transition.data(), emission_t.data(),
+          model.num_states()};
 }
 
-ForwardResult forward_scaled(const Hmm& model,
-                             std::span<const std::size_t> observations,
-                             const HmmKernelCache& cache) {
-  // Mirrors the uncached forward_scaled exactly — same operations, same
-  // summation order — so the two are bit-identical; only the memory layout
-  // of the transition/emission reads differs (contiguous rows of the
-  // transposed copies instead of strided columns).
-  const std::size_t n = model.num_states();
+double forward_pass(const ForwardTables& tables,
+                    std::span<const std::size_t> observations,
+                    const ForwardOutputs& out) {
+  const std::size_t n = tables.num_states;
   const std::size_t t_len = observations.size();
-  ForwardResult result;
-  if (t_len == 0) {
-    result.log_likelihood = 0.0;
-    return result;
-  }
-  for (std::size_t symbol : observations) {
-    if (symbol >= model.num_symbols()) {
-      throw std::out_of_range("forward_scaled: observation id out of range");
-    }
-  }
-
-  result.alpha = Matrix(t_len, n);
-  result.scales.resize(t_len, 0.0);
-
-  double scale = 0.0;
-  {
-    const auto emission_col = cache.emission_t.row(observations[0]);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = model.initial[i] * emission_col[i];
-      result.alpha(0, i) = v;
-      scale += v;
-    }
-  }
-  if (scale <= 0.0) {
-    result.impossible = true;
-    result.log_likelihood = -std::numeric_limits<double>::infinity();
-    return result;
-  }
-  result.scales[0] = scale;
-  for (std::size_t i = 0; i < n; ++i) result.alpha(0, i) /= scale;
-
-  for (std::size_t t = 1; t < t_len; ++t) {
-    scale = 0.0;
-    const auto prev_alpha = result.alpha.row(t - 1);
-    const auto emission_col = cache.emission_t.row(observations[t]);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto into_j = cache.transition_t.row(j);
-      double sum = 0.0;
+  const auto row = [&](std::size_t t) {
+    return out.alpha + (out.keep_rows ? t : (t & 1)) * n;
+  };
+  double log_lik = 0.0;
+  for (std::size_t t = 0; t < t_len; ++t) {
+    double* cur = row(t);
+    const double* em = tables.emission_t + observations[t] * n;
+    double scale = 0.0;
+    if (t == 0) {
       for (std::size_t i = 0; i < n; ++i) {
-        sum += prev_alpha[i] * into_j[i];
+        const double v = tables.initial[i] * em[i];
+        cur[i] = v;
+        scale += v;
       }
-      const double v = sum * emission_col[j];
-      result.alpha(t, j) = v;
-      scale += v;
+    } else {
+      // Sources outer, destinations inner: the inner loop is n independent
+      // accumulator lanes the compiler can vectorize (a destination-major
+      // dot product is a serial reduction and cannot), yet each cur[j]
+      // still receives its terms in ascending-i order, so not one double
+      // differs from forward_scaled.
+      const double* prev = row(t - 1);
+      std::fill(cur, cur + n, 0.0);
+      const double* from_i = tables.transition;
+      for (std::size_t i = 0; i < n; ++i, from_i += n) {
+        const double p = prev[i];
+        for (std::size_t j = 0; j < n; ++j) cur[j] += p * from_i[j];
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        const double v = cur[j] * em[j];
+        cur[j] = v;
+        scale += v;
+      }
     }
     if (scale <= 0.0) {
-      result.impossible = true;
-      result.log_likelihood = -std::numeric_limits<double>::infinity();
-      return result;
+      if (out.scales != nullptr) {
+        std::fill(out.scales + t, out.scales + t_len, 0.0);
+      }
+      return -std::numeric_limits<double>::infinity();
     }
-    result.scales[t] = scale;
-    for (std::size_t j = 0; j < n; ++j) result.alpha(t, j) /= scale;
+    log_lik += std::log(scale);
+    for (std::size_t j = 0; j < n; ++j) cur[j] /= scale;
+    if (out.scales != nullptr) out.scales[t] = scale;
   }
-
-  double log_lik = 0.0;
-  for (double c : result.scales) log_lik += std::log(c);
-  result.log_likelihood = log_lik;
-  return result;
+  return log_lik;
 }
 
-Matrix backward_scaled(const Hmm& model,
-                       std::span<const std::size_t> observations,
-                       std::span<const double> scales,
-                       const HmmKernelCache& cache) {
-  // Same contract as the uncached backward_scaled, bit-identical results.
-  const std::size_t n = model.num_states();
+void backward_pass(const ForwardTables& tables,
+                   std::span<const std::size_t> observations,
+                   std::span<const double> scales, double* beta) {
+  const std::size_t n = tables.num_states;
   const std::size_t t_len = observations.size();
-  if (scales.size() != t_len) {
-    throw std::invalid_argument("backward_scaled: scales size mismatch");
-  }
-  Matrix beta(t_len, n);
-  if (t_len == 0) return beta;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    beta(t_len - 1, i) = 1.0 / scales[t_len - 1];
-  }
+  if (t_len == 0) return;
+  double* last = beta + (t_len - 1) * n;
+  for (std::size_t i = 0; i < n; ++i) last[i] = 1.0 / scales[t_len - 1];
   for (std::size_t t = t_len - 1; t-- > 0;) {
-    const auto emission_col = cache.emission_t.row(observations[t + 1]);
-    const auto next_beta = beta.row(t + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto out_of_i = model.transition.row(i);
+    const double* em = tables.emission_t + observations[t + 1] * n;
+    const double* next = beta + (t + 1) * n;
+    const double* from_i = tables.transition;
+    for (std::size_t i = 0; i < n; ++i, from_i += n) {
       double sum = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        sum += out_of_i[j] * emission_col[j] * next_beta[j];
-      }
-      beta(t, i) = sum / scales[t];
+      for (std::size_t j = 0; j < n; ++j) sum += from_i[j] * em[j] * next[j];
+      beta[t * n + i] = sum / scales[t];
     }
   }
-  return beta;
 }
 
 std::vector<double> per_symbol_log_contributions(const ForwardResult& result) {

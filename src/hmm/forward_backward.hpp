@@ -26,45 +26,66 @@ struct ForwardResult {
 ForwardResult forward_scaled(const Hmm& model,
                              std::span<const std::size_t> observations);
 
-/// Cache-friendly companion layout for repeated forward/backward passes
-/// against one fixed model (the Baum-Welch inner loop runs thousands of
-/// passes per iteration over the same parameters):
-///   - transition_t(j, i) = transition(i, j): the forward recursion's inner
-///     sum over predecessor states i reads a contiguous row instead of
-///     striding down a column;
-///   - emission_t(k, j) = emission(j, k): the per-timestep emission column
-///     for the observed symbol k is a contiguous row.
-/// The cached kernels perform the exact same floating-point operations in
-/// the exact same order as the uncached ones — results are bit-identical
-/// (asserted by parallel_training_test). Rebuild after every parameter
-/// update.
-struct HmmKernelCache {
-  Matrix transition_t;  ///< N x N transposed transition matrix.
-  Matrix emission_t;    ///< M x N transposed emission matrix.
-
-  HmmKernelCache() = default;
-  explicit HmmKernelCache(const Hmm& model) { rebuild(model); }
-  void rebuild(const Hmm& model);
-};
-
-/// Forward pass reading the transposed layouts; bit-identical to
-/// forward_scaled(model, observations).
-ForwardResult forward_scaled(const Hmm& model,
-                             std::span<const std::size_t> observations,
-                             const HmmKernelCache& cache);
-
 /// Backward pass reusing the forward scale factors. Returns beta(t, i).
 /// Must not be called for impossible sequences.
 Matrix backward_scaled(const Hmm& model,
                        std::span<const std::size_t> observations,
                        std::span<const double> scales);
 
-/// Backward pass reading the transposed emission layout; bit-identical to
-/// backward_scaled(model, observations, scales).
-Matrix backward_scaled(const Hmm& model,
-                       std::span<const std::size_t> observations,
-                       std::span<const double> scales,
-                       const HmmKernelCache& cache);
+// forward_scaled / backward_scaled above are the reference recursions the
+// tests hold everything else to. Production scores through forward_pass /
+// backward_pass below: the Trainer's E-step and holdout scoring, and the
+// serve tier's ScoringKernel, which compiles the same three tables into
+// its arena. Both produce the oracle's doubles bit for bit.
+
+/// The parameter arrays the production passes read:
+///   - initial    : pi, N doubles;
+///   - transition : A source-major, A(i, j) at [i*N + j] (Matrix's own
+///                  row-major layout), so the forward step iterates sources
+///                  outer / destinations inner and streams one contiguous
+///                  row into N independent accumulators;
+///   - emission_t : B^T, B(j, k) at [k*N + j], so the observed symbol's
+///                  emission column is one contiguous row.
+struct ForwardTables {
+  const double* initial = nullptr;
+  const double* transition = nullptr;
+  const double* emission_t = nullptr;
+  std::size_t num_states = 0;
+};
+
+/// Tables over `model`'s own pi and A plus a caller-held B^T, which must be
+/// model.emission.transposed() and outlive the view.
+ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t);
+
+/// Where forward_pass writes.
+struct ForwardOutputs {
+  /// keep_rows: T*N doubles, normalized row t at alpha + t*N (what the
+  /// backward pass and the E-step's xi need). Otherwise 2*N doubles the
+  /// pass ping-pongs between (scoring only).
+  double* alpha = nullptr;
+  bool keep_rows = false;
+  /// Optional, T entries: the per-step scale c_t. Steps at and after an
+  /// impossible prefix read 0, as per_symbol_log_contributions expects.
+  double* scales = nullptr;
+};
+
+/// The production scaled forward recursion. Returns log P(observations |
+/// model) as the step-order sum of log c_t: 0 for an empty sequence,
+/// -infinity when some prefix has zero probability. Observations are not
+/// range-checked; callers pass ids < num_symbols. Every alpha cell adds its
+/// predecessor terms in ascending source order, exactly like
+/// forward_scaled's per-destination sum, so rows, scales and likelihood are
+/// bit-identical to it.
+double forward_pass(const ForwardTables& tables,
+                    std::span<const std::size_t> observations,
+                    const ForwardOutputs& out);
+
+/// Backward pass over the same tables and the forward scales: writes
+/// beta(t, i) at beta[t*N + i] (T*N doubles); bit-identical to
+/// backward_scaled. Must not be called for impossible sequences.
+void backward_pass(const ForwardTables& tables,
+                   std::span<const std::size_t> observations,
+                   std::span<const double> scales, double* beta);
 
 /// Additive per-symbol decomposition of the log-likelihood: entry t is
 /// log(c_t), the log-probability of symbol t given the (scaled) state

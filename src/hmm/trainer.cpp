@@ -16,66 +16,51 @@ namespace cmarkov::hmm {
 
 namespace {
 
-/// Sequences per work item of the parallel scoring pass.
-constexpr std::size_t kScoreChunk = 64;
-
-/// Per-sequence log-likelihoods with the impossible/empty penalty applied.
-/// Scoring fans out over the pool; the mean is reduced in sequence order on
-/// the calling thread, so the result is independent of the thread count.
-double pooled_mean_log_likelihood(const Hmm& model,
-                                  const HmmKernelCache& cache,
-                                  const std::vector<ObservationSeq>& sequences,
-                                  double impossible_penalty,
-                                  WorkerPool& pool) {
-  if (sequences.empty()) return 0.0;
-  std::vector<double> per_sequence(sequences.size());
-  pool.run(chunk_count(sequences.size(), kScoreChunk), [&](std::size_t c) {
-    const ChunkRange range = chunk_range(sequences.size(), kScoreChunk, c);
-    for (std::size_t s = range.begin; s < range.end; ++s) {
-      if (sequences[s].empty()) {
-        per_sequence[s] = impossible_penalty;
-        continue;
-      }
-      const double ll =
-          forward_scaled(model, sequences[s], cache).log_likelihood;
-      per_sequence[s] = std::isinf(ll) ? impossible_penalty : ll;
-    }
-  });
-  double total = 0.0;
-  for (double ll : per_sequence) total += ll;
-  return total / static_cast<double>(sequences.size());
-}
+/// Per-slot E-step buffers, reused across the slot's sequences.
+struct PassBuffers {
+  std::vector<double> alpha;   ///< T x N kept forward rows
+  std::vector<double> scales;  ///< T forward scales
+  std::vector<double> beta;    ///< T x N backward rows
+};
 
 /// Accumulates expected counts for one sequence; returns false if the
 /// sequence is empty or impossible under the current model. On success,
 /// `log_likelihood` receives the forward log-likelihood computed along the
 /// way.
-bool accumulate_sequence(const Hmm& model, const HmmKernelCache& cache,
+bool accumulate_sequence(const ForwardTables& tables,
                          const ObservationSeq& seq, SuffStats& acc,
-                         double& log_likelihood) {
+                         PassBuffers& buffers, double& log_likelihood) {
   if (seq.empty()) return false;
-  const ForwardResult fwd = forward_scaled(model, seq, cache);
-  if (fwd.impossible) return false;
-  log_likelihood = fwd.log_likelihood;
-  const Matrix beta = backward_scaled(model, seq, fwd.scales, cache);
-
-  const std::size_t n = model.num_states();
+  const std::size_t n = tables.num_states;
   const std::size_t t_len = seq.size();
+  buffers.alpha.resize(t_len * n);
+  buffers.scales.resize(t_len);
+  buffers.beta.resize(t_len * n);
+  const double ll = forward_pass(tables, seq,
+                                 {.alpha = buffers.alpha.data(),
+                                  .keep_rows = true,
+                                  .scales = buffers.scales.data()});
+  if (std::isinf(ll)) return false;
+  log_likelihood = ll;
+  backward_pass(tables, seq, buffers.scales, buffers.beta.data());
+  const double* alpha = buffers.alpha.data();
+  const double* beta = buffers.beta.data();
+  const double* scales = buffers.scales.data();
 
   // gamma(t, i) = alpha(t, i) * beta(t, i) * c_t (scaled quantities).
   auto gamma = [&](std::size_t t, std::size_t i) {
-    return fwd.alpha(t, i) * beta(t, i) * fwd.scales[t];
+    return alpha[t * n + i] * beta[t * n + i] * scales[t];
   };
 
   for (std::size_t i = 0; i < n; ++i) acc.initial[i] += gamma(0, i);
 
   for (std::size_t t = 0; t + 1 < t_len; ++t) {
-    const auto emission_col = cache.emission_t.row(seq[t + 1]);
-    const auto next_beta = beta.row(t + 1);
+    const double* emission_col = tables.emission_t + seq[t + 1] * n;
+    const double* next_beta = beta + (t + 1) * n;
     for (std::size_t i = 0; i < n; ++i) {
-      const double alpha_ti = fwd.alpha(t, i);
+      const double alpha_ti = alpha[t * n + i];
       if (alpha_ti == 0.0) continue;
-      const auto out_of_i = model.transition.row(i);
+      const double* out_of_i = tables.transition + i * n;
       auto num_row = acc.transition_num.row(i);
       for (std::size_t j = 0; j < n; ++j) {
         // xi(t, i, j): scaled alpha/beta make the normalizer 1.
@@ -346,7 +331,9 @@ TrainingReport Trainer::run_em() {
   const std::size_t m = model_.num_symbols();
 
   WorkerPool pool(options_.exec.threads);
-  HmmKernelCache cache(model_);
+  // B^T beside the model: with the model's own pi and source-major A, the
+  // ForwardTables layout ScoringKernel compiles. Rebuilt after each M-step.
+  Matrix emission_t = model_.emission.transposed();
 
   // Resolve instruments once; hot-loop recording is pointer-guarded.
   obs::MetricsRegistry* metrics = options_.exec.metrics;
@@ -391,25 +378,10 @@ TrainingReport Trainer::run_em() {
   if (!holdout.empty()) {
     const std::size_t scored =
         std::min(state_.holdout_cached, holdout.size());
-    double sum = scored > 0 ? state_.holdout_ll_sum : 0.0;
-    const std::size_t pending = holdout.size() - scored;
-    if (pending > 0) {
-      std::vector<double> per_sequence(pending);
-      pool.run(chunk_count(pending, kScoreChunk), [&](std::size_t c) {
-        const ChunkRange range = chunk_range(pending, kScoreChunk, c);
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-          const ObservationSeq& seq = holdout[scored + i];
-          if (seq.empty()) {
-            per_sequence[i] = options_.impossible_penalty;
-            continue;
-          }
-          const double ll = forward_scaled(model_, seq, cache).log_likelihood;
-          per_sequence[i] =
-              std::isinf(ll) ? options_.impossible_penalty : ll;
-        }
-      });
-      for (double ll : per_sequence) sum += ll;
-    }
+    const double sum = pooled_log_likelihood_sum(
+        forward_tables(model_, emission_t),
+        std::span(holdout).subspan(scored), options_.impossible_penalty, pool,
+        scored > 0 ? state_.holdout_ll_sum : 0.0);
     state_.holdout_ll_sum = sum;
     state_.holdout_cached = holdout.size();
     best_score = sum / static_cast<double>(holdout.size());
@@ -428,6 +400,7 @@ TrainingReport Trainer::run_em() {
     partial.assign(kTrainerMergeSlots, SuffStats(n, m));
   }
   SuffStats total(n, m);
+  std::vector<PassBuffers> buffers(kTrainerMergeSlots);
   std::vector<double> per_sequence_ll(count, options_.impossible_penalty);
   std::vector<unsigned char> accepted(count, 0);
 
@@ -439,14 +412,17 @@ TrainingReport Trainer::run_em() {
     const obs::ScopedTimer iteration_span(profile, "train-iteration");
     Stopwatch stage_watch;
     const std::size_t skip = iter == 0 ? folded : 0;
+    const ForwardTables tables = forward_tables(model_, emission_t);
     pool.run(kTrainerMergeSlots, [&](std::size_t slot) {
       SuffStats& acc = partial[slot];
       if (skip == 0) acc.reset();
       for (std::size_t s = slot; s < count; s += kTrainerMergeSlots) {
         if (s < skip) continue;  // already in the cached fold
         double ll = options_.impossible_penalty;
-        accepted[s] =
-            accumulate_sequence(model_, cache, sequences[s], acc, ll) ? 1 : 0;
+        accepted[s] = accumulate_sequence(tables, sequences[s], acc,
+                                          buffers[slot], ll)
+                          ? 1
+                          : 0;
         per_sequence_ll[s] = accepted[s] ? ll : options_.impossible_penalty;
       }
     });
@@ -499,7 +475,7 @@ TrainingReport Trainer::run_em() {
 
     stage_watch.reset();
     reestimate(model_, total, options_.pseudocount, observed);
-    cache.rebuild(model_);
+    emission_t = model_.emission.transposed();
     {
       const double mstep_s = stage_watch.seconds();
       if (mstep_seconds != nullptr) mstep_seconds->record(mstep_s);
@@ -518,8 +494,10 @@ TrainingReport Trainer::run_em() {
     const double score =
         holdout.empty()
             ? train_mean
-            : pooled_mean_log_likelihood(model_, cache, holdout,
-                                         options_.impossible_penalty, pool);
+            : pooled_log_likelihood_sum(forward_tables(model_, emission_t),
+                                        holdout, options_.impossible_penalty,
+                                        pool) /
+                  static_cast<double>(holdout.size());
     if (!holdout.empty()) {
       report.holdout_log_likelihood.push_back(score);
       if (profile != nullptr) {

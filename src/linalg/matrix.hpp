@@ -39,6 +39,9 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// Row-major storage, rows() * cols() doubles.
+  const double* data() const { return data_.data(); }
+
   /// View of row r.
   std::span<const double> row(std::size_t r) const;
   std::span<double> row(std::size_t r);

@@ -1016,10 +1016,7 @@ void SessionManager::process_item(Item& item, BatchCounters& batch) {
   }
   item.session->processed.fetch_add(1, std::memory_order_relaxed);
   batch.processed += 1;
-  if (update.window_complete) {
-    batch.windows += 1;
-    if (update.scored_by_kernel) batch.kernel_windows += 1;
-  }
+  if (update.window_complete) batch.windows += 1;
   if (update.alarm) {
     alarms_total_->add(1);
     log_debug() << "alarm session=" << item.session->id
@@ -1063,9 +1060,10 @@ void SessionManager::flush_batch(std::size_t shard,
     processed_total_->add(batch.processed);
     shard_processed_totals_[shard]->add(batch.processed);
   }
-  if (batch.windows > 0) windows_total_->add(batch.windows);
-  if (batch.kernel_windows > 0) {
-    kernel_windows_total_->add(batch.kernel_windows);
+  if (batch.windows > 0) {
+    // Every window scores through the shared kernel, audited ones too.
+    windows_total_->add(batch.windows);
+    kernel_windows_total_->add(batch.windows);
   }
 }
 

@@ -301,7 +301,6 @@ class SessionManager {
   struct BatchCounters {
     std::uint64_t processed = 0;
     std::uint64_t windows = 0;
-    std::uint64_t kernel_windows = 0;
   };
 
   std::shared_ptr<Session> find_session(const std::string& id) const;

@@ -16,6 +16,7 @@
 
 #include "src/core/detector.hpp"
 #include "src/core/online_monitor.hpp"
+#include "src/core/scoring_kernel.hpp"
 #include "src/hmm/forward_backward.hpp"
 #include "src/obs/run_profile.hpp"
 #include "src/obs/trace/bounded_log.hpp"
@@ -23,6 +24,7 @@
 #include "src/obs/trace/decision_log.hpp"
 #include "src/obs/trace/decision_record.hpp"
 #include "src/obs/trace/tracer.hpp"
+#include "tests/reference_record.hpp"
 
 namespace cmarkov {
 namespace {
@@ -176,15 +178,25 @@ TEST(ForwardDecompositionTest, ImpossibleWindowPutsInfinityAtFailingStep) {
             forward.log_likelihood);
 }
 
+/// Scores `segment` through the compiled kernel with audit outputs and
+/// builds the decision record from them, as the monitor does.
+obs::DecisionRecord kernel_record(const core::Detector& detector,
+                                  const hmm::ObservationSeq& segment,
+                                  core::SegmentVerdict& verdict) {
+  const auto kernel = core::ScoringKernel::compile(detector);
+  core::KernelScratch scratch;
+  core::WindowAudit audit;
+  verdict = kernel->score_window(segment, scratch, &audit);
+  return detector.make_decision_record(segment, verdict, audit.scales,
+                                       audit.alpha);
+}
+
 TEST(DecisionRecordTest, RecordMatchesVerdictAndLabels) {
   const core::Detector detector = tiny_detector(-1.0);
   const hmm::ObservationSeq segment{0, 1, 0};
-  hmm::ForwardResult forward;
-  const core::SegmentVerdict verdict =
-      detector.score_segment(segment, &forward);
+  core::SegmentVerdict verdict;
+  const obs::DecisionRecord record = kernel_record(detector, segment, verdict);
   EXPECT_TRUE(verdict.flagged);  // threshold -1 is above any real window
-  const obs::DecisionRecord record =
-      detector.make_decision_record(segment, verdict, forward);
   EXPECT_EQ(record.log_likelihood, verdict.log_likelihood);
   EXPECT_EQ(record.threshold, -1.0);
   EXPECT_EQ(record.margin, verdict.log_likelihood - (-1.0));
@@ -197,19 +209,17 @@ TEST(DecisionRecordTest, RecordMatchesVerdictAndLabels) {
   // The acceptance bound: per-symbol contributions reproduce the verdict.
   EXPECT_NEAR(record.contribution_sum(), verdict.log_likelihood, 1e-9);
   EXPECT_EQ(record.contribution_sum(), verdict.log_likelihood);
+  test_support::expect_same_record(
+      record, test_support::reference_record(detector, segment));
 }
 
 TEST(DecisionRecordTest, UnknownSymbolAbsorbsTheInfinity) {
   const core::Detector detector = tiny_detector(-10.0);
   const hmm::ObservationSeq segment{0, 7, 1};  // 7 is out of vocabulary
-  hmm::ForwardResult forward;
-  const core::SegmentVerdict verdict =
-      detector.score_segment(segment, &forward);
+  core::SegmentVerdict verdict;
+  const obs::DecisionRecord record = kernel_record(detector, segment, verdict);
   EXPECT_TRUE(verdict.unknown_symbol);
-  EXPECT_TRUE(forward.impossible);
   EXPECT_EQ(verdict.log_likelihood, -kInf);
-  const obs::DecisionRecord record =
-      detector.make_decision_record(segment, verdict, forward);
   ASSERT_EQ(record.symbols.size(), 3u);
   EXPECT_FALSE(record.symbols[0].unknown);
   EXPECT_TRUE(record.symbols[1].unknown);
@@ -217,6 +227,43 @@ TEST(DecisionRecordTest, UnknownSymbolAbsorbsTheInfinity) {
   EXPECT_EQ(record.symbols[1].log_prob, -kInf);
   EXPECT_EQ(record.symbols[0].log_prob, 0.0);
   EXPECT_EQ(record.contribution_sum(), -kInf);
+  test_support::expect_same_record(
+      record, test_support::reference_record(detector, segment));
+}
+
+TEST(DecisionRecordTest, ZeroScaleStepReadsInfinityThenZeros) {
+  // Every symbol is known, but no state can emit symbol 1: the window dies
+  // at its second step. The failing step carries the -infinity; later
+  // steps read 0 and state 0.
+  hmm::Hmm model;
+  model.transition = Matrix::from_rows({{0.5, 0.5}, {0.2, 0.8}});
+  model.emission = Matrix::from_rows({{1.0, 0.0}, {1.0, 0.0}});
+  model.initial = {0.3, 0.7};
+  hmm::Alphabet alphabet;
+  alphabet.intern("read@main");
+  alphabet.intern("write@main");
+  core::DetectorConfig config;
+  config.segments.length = 4;
+  const core::Detector detector = core::Detector::from_parts(
+      config, std::move(model), std::move(alphabet), -10.0,
+      /*trained=*/true);
+  const hmm::ObservationSeq segment{0, 1, 0, 0};
+  core::SegmentVerdict verdict;
+  const obs::DecisionRecord record = kernel_record(detector, segment, verdict);
+  EXPECT_FALSE(verdict.unknown_symbol);
+  EXPECT_EQ(verdict.log_likelihood, -kInf);
+  ASSERT_EQ(record.symbols.size(), 4u);
+  EXPECT_GT(record.symbols[0].log_prob, -kInf);
+  EXPECT_EQ(record.symbols[0].state, 1u);  // 0.7 * 1.0 beats 0.3 * 1.0
+  EXPECT_EQ(record.symbols[1].log_prob, -kInf);
+  EXPECT_EQ(record.symbols[1].state, 0u);
+  for (std::size_t t = 2; t < 4; ++t) {
+    EXPECT_EQ(record.symbols[t].log_prob, 0.0);
+    EXPECT_EQ(record.symbols[t].state, 0u);
+  }
+  EXPECT_EQ(record.contribution_sum(), -kInf);
+  test_support::expect_same_record(
+      record, test_support::reference_record(detector, segment));
 }
 
 TEST(MonitorDecisionTest, PeriodicSamplingFillsBoundedRing) {

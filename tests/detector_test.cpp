@@ -209,7 +209,6 @@ TEST(DetectorTest, ScoringKernelBitIdenticalToReferenceForward) {
     EXPECT_EQ(kernel->num_symbols(), detector.model().num_symbols());
     EXPECT_EQ(kernel->threshold(), detector.threshold());
     EXPECT_EQ(kernel->context_sensitive(), context_sensitive);
-    EXPECT_FALSE(kernel->pruned());  // pruning is never implicit
 
     auto windows = sliding_windows(
         detector, workload::collect_traces(fixture().suite, 5, 501));
@@ -257,48 +256,8 @@ TEST(DetectorTest, ScoringKernelInternsLikeTheAlphabet) {
   }
 }
 
-TEST(DetectorTest, PrunedKernelIsMonotoneAndGuarded) {
-  Detector detector =
-      Detector::build(fixture().suite.module(), quick_config());
-  detector.train(fixture().collection.traces);
-  const auto exact = ScoringKernel::compile(detector);
-  KernelOptions options;
-  options.prune = true;
-  options.prune_epsilon = 1e-4;
-  options.top_k = 8;
-  const auto pruned = ScoringKernel::compile(detector, options);
-  EXPECT_TRUE(pruned->pruned());
-  EXPECT_GT(pruned->pruned_entries(), 0u);
-  EXPECT_GT(pruned->max_dropped_mass(), 0.0);
-  EXPECT_LT(pruned->image_bytes(), 2 * exact->image_bytes());
-
-  // Pruning only removes path probability, so LL_pruned <= LL_exact holds
-  // unconditionally (there is no unconditional LOWER bound on the deficit;
-  // see ScoringKernel::max_dropped_mass and DESIGN.md).
-  const auto windows = sliding_windows(
-      detector, workload::collect_traces(fixture().suite, 4, 99));
-  ASSERT_GT(windows.size(), 20u);
-  KernelScratch scratch;
-  for (const auto& window : windows) {
-    const double ll_exact = exact->score_window(window, scratch).log_likelihood;
-    const double ll_pruned =
-        pruned->score_window(window, scratch).log_likelihood;
-    EXPECT_LE(ll_pruned, ll_exact);
-  }
-
-  // Degenerate configurations are rejected at compile time, not at score
-  // time: pruning away every transition, and negative epsilons.
-  KernelOptions absurd;
-  absurd.prune = true;
-  absurd.prune_epsilon = 1.0;
-  EXPECT_THROW(ScoringKernel::compile(detector, absurd),
-               std::invalid_argument);
-  KernelOptions negative;
-  negative.prune = true;
-  negative.prune_epsilon = -1.0;
-  EXPECT_THROW(ScoringKernel::compile(detector, negative),
-               std::invalid_argument);
-  // And the serve tier never compiles against an untrained detector.
+TEST(DetectorTest, ScoringKernelRejectsUntrainedDetector) {
+  // The serve tier never compiles against an untrained detector.
   const Detector untrained =
       Detector::build(fixture().suite.module(), quick_config());
   EXPECT_THROW(ScoringKernel::compile(untrained), std::invalid_argument);

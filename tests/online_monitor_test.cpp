@@ -4,6 +4,7 @@
 #include "src/attack/exploit_driver.hpp"
 #include "src/core/online_monitor.hpp"
 #include "src/workload/testcase_generator.hpp"
+#include "tests/reference_record.hpp"
 
 namespace cmarkov::core {
 namespace {
@@ -356,7 +357,7 @@ TEST(OnlineMonitorTest, StateBytesAndStorageRecycling) {
 std::vector<trace::CallEvent> mixed_stream() {
   // Benign traffic, then attack traffic, with a call the model has never
   // seen in any context sprinkled in — exercising the healthy, flagged,
-  // and unknown-symbol (-inf) scoring branches of both paths.
+  // and unknown-symbol (-inf) scoring branches.
   std::vector<trace::CallEvent> events = benign_events(29, 2);
   for (const auto& attack : attack::build_attack_traces(
            fixture().suite, attack::gzip_payloads(), 2)) {
@@ -374,34 +375,31 @@ std::vector<trace::CallEvent> mixed_stream() {
 }
 
 TEST(OnlineMonitorTest, KernelPathBitIdenticalToReferencePath) {
-  // Decision tracing keeps the reference forward recursion (it needs the
-  // full alpha matrix for the audit record); every other window goes
-  // through the compiled ScoringKernel. Over the same stream the two paths
-  // must agree EXACTLY — same double bits, not approximately.
+  // Every window scores through the compiled ScoringKernel, audited ones
+  // included. A tracing monitor that audits every window must agree
+  // EXACTLY with the reference recursion (Detector::score_segment) on each
+  // window — same double bits, not approximately.
   MonitorOptions audited;
   audited.decisions.enabled = true;
   audited.decisions.ring_capacity = 4;
-  audited.decisions.sample_every = 0;
-  OnlineMonitor reference(fixture().detector, nullptr, audited);
-  OnlineMonitor fast(fixture().detector);
+  audited.decisions.sample_every = 1;
+  OnlineMonitor monitor(fixture().detector, nullptr, audited);
 
   std::size_t windows = 0;
   std::size_t unknown_windows = 0;
   std::size_t flagged_windows = 0;
   for (const auto& event : mixed_stream()) {
-    const MonitorUpdate a = reference.on_event(event);
-    const MonitorUpdate b = fast.on_event(event);
-    ASSERT_EQ(a.window_complete, b.window_complete);
-    if (!a.window_complete) continue;
+    const MonitorUpdate update = monitor.on_event(event);
+    if (!update.window_complete) continue;
     ++windows;
-    unknown_windows += a.unknown_symbol;
-    flagged_windows += a.flagged;
-    EXPECT_FALSE(a.scored_by_kernel);
-    EXPECT_TRUE(b.scored_by_kernel);
-    EXPECT_EQ(a.log_likelihood, b.log_likelihood);  // exact, not near
-    EXPECT_EQ(a.flagged, b.flagged);
-    EXPECT_EQ(a.unknown_symbol, b.unknown_symbol);
-    EXPECT_EQ(a.alarm, b.alarm);
+    const SegmentVerdict ref = fixture().detector.score_segment(*update.window);
+    unknown_windows += ref.unknown_symbol;
+    flagged_windows += ref.flagged;
+    EXPECT_EQ(update.log_likelihood, ref.log_likelihood);  // exact, not near
+    EXPECT_EQ(update.flagged, ref.flagged);
+    EXPECT_EQ(update.unknown_symbol, ref.unknown_symbol);
+    ASSERT_NE(update.decision, nullptr);
+    EXPECT_EQ(update.decision->log_likelihood, ref.log_likelihood);
   }
   // All three scoring branches must actually have been compared.
   ASSERT_GT(windows, 100u);
@@ -409,11 +407,37 @@ TEST(OnlineMonitorTest, KernelPathBitIdenticalToReferencePath) {
   ASSERT_GT(flagged_windows, unknown_windows);
 }
 
-TEST(OnlineMonitorTest, SnapshotRestoresIdenticallyOnBothScoringPaths) {
-  // Window ids are interchangeable between the kernel and the reference
-  // path (the kernel interns to the same ids and unknown sentinel as the
-  // alphabet), so a snapshot from a kernel-scoring monitor must rescore
-  // identically whether restored into a kernel or an audited monitor.
+TEST(OnlineMonitorTest, KernelAuditRecordsMatchReferenceRecords) {
+  // The record built from the kernel's audit outputs (per-step scales and
+  // argmax states) must equal the one the reference recursion yields, field
+  // by field with exact doubles, for every window of the stream — healthy,
+  // flagged and unknown-symbol windows alike.
+  MonitorOptions audited;
+  audited.decisions.enabled = true;
+  audited.decisions.sample_every = 1;
+  audited.decisions.ring_capacity = 1;
+  OnlineMonitor monitor(fixture().detector, nullptr, audited);
+  std::size_t records = 0;
+  std::size_t unknown_records = 0;
+  for (const auto& event : mixed_stream()) {
+    const MonitorUpdate update = monitor.on_event(event);
+    if (!update.window_complete) continue;
+    ASSERT_NE(update.decision, nullptr);
+    ++records;
+    unknown_records += update.decision->unknown_symbol;
+    test_support::expect_same_record(
+        *update.decision,
+        test_support::reference_record(fixture().detector, *update.window));
+  }
+  ASSERT_GT(records, 100u);
+  ASSERT_GT(unknown_records, 0u);
+}
+
+TEST(OnlineMonitorTest, SnapshotRestoresIdenticallyWithAndWithoutAuditing) {
+  // Window ids are interchangeable between the kernel and the alphabet
+  // (the kernel interns to the same ids and unknown sentinel), so a
+  // snapshot must rescore exactly like the reference recursion whether
+  // restored into a plain or an audited monitor.
   const std::vector<trace::CallEvent> events = mixed_stream();
   const std::size_t cut = events.size() / 2 + 3;  // mid-window on purpose
   OnlineMonitor source(fixture().detector);
@@ -423,19 +447,24 @@ TEST(OnlineMonitorTest, SnapshotRestoresIdenticallyOnBothScoringPaths) {
   MonitorOptions audited;
   audited.decisions.enabled = true;
   audited.decisions.ring_capacity = 4;
-  OnlineMonitor kernel_resumed(fixture().detector);
-  OnlineMonitor reference_resumed(fixture().detector, nullptr, audited);
-  kernel_resumed.restore(frozen);
-  reference_resumed.restore(frozen);
+  OnlineMonitor plain_resumed(fixture().detector);
+  OnlineMonitor audited_resumed(fixture().detector, nullptr, audited);
+  plain_resumed.restore(frozen);
+  audited_resumed.restore(frozen);
   for (std::size_t i = cut; i < events.size(); ++i) {
-    const MonitorUpdate a = reference_resumed.on_event(events[i]);
-    const MonitorUpdate b = kernel_resumed.on_event(events[i]);
+    const MonitorUpdate a = audited_resumed.on_event(events[i]);
+    const MonitorUpdate b = plain_resumed.on_event(events[i]);
     ASSERT_EQ(a.window_complete, b.window_complete) << i;
     EXPECT_EQ(a.log_likelihood, b.log_likelihood) << i;
     EXPECT_EQ(a.flagged, b.flagged) << i;
     EXPECT_EQ(a.unknown_symbol, b.unknown_symbol) << i;
+    if (a.window_complete) {
+      EXPECT_EQ(a.log_likelihood,
+                fixture().detector.score_segment(*a.window).log_likelihood)
+          << i;
+    }
   }
-  ASSERT_GT(kernel_resumed.stats().windows_scored,
+  ASSERT_GT(plain_resumed.stats().windows_scored,
             frozen.stats.windows_scored);
 }
 

@@ -1,6 +1,7 @@
 // Bit-identity tests for the parallel training engine: Baum-Welch, holdout
-// scoring, the cached forward/backward kernels, k-means and PCA must all
-// produce byte-for-byte identical results at every thread count.
+// scoring, k-means and PCA must all produce byte-for-byte identical results
+// at every thread count, and the production forward/backward passes must
+// match the reference recursions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -150,24 +151,39 @@ TEST(ParallelTrainingTest, MeanLogLikelihoodPenalizesEmptySequences) {
   EXPECT_NEAR(with_empty_mean, expected, 1e-9);
 }
 
-TEST(CachedKernelTest, ForwardBackwardMatchesUncachedBitwise) {
+TEST(ForwardPassTest, ForwardBackwardMatchesUncachedBitwise) {
+  // The production passes, run with kept alpha rows as the Trainer E-step
+  // runs them, must reproduce the forward_scaled / backward_scaled oracle
+  // bit for bit — alpha rows, scales, likelihood and beta — including an
+  // impossible sequence (scales zero-filled from the failing step).
   Rng rng(71);
   const Hmm model = randomly_initialized_hmm(14, 11, rng);
-  const HmmKernelCache cache(model);
-  for (int trial = 0; trial < 5; ++trial) {
+  Hmm mute = model;  // no state can emit symbol 3
+  for (std::size_t i = 0; i < mute.num_states(); ++i) mute.emission(i, 3) = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const bool impossible = trial == 5;
+    const Hmm& m = impossible ? mute : model;
     ObservationSeq seq(20);
-    for (auto& x : seq) x = rng.index(model.num_symbols());
+    for (auto& x : seq) x = rng.index(m.num_symbols());
+    if (impossible) seq[7] = 3;
 
-    const ForwardResult plain = forward_scaled(model, seq);
-    const ForwardResult cached = forward_scaled(model, seq, cache);
-    EXPECT_EQ(plain.alpha, cached.alpha);
-    EXPECT_EQ(plain.scales, cached.scales);
-    EXPECT_EQ(plain.log_likelihood, cached.log_likelihood);
+    const Matrix emission_t = m.emission.transposed();
+    const ForwardTables tables = forward_tables(m, emission_t);
+    Matrix alpha(seq.size(), m.num_states());
+    std::vector<double> scales(seq.size(), -1.0);
+    const double ll = forward_pass(
+        tables, seq,
+        {.alpha = &alpha(0, 0), .keep_rows = true, .scales = scales.data()});
+    const ForwardResult oracle = forward_scaled(m, seq);
+    EXPECT_EQ(oracle.impossible, impossible);
+    EXPECT_EQ(oracle.alpha, alpha);
+    EXPECT_EQ(oracle.scales, scales);
+    EXPECT_EQ(oracle.log_likelihood, ll);
+    if (impossible) continue;  // backward is undefined past a zero scale
 
-    const Matrix beta_plain = backward_scaled(model, seq, plain.scales);
-    const Matrix beta_cached =
-        backward_scaled(model, seq, plain.scales, cache);
-    EXPECT_EQ(beta_plain, beta_cached);
+    Matrix beta(seq.size(), m.num_states());
+    backward_pass(tables, seq, scales, &beta(0, 0));
+    EXPECT_EQ(backward_scaled(m, seq, oracle.scales), beta);
   }
 }
 

@@ -3,10 +3,7 @@
 # through the compiled core::ScoringKernel (shared per model version by
 # the ModelRegistry). Raw HMM scoring entry points — the ForwardResult
 # matrix recursion and friends — allocate per window and bypass the
-# flat-scratch kernel, so they must never appear in src/serve. The one
-# sanctioned exception is the decision-audit path, which needs the full
-# alpha matrix and reaches the reference recursion through
-# Detector::score_segment inside src/core, not from serve code.
+# flat-scratch kernel, so they must never appear in src/serve.
 #
 # Wired into CTest as `check_scoring_kernel` (label: serve).
 set -eu
