@@ -146,27 +146,34 @@ int main(int argc, char** argv) {
   manager.drain();
   const double elapsed = watch.seconds();
 
-  const serve::ServiceMetrics metrics = manager.metrics();
-  manager.metrics_registry();  // refresh gauges (bytes/session, residency)
-  obs::MetricsRegistry& instruments = manager.instruments();
+  // One refreshed snapshot (bytes/session and residency are gauges).
+  const obs::MetricsRegistry::Snapshot metrics =
+      manager.metrics_registry().snapshot();
+  const std::uint64_t processed =
+      metrics.counters.at("cmarkov_serve_events_processed_total");
+  const std::uint64_t dropped =
+      metrics.counters.at("cmarkov_serve_events_dropped_total");
+  const std::uint64_t rejected =
+      metrics.counters.at("cmarkov_serve_events_rejected_total");
   const std::uint64_t evictions =
-      instruments.counter("cmarkov_serve_sessions_evicted_total").value();
+      metrics.counters.at("cmarkov_serve_sessions_evicted_total");
   const std::uint64_t restores =
-      instruments.counter("cmarkov_serve_sessions_restored_total").value();
+      metrics.counters.at("cmarkov_serve_sessions_restored_total");
   const double bytes_per_session =
-      instruments.gauge("cmarkov_serve_session_state_bytes").value();
+      metrics.gauges.at("cmarkov_serve_session_state_bytes");
+  const obs::HistogramSnapshot& latency =
+      metrics.histograms.at("cmarkov_serve_latency_micros");
 
-  const double events_per_second =
-      static_cast<double>(metrics.events_processed) / elapsed;
+  const double events_per_second = static_cast<double>(processed) / elapsed;
   const double evictions_per_second =
       static_cast<double>(evictions) / elapsed;
   const double events_per_eviction =
       evictions == 0 ? 0.0
-                     : static_cast<double>(metrics.events_processed) /
+                     : static_cast<double>(processed) /
                            static_cast<double>(evictions);
 
   TablePrinter table({"Metric", "Value"});
-  table.add_row({"events processed", std::to_string(metrics.events_processed)});
+  table.add_row({"events processed", std::to_string(processed)});
   table.add_row({"elapsed seconds", format_double(elapsed, 2)});
   table.add_row({"events/sec", format_double(events_per_second, 0)});
   table.add_row({"evictions", std::to_string(evictions)});
@@ -180,16 +187,13 @@ int main(int argc, char** argv) {
                  std::to_string(manager.snapshot_store().size())});
   table.add_row({"state pool entries",
                  std::to_string(manager.state_pool().size())});
-  table.add_row({"p50 latency us",
-                 format_double(metrics.p50_latency_micros, 0)});
-  table.add_row({"p99 latency us",
-                 format_double(metrics.p99_latency_micros, 0)});
+  table.add_row({"p50 latency us", format_double(latency.p50, 0)});
+  table.add_row({"p99 latency us", format_double(latency.p99, 0)});
   table.print();
 
-  if (metrics.events_dropped != 0 || metrics.events_rejected != 0) {
-    std::cout << "WARNING: block policy dropped/rejected events ("
-              << metrics.events_dropped << "/" << metrics.events_rejected
-              << ")\n";
+  if (dropped != 0 || rejected != 0) {
+    std::cout << "WARNING: block policy dropped/rejected events (" << dropped
+              << "/" << rejected << ")\n";
   }
 
   const bool throughput_ok = events_per_second >= target;

@@ -224,8 +224,6 @@ int main(int argc, char** argv) {
     net.admin_port = 0;
     admin_server = std::make_unique<serve::net::EpollServer>(manager, net);
     admin_server->start();
-    admin->set_loop_status_fn(
-        [srv = admin_server.get()] { return srv->loop_status(); });
     collector->start();
     const std::uint16_t admin_port = admin_server->admin_port();
     poller = std::thread([&stop_poller, &scrapes, admin_port,
@@ -279,18 +277,25 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  const serve::ServiceMetrics metrics = manager.metrics();
-  const double events_per_second =
-      static_cast<double>(metrics.events_processed) / elapsed;
-  std::cout << "aggregate: " << metrics.events_processed << " events in "
+  const obs::MetricsRegistry::Snapshot metrics =
+      manager.metrics_registry().snapshot();
+  const std::uint64_t processed =
+      metrics.counters.at("cmarkov_serve_events_processed_total");
+  const obs::HistogramSnapshot& latency =
+      metrics.histograms.at("cmarkov_serve_latency_micros");
+  const double events_per_second = static_cast<double>(processed) / elapsed;
+  std::cout << "aggregate: " << processed << " events in "
             << format_double(elapsed, 2) << "s -> "
             << format_double(events_per_second, 0) << " events/sec\n";
-  std::cout << "latency: p50=" << format_double(metrics.p50_latency_micros, 0)
-            << "us p99=" << format_double(metrics.p99_latency_micros, 0)
-            << "us (" << metrics.latency_samples << " samples)\n";
-  std::cout << "dropped=" << metrics.events_dropped
-            << " rejected=" << metrics.events_rejected
-            << " alarms=" << metrics.alarms << "\n";
+  std::cout << "latency: p50=" << format_double(latency.p50, 0)
+            << "us p99=" << format_double(latency.p99, 0) << "us ("
+            << latency.count << " samples)\n";
+  std::cout << "dropped="
+            << metrics.counters.at("cmarkov_serve_events_dropped_total")
+            << " rejected="
+            << metrics.counters.at("cmarkov_serve_events_rejected_total")
+            << " alarms=" << metrics.counters.at("cmarkov_serve_alarms_total")
+            << "\n";
   if (admin_mode == "on") {
     std::cout << "admin: " << scrapes.load()
               << " scrape round(s) of /varz+/metrics+/statusz, "

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/obs/metrics_registry.hpp"
-
 namespace cmarkov::core {
 
 OnlineMonitor::OnlineMonitor(const Detector& detector,
@@ -33,20 +31,11 @@ OnlineMonitor::OnlineMonitor(const Detector& detector,
   window_.assign(length, 0);  // reuses donated capacity when large enough
   segment_.clear();
   segment_.reserve(length);
-  if (options_.metrics != nullptr) {
-    events_counter_ = &options_.metrics->counter("cmarkov_monitor_events_total");
-    windows_counter_ =
-        &options_.metrics->counter("cmarkov_monitor_windows_total");
-    flagged_counter_ =
-        &options_.metrics->counter("cmarkov_monitor_windows_flagged_total");
-    alarms_counter_ = &options_.metrics->counter("cmarkov_monitor_alarms_total");
-  }
 }
 
 MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
   MonitorUpdate update;
   stats_.events_seen += 1;
-  if (events_counter_ != nullptr) events_counter_->add(1);
   if (cooldown_remaining_ > 0) --cooldown_remaining_;
 
   const auto& config = detector_->config();
@@ -101,17 +90,14 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
   update.flagged = verdict.flagged;
   update.unknown_symbol = verdict.unknown_symbol;
   stats_.windows_scored += 1;
-  if (windows_counter_ != nullptr) windows_counter_->add(1);
 
   if (verdict.flagged) {
     stats_.windows_flagged += 1;
-    if (flagged_counter_ != nullptr) flagged_counter_->add(1);
     consecutive_flagged_ += 1;
     if (consecutive_flagged_ >= options_.windows_to_alarm &&
         cooldown_remaining_ == 0) {
       update.alarm = true;
       stats_.alarms += 1;
-      if (alarms_counter_ != nullptr) alarms_counter_->add(1);
       cooldown_remaining_ = options_.cooldown_events;
       consecutive_flagged_ = 0;
     }

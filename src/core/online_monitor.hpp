@@ -14,11 +14,6 @@
 #include "src/core/scoring_kernel.hpp"
 #include "src/trace/symbolizer.hpp"
 
-namespace cmarkov::obs {
-class Counter;
-class MetricsRegistry;
-}  // namespace cmarkov::obs
-
 namespace cmarkov::core {
 
 // Hysteresis/cooldown semantics (asserted by online_monitor_test):
@@ -104,11 +99,6 @@ struct MonitorOptions {
   std::size_t windows_to_alarm = 1;
   /// Events suppressed after an alarm before the next one may fire.
   std::size_t cooldown_events = 0;
-  /// Optional sink for the cmarkov_monitor_* counters (events, windows,
-  /// flagged windows, alarms). Non-owning; must outlive the monitor. The
-  /// cmarkovd session manager leaves this null and counts service-wide
-  /// instead, to avoid double counting across per-session monitors.
-  obs::MetricsRegistry* metrics = nullptr;
   /// Per-window decision audit records (off by default).
   DecisionTraceOptions decisions;
 };
@@ -235,11 +225,6 @@ class OnlineMonitor {
   std::size_t consecutive_flagged_ = 0;
   std::size_t cooldown_remaining_ = 0;
   MonitorStats stats_;
-  // Resolved once in the constructor; null when options_.metrics is null.
-  obs::Counter* events_counter_ = nullptr;
-  obs::Counter* windows_counter_ = nullptr;
-  obs::Counter* flagged_counter_ = nullptr;
-  obs::Counter* alarms_counter_ = nullptr;
 };
 
 }  // namespace cmarkov::core

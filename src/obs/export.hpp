@@ -1,7 +1,7 @@
 // Exporters for the observability layer:
 //  - to_prometheus(): Prometheus text exposition (one scrape page),
 //  - to_kv_line():    the versioned single-line `v=1 key=value ...` schema
-//                     used by the cmarkovd STATS/METRICS protocol verbs,
+//                     of the cmarkovd METRICS protocol verb,
 //  - run_profile_json(): the machine-readable profile behind
 //                     `cmarkov train --profile-json`.
 // All output is deterministic for a given registry/profile state (sorted

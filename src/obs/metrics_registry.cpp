@@ -170,4 +170,11 @@ std::span<const double> seconds_bucket_bounds() {
   return kBounds;
 }
 
+std::span<const double> latency_bucket_bounds() {
+  static constexpr double kBounds[] = {
+      1,   2,   5,   10,  20,  50,  100, 200, 500, 1e3,
+      2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6};
+  return kBounds;
+}
+
 }  // namespace cmarkov::obs

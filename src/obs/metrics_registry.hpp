@@ -150,4 +150,9 @@ class MetricsRegistry {
 /// decades from 100 microseconds to 100 seconds.
 std::span<const double> seconds_bucket_bounds();
 
+/// Shared bucket layout for latency histograms (microseconds): 1us .. 2s,
+/// log-ish spacing. Values above the last bound land in the overflow bucket
+/// and quantiles saturate at 2e6.
+std::span<const double> latency_bucket_bounds();
+
 }  // namespace cmarkov::obs

@@ -71,6 +71,12 @@ std::string drift_json(const DriftMonitor* drift) {
   return out;
 }
 
+/// Integer JSON rendering of a gauge that counts whole things (sessions,
+/// bytes, queued events) — not format_metric_value's %.10g.
+std::string integer_json(double value) {
+  return std::to_string(static_cast<std::uint64_t>(value));
+}
+
 void encode_response(const HttpResponse& resp, bool keep_alive,
                      std::string& out) {
   out += "HTTP/1.1 " + std::to_string(resp.status) + " " +
@@ -88,8 +94,8 @@ AdminHandler::AdminHandler(SessionManager& manager) : manager_(manager) {
   obs::MetricsRegistry& m = manager.instruments();
   requests_total_ = &m.counter("cmarkov_admin_requests_total");
   errors_total_ = &m.counter("cmarkov_admin_errors_total");
-  request_micros_ =
-      &m.histogram("cmarkov_admin_request_micros", latency_bucket_bounds());
+  request_micros_ = &m.histogram("cmarkov_admin_request_micros",
+                                 obs::latency_bucket_bounds());
 }
 
 void AdminHandler::set_collector(const obs::TimeSeriesCollector* collector) {
@@ -100,19 +106,19 @@ void AdminHandler::set_drift_monitor(const DriftMonitor* drift) {
   drift_ = drift;
 }
 
-void AdminHandler::set_loop_status_fn(
-    std::function<std::vector<LoopStatus>()> fn) {
-  loop_status_ = std::move(fn);
-}
-
 std::string AdminHandler::healthz_json() {
-  const ServiceMetrics metrics = manager_.metrics();
-  std::size_t queued = 0;
-  for (const std::size_t d : metrics.queue_depths) queued += d;
+  const obs::MetricsRegistry::Snapshot snap =
+      manager_.metrics_registry().snapshot();
+  double queued = 0.0;
+  for (std::size_t i = 0; i < manager_.config().num_workers; ++i) {
+    queued += snap.gauges.at("cmarkov_serve_queue_depth_w" + std::to_string(i));
+  }
+  const double uptime = snap.gauges.at("cmarkov_serve_uptime_seconds");
+  const double sessions = snap.gauges.at("cmarkov_serve_sessions_open");
   std::string out = "{\"schema\":\"cmarkov.healthz.v1\",\"status\":\"ok\"";
-  out += ",\"uptime_seconds\":" + obs::format_metric_value(metrics.uptime_seconds);
-  out += ",\"sessions_open\":" + std::to_string(metrics.sessions_open);
-  out += ",\"queued_events\":" + std::to_string(queued);
+  out += ",\"uptime_seconds\":" + obs::format_metric_value(uptime);
+  out += ",\"sessions_open\":" + integer_json(sessions);
+  out += ",\"queued_events\":" + integer_json(queued);
   out += ",\"overload\":" + overload_json(manager_.overload_governor());
   out += ",\"drift\":" + drift_json(drift_);
   out += "}";
@@ -120,48 +126,64 @@ std::string AdminHandler::healthz_json() {
 }
 
 std::string AdminHandler::statusz_json() {
-  const ServiceMetrics metrics = manager_.metrics();
+  const obs::MetricsRegistry::Snapshot snap =
+      manager_.metrics_registry().snapshot();
+  // at(), not a registry lookup: a missing instrument throws instead of
+  // rendering a silently created zero.
+  const auto gauge_at = [&snap](const std::string& name) {
+    return snap.gauges.at(name);
+  };
+  const auto counter_at = [&snap](const std::string& name) {
+    return std::to_string(snap.counters.at(name));
+  };
   const ServiceConfig& config = manager_.config();
   std::string out = "{\"schema\":\"cmarkov.statusz.v1\"";
-  out += ",\"uptime_seconds\":" + obs::format_metric_value(metrics.uptime_seconds);
-  out += ",\"sessions_open\":" + std::to_string(metrics.sessions_open);
-  out += ",\"events_processed\":" + std::to_string(metrics.events_processed);
+  out += ",\"uptime_seconds\":" +
+         obs::format_metric_value(gauge_at("cmarkov_serve_uptime_seconds"));
+  out += ",\"sessions_open\":" +
+         integer_json(gauge_at("cmarkov_serve_sessions_open"));
+  out += ",\"events_processed\":" +
+         counter_at("cmarkov_serve_events_processed_total");
   out += ",\"workers\":" + std::to_string(config.num_workers);
   out += ",\"queue_capacity\":" + std::to_string(config.queue_capacity);
   out += ",\"policy\":\"";
   out += backpressure_policy_name(config.policy);
   out += "\",\"shards\":[";
-  bool first = true;
-  for (const ShardStatus& shard : manager_.shard_status()) {
-    if (!first) out += ',';
-    first = false;
-    const double bytes_per_session =
-        shard.sessions > 0 ? static_cast<double>(shard.state_bytes) /
-                                 static_cast<double>(shard.sessions)
-                           : 0.0;
-    out += "{\"shard\":" + std::to_string(shard.shard);
-    out += ",\"sessions\":" + std::to_string(shard.sessions);
-    out += ",\"queue_depth\":" + std::to_string(shard.queue_depth);
-    out += ",\"processed\":" + std::to_string(shard.processed);
-    out += ",\"evicted_sessions\":" + std::to_string(shard.evicted_sessions);
-    out += ",\"state_bytes\":" + std::to_string(shard.state_bytes);
-    out += ",\"bytes_per_session\":" + obs::format_metric_value(bytes_per_session);
+  // Indexed, not a walk of the name-sorted map: "_w10" sorts before "_w2".
+  for (std::size_t i = 0; i < config.num_workers; ++i) {
+    const std::string w = "_w" + std::to_string(i);
+    const double sessions = gauge_at("cmarkov_serve_shard_sessions" + w);
+    const double bytes = gauge_at("cmarkov_serve_shard_state_bytes" + w);
+    if (i > 0) out += ',';
+    out += "{\"shard\":" + std::to_string(i);
+    out += ",\"sessions\":" + integer_json(sessions);
+    out += ",\"queue_depth\":" +
+           integer_json(gauge_at("cmarkov_serve_queue_depth" + w));
+    out += ",\"processed\":" +
+           counter_at("cmarkov_serve_shard_processed_total" + w);
+    out += ",\"evicted_sessions\":" +
+           counter_at("cmarkov_serve_shard_evicted_total" + w);
+    out += ",\"state_bytes\":" + integer_json(bytes);
+    out += ",\"bytes_per_session\":" +
+           obs::format_metric_value(sessions > 0 ? bytes / sessions : 0.0);
     out += "}";
   }
+  // Loops exist once an EpollServer registered its per-loop instruments.
   out += "],\"loops\":[";
-  first = true;
-  if (loop_status_) {
-    for (const LoopStatus& loop : loop_status_()) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"loop\":" + std::to_string(loop.loop);
-      out += ",\"connections_open\":" +
-             obs::format_metric_value(loop.connections_open);
-      out += ",\"bytes_read\":" + std::to_string(loop.bytes_read);
-      out += ",\"bytes_written\":" + std::to_string(loop.bytes_written);
-      out += ",\"units\":" + std::to_string(loop.units);
-      out += "}";
-    }
+  for (std::size_t i = 0; snap.counters.count(
+           "cmarkov_net_loop_units_total_w" + std::to_string(i)) > 0;
+       ++i) {
+    const std::string w = "_w" + std::to_string(i);
+    const double conns = gauge_at("cmarkov_net_loop_connections_open" + w);
+    if (i > 0) out += ',';
+    out += "{\"loop\":" + std::to_string(i);
+    out += ",\"connections_open\":" + obs::format_metric_value(conns);
+    out += ",\"bytes_read\":" +
+           counter_at("cmarkov_net_loop_bytes_read_total" + w);
+    out += ",\"bytes_written\":" +
+           counter_at("cmarkov_net_loop_bytes_written_total" + w);
+    out += ",\"units\":" + counter_at("cmarkov_net_loop_units_total" + w);
+    out += "}";
   }
   out += "],\"overload\":" + overload_json(manager_.overload_governor());
   out += ",\"drift\":" + drift_json(drift_);

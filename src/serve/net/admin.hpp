@@ -10,18 +10,17 @@
 //   /varz     the TimeSeriesCollector's rings with derived rates/quantiles
 //   /statusz  per-shard SessionManager breakdown + per-event-loop counters
 //
-// None of these drain or block admission: every number comes from relaxed
-// atomics, the collector's rings, or the manager's try-lock shard sweep —
-// a scrape can run at full tilt while 1M sessions score (admin_test
-// hammers exactly that). The protocol support is deliberately minimal:
-// GET, keep-alive/close, bounded headers, no bodies — it serves curl,
-// Prometheus, and `cmarkov top`, not browsers.
+// None of these drain or block admission: every endpoint renders the
+// manager's registry after its gauge refresh (metrics_registry(), whose
+// shard sweep takes only a shared lock on the resident list), and /varz
+// adds the collector's rings — a scrape can run at full tilt while 1M
+// sessions score (admin_test hammers exactly that). The protocol support
+// is deliberately minimal: GET, keep-alive/close, bounded headers, no
+// bodies — it serves curl, Prometheus, and `cmarkov top`, not browsers.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "src/serve/session_manager.hpp"
 
@@ -30,16 +29,6 @@ class TimeSeriesCollector;
 }
 
 namespace cmarkov::serve::net {
-
-/// Per-event-loop counters for /statusz (EpollServer::loop_status()).
-struct LoopStatus {
-  std::size_t loop = 0;
-  double connections_open = 0.0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  /// Protocol units handled on this loop (text lines + binary frames).
-  std::uint64_t units = 0;
-};
 
 struct HttpRequest {
   std::string method;
@@ -64,8 +53,6 @@ class AdminHandler {
   void set_collector(const obs::TimeSeriesCollector* collector);
   /// /healthz and /statusz drift block (null: drift reported unarmed).
   void set_drift_monitor(const DriftMonitor* drift);
-  /// /statusz per-loop section (unset: "loops":[]). Set before traffic.
-  void set_loop_status_fn(std::function<std::vector<LoopStatus>()> fn);
 
   HttpResponse handle(const HttpRequest& request);
 
@@ -76,7 +63,6 @@ class AdminHandler {
   SessionManager& manager_;
   const obs::TimeSeriesCollector* collector_ = nullptr;
   const DriftMonitor* drift_ = nullptr;
-  std::function<std::vector<LoopStatus>()> loop_status_;
   obs::Counter* requests_total_;
   obs::Counter* errors_total_;
   obs::Histogram* request_micros_;

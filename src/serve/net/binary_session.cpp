@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/obs/export.hpp"
-#include "src/obs/trace/decision_record.hpp"
 #include "src/serve/protocol.hpp"
 
 namespace cmarkov::serve::net {
@@ -38,9 +37,7 @@ BinarySession::Output BinarySession::handle_frame(const Frame& frame) {
       case FrameOp::kEventBatch:
         return handle_event_batch(frame);
       case FrameOp::kStats: {
-        if (session_id_.empty()) {
-          return reply("ERR no session (send HELLO first)");
-        }
+        if (session_id_.empty()) return reply(kNoSessionReply);
         manager_.drain();  // verdicts are async; settle before reporting
         return reply(
             format_session_stats(manager_.session_stats(session_id_)));
@@ -51,43 +48,23 @@ BinarySession::Output BinarySession::handle_frame(const Frame& frame) {
                      obs::to_kv_line(manager_.metrics_registry()));
       }
       case FrameOp::kTrace: {
-        if (session_id_.empty()) {
-          return reply("ERR no session (send HELLO first)");
-        }
+        if (session_id_.empty()) return reply(kNoSessionReply);
         const std::uint32_t n = decode_trace_payload(frame.payload);
         if (n == 0) return reply("ERR TRACE n must be > 0");
         manager_.drain();
-        const std::vector<obs::DecisionRecord> records =
-            manager_.recent_decisions(session_id_, n);
-        std::string body = "TRACE v=1 session=" + session_id_ +
-                           " n=" + std::to_string(records.size());
-        for (const obs::DecisionRecord& record : records) {
-          body += '\n';
-          body += obs::decision_record_json(record);
-        }
-        return reply(std::move(body));
+        return reply(format_trace_reply(
+            session_id_, manager_.recent_decisions(session_id_, n)));
       }
       case FrameOp::kEvict: {
-        if (session_id_.empty()) {
-          return reply("ERR no session (send HELLO first)");
-        }
+        if (session_id_.empty()) return reply(kNoSessionReply);
         manager_.evict_session(session_id_);
-        return reply("OK session=" + session_id_ + " evicted_dropped=" +
-                     std::to_string(manager_.session_stats(session_id_)
-                                        .evicted_dropped));
+        return reply(format_evict_reply(manager_.session_stats(session_id_)));
       }
       case FrameOp::kBye: {
-        if (session_id_.empty()) {
-          return reply("ERR no session (send HELLO first)");
-        }
+        if (session_id_.empty()) return reply(kNoSessionReply);
         const SessionStats stats = manager_.close_session(session_id_);
         closed_ = true;
-        Output out = reply(
-            "OK session=" + stats.id +
-            " alarms=" + std::to_string(stats.monitor.alarms) +
-            " processed=" + std::to_string(stats.processed));
-        out.close = true;
-        return out;
+        return {reply(format_bye_reply(stats)).bytes, true};
       }
       case FrameOp::kReply:
       case FrameOp::kError:
@@ -117,13 +94,11 @@ BinarySession::Output BinarySession::handle_hello(const Frame& frame) {
   manager_.open_session(id, request.model);
   session_id_ = id;
   trace_id_ = request.trace_id;
-  std::string line = "OK session=" + id + " model=" + request.model;
-  if (!trace_id_.empty()) line += " tid=" + trace_id_;
-  return reply(std::move(line));
+  return reply(format_hello_reply(id, request.model, trace_id_));
 }
 
 BinarySession::Output BinarySession::handle_event_batch(const Frame& frame) {
-  if (session_id_.empty()) return reply("ERR no session (send HELLO first)");
+  if (session_id_.empty()) return reply(kNoSessionReply);
   const std::vector<trace::CallEvent> events =
       decode_event_batch_payload(frame.payload);
   std::uint64_t accepted = 0;

@@ -633,16 +633,4 @@ void EpollServer::close_conn(Loop& loop, Conn& conn) {
   loop_instruments_[loop.index].connections_open->add(-1.0);
 }
 
-std::vector<LoopStatus> EpollServer::loop_status() const {
-  std::vector<LoopStatus> out(loop_instruments_.size());
-  for (std::size_t i = 0; i < loop_instruments_.size(); ++i) {
-    out[i].loop = i;
-    out[i].connections_open = loop_instruments_[i].connections_open->value();
-    out[i].bytes_read = loop_instruments_[i].bytes_read->value();
-    out[i].bytes_written = loop_instruments_[i].bytes_written->value();
-    out[i].units = loop_instruments_[i].units->value();
-  }
-  return out;
-}
-
 }  // namespace cmarkov::serve::net

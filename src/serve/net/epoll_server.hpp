@@ -88,11 +88,6 @@ class EpollServer {
   /// The bound admin port (after start, with NetOptions::admin set).
   std::uint16_t admin_port() const { return admin_port_; }
 
-  /// Per-event-loop counters for /statusz (wired into the AdminHandler via
-  /// set_loop_status_fn). Backed by registry instruments, so it is safe
-  /// from any thread and keeps its final values after stop().
-  std::vector<LoopStatus> loop_status() const;
-
   /// Stops accepting, closes every connection (open sessions are closed
   /// through their conversation objects), joins all threads. Idempotent.
   void stop();
@@ -145,8 +140,8 @@ class EpollServer {
   obs::Counter* bytes_written_total_;
   obs::Counter* handshake_timeouts_total_;
   obs::Gauge* connections_open_;
-  /// Per-event-loop instruments behind loop_status() (indexed by loop).
-  /// Registered at construction, so the values survive stop().
+  /// Per-event-loop instruments behind /statusz's "loops" (indexed by
+  /// loop). Registered at construction, so the values survive stop().
   struct LoopInstruments {
     obs::Counter* bytes_read;
     obs::Counter* bytes_written;

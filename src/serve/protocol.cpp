@@ -47,6 +47,35 @@ std::string format_session_stats(const SessionStats& stats) {
   return out.str();
 }
 
+std::string format_hello_reply(const std::string& id, const std::string& model,
+                               const std::string& trace_id) {
+  std::string reply = "OK session=" + id + " model=" + model;
+  if (!trace_id.empty()) reply += " tid=" + trace_id;
+  return reply;
+}
+
+std::string format_trace_reply(
+    const std::string& id, const std::vector<obs::DecisionRecord>& records) {
+  std::string reply =
+      "TRACE v=1 session=" + id + " n=" + std::to_string(records.size());
+  for (const obs::DecisionRecord& record : records) {
+    reply += '\n';
+    reply += obs::decision_record_json(record);
+  }
+  return reply;
+}
+
+std::string format_evict_reply(const SessionStats& stats) {
+  return "OK session=" + stats.id +
+         " evicted_dropped=" + std::to_string(stats.evicted_dropped);
+}
+
+std::string format_bye_reply(const SessionStats& stats) {
+  return "OK session=" + stats.id +
+         " alarms=" + std::to_string(stats.monitor.alarms) +
+         " processed=" + std::to_string(stats.processed);
+}
+
 ProtocolSession::ProtocolSession(SessionManager& manager)
     : manager_(manager) {}
 
@@ -70,7 +99,7 @@ std::string ProtocolSession::handle_line(std::string_view line) {
     if (command == "HELLO") return handle_hello(words);
     if (command == "EV") return handle_event(words);
     if (command == "STATS") {
-      if (session_id_.empty()) return "ERR no session (send HELLO first)";
+      if (session_id_.empty()) return kNoSessionReply;
       manager_.drain();  // verdicts are async; settle before reporting
       return format_session_stats(manager_.session_stats(session_id_));
     }
@@ -106,13 +135,11 @@ std::string ProtocolSession::handle_hello(std::vector<std::string> words) {
   manager_.open_session(id, model);
   session_id_ = id;
   default_trace_id_ = tid;
-  std::string reply = "OK session=" + id + " model=" + model;
-  if (has_tid) reply += " tid=" + tid;
-  return reply;
+  return format_hello_reply(id, model, tid);
 }
 
 std::string ProtocolSession::handle_event(std::vector<std::string> words) {
-  if (session_id_.empty()) return "ERR no session (send HELLO first)";
+  if (session_id_.empty()) return kNoSessionReply;
   std::string tid;
   const bool has_tid = take_trace_id(words, tid);
   if (words.size() < 3 || words.size() > 4 || (has_tid && tid.empty())) {
@@ -168,7 +195,7 @@ std::string ProtocolSession::handle_event(std::vector<std::string> words) {
 
 std::string ProtocolSession::handle_trace(
     const std::vector<std::string>& words) {
-  if (session_id_.empty()) return "ERR no session (send HELLO first)";
+  if (session_id_.empty()) return kNoSessionReply;
   if (words.size() > 2) return "ERR usage: TRACE [n]";
   std::size_t n = 16;
   if (words.size() == 2) {
@@ -181,27 +208,16 @@ std::string ProtocolSession::handle_trace(
     if (n == 0) return "ERR usage: TRACE [n] (n must be > 0)";
   }
   manager_.drain();  // decisions are recorded by workers; settle first
-  const std::vector<obs::DecisionRecord> records =
-      manager_.recent_decisions(session_id_, n);
-  std::string reply = "TRACE v=1 session=" + session_id_ +
-                      " n=" + std::to_string(records.size());
-  for (const obs::DecisionRecord& record : records) {
-    reply += '\n';
-    reply += obs::decision_record_json(record);
-  }
-  return reply;
+  return format_trace_reply(session_id_,
+                            manager_.recent_decisions(session_id_, n));
 }
 
 std::string ProtocolSession::handle_evict() {
-  if (session_id_.empty()) return "ERR no session (send HELLO first)";
-  if (!manager_.evict_session(session_id_)) {
-    // Already frozen (an earlier EVICT, or the residency budget beat us).
-    return "OK session=" + session_id_ + " evicted_dropped=" +
-           std::to_string(manager_.session_stats(session_id_).evicted_dropped);
-  }
-  const SessionStats stats = manager_.session_stats(session_id_);
-  return "OK session=" + session_id_ +
-         " evicted_dropped=" + std::to_string(stats.evicted_dropped);
+  if (session_id_.empty()) return kNoSessionReply;
+  // False when already frozen (an earlier EVICT, or the residency budget
+  // beat us); the report is the same either way.
+  manager_.evict_session(session_id_);
+  return format_evict_reply(manager_.session_stats(session_id_));
 }
 
 std::string ProtocolSession::handle_reload(
@@ -242,12 +258,10 @@ std::string ProtocolSession::handle_failpoint(
 }
 
 std::string ProtocolSession::handle_bye() {
-  if (session_id_.empty()) return "ERR no session (send HELLO first)";
+  if (session_id_.empty()) return kNoSessionReply;
   const SessionStats stats = manager_.close_session(session_id_);
   closed_ = true;
-  return "OK session=" + stats.id +
-         " alarms=" + std::to_string(stats.monitor.alarms) +
-         " processed=" + std::to_string(stats.processed);
+  return format_bye_reply(stats);
 }
 
 }  // namespace cmarkov::serve

@@ -50,6 +50,27 @@ namespace cmarkov::serve {
 /// Renders SessionStats as the one-line STATS reply body.
 std::string format_session_stats(const SessionStats& stats);
 
+// Replies shared by the text (ProtocolSession) and binary
+// (net::BinarySession) conversations, rendered once so the two transports
+// stay byte-identical.
+
+/// Reply to any session verb sent before HELLO.
+inline constexpr char kNoSessionReply[] = "ERR no session (send HELLO first)";
+
+/// "OK session=<id> model=<model>", plus " tid=<id>" when one is set.
+std::string format_hello_reply(const std::string& id, const std::string& model,
+                               const std::string& trace_id);
+
+/// "TRACE v=1 session=<id> n=<k>", then one decision-record JSON line each.
+std::string format_trace_reply(const std::string& id,
+                               const std::vector<obs::DecisionRecord>& records);
+
+/// "OK session=<id> evicted_dropped=<n>".
+std::string format_evict_reply(const SessionStats& stats);
+
+/// "OK session=<id> alarms=<n> processed=<n>".
+std::string format_bye_reply(const SessionStats& stats);
+
 /// One protocol conversation. Owns the session it opens: destroying the
 /// object (transport disconnect) closes the session if BYE never arrived.
 class ProtocolSession {

@@ -24,8 +24,6 @@ class CmarkovService {
   SessionManager& sessions() { return sessions_; }
   const SessionManager& sessions() const { return sessions_; }
 
-  ServiceMetrics metrics() const { return sessions_.metrics(); }
-
   /// Registry of cmarkov_serve_* instruments (gauges refreshed); render
   /// with obs::to_kv_line or obs::to_prometheus.
   const obs::MetricsRegistry& metrics_registry() {

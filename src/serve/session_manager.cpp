@@ -28,6 +28,9 @@ constexpr std::uint64_t kEpochIdle = std::numeric_limits<std::uint64_t>::max();
 /// with at most this many the scan is exhaustive (exact LRU — what the
 /// lifecycle tests rely on).
 constexpr std::size_t kEvictionProbes = 8;
+/// Capacity of the service-wide JSONL decision log (appends beyond it are
+/// dropped and counted — flight-recorder semantics).
+constexpr std::size_t kDecisionLogCapacity = 4096;
 }  // namespace
 
 const char* backpressure_policy_name(BackpressurePolicy policy) {
@@ -90,7 +93,7 @@ struct SessionManager::Session {
   std::size_t list_index = 0;
   /// monitor.state_bytes() as last accounted into state_bytes_sum_.
   /// Written on lifecycle transitions and reloads; atomic so the gauge
-  /// refresh and shard_status() can read it under only sessions_mu_.
+  /// refresh can read it under only sessions_mu_.
   std::atomic<std::size_t> state_bytes{0};
 
   /// Relaxed mirror of monitor.stats(), refreshed by the owning worker
@@ -158,9 +161,9 @@ struct SessionManager::Item {
 struct SessionManager::Worker {
   /// This worker's shard index (set once at construction).
   std::size_t index = 0;
-  /// Mirror of queue.size(), updated alongside every queue mutation:
-  /// queue-depth reads (gauges, /statusz, ServiceMetrics) cost one relaxed
-  /// load instead of taking every worker's mutex.
+  /// Mirror of queue.size(), updated alongside every queue mutation: the
+  /// gauge refresh reads depths with one relaxed load instead of taking
+  /// every worker's mutex.
   std::atomic<std::size_t> depth{0};
   mutable std::mutex mu;
   std::condition_variable cv_nonempty;  // producer -> worker
@@ -187,52 +190,46 @@ SessionManager::SessionManager(ModelRegistry& registry, ServiceConfig config)
   if (config_.queue_capacity == 0) {
     throw std::invalid_argument("SessionManager: queue_capacity must be > 0");
   }
-  if (config_.metrics != nullptr) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  enqueued_total_ = &metrics_->counter("cmarkov_serve_events_enqueued_total");
+  enqueued_total_ = &metrics_.counter("cmarkov_serve_events_enqueued_total");
   processed_total_ =
-      &metrics_->counter("cmarkov_serve_events_processed_total");
-  dropped_total_ = &metrics_->counter("cmarkov_serve_events_dropped_total");
-  rejected_total_ = &metrics_->counter("cmarkov_serve_events_rejected_total");
-  windows_total_ = &metrics_->counter("cmarkov_serve_windows_total");
+      &metrics_.counter("cmarkov_serve_events_processed_total");
+  dropped_total_ = &metrics_.counter("cmarkov_serve_events_dropped_total");
+  rejected_total_ = &metrics_.counter("cmarkov_serve_events_rejected_total");
+  windows_total_ = &metrics_.counter("cmarkov_serve_windows_total");
   kernel_windows_total_ =
-      &metrics_->counter("cmarkov_serve_kernel_windows_total");
-  alarms_total_ = &metrics_->counter("cmarkov_serve_alarms_total");
+      &metrics_.counter("cmarkov_serve_kernel_windows_total");
+  alarms_total_ = &metrics_.counter("cmarkov_serve_alarms_total");
   sessions_evicted_total_ =
-      &metrics_->counter("cmarkov_serve_sessions_evicted_total");
+      &metrics_.counter("cmarkov_serve_sessions_evicted_total");
   sessions_restored_total_ =
-      &metrics_->counter("cmarkov_serve_sessions_restored_total");
+      &metrics_.counter("cmarkov_serve_sessions_restored_total");
   evicted_dropped_total_ =
-      &metrics_->counter("cmarkov_serve_events_dropped_evicted_total");
+      &metrics_.counter("cmarkov_serve_events_dropped_evicted_total");
   model_reloads_total_ =
-      &metrics_->counter("cmarkov_serve_model_reloads_total");
+      &metrics_.counter("cmarkov_serve_model_reloads_total");
   kernel_builds_total_ =
-      &metrics_->counter("cmarkov_serve_kernel_builds_total");
+      &metrics_.counter("cmarkov_serve_kernel_builds_total");
   overload_transitions_total_ =
-      &metrics_->counter("cmarkov_serve_overload_transitions_total");
+      &metrics_.counter("cmarkov_serve_overload_transitions_total");
   overload_shed_traces_total_ =
-      &metrics_->counter("cmarkov_serve_overload_shed_traces_total");
+      &metrics_.counter("cmarkov_serve_overload_shed_traces_total");
   overload_shed_hellos_total_ =
-      &metrics_->counter("cmarkov_serve_overload_shed_hellos_total");
+      &metrics_.counter("cmarkov_serve_overload_shed_hellos_total");
   overload_early_evicted_total_ =
-      &metrics_->counter("cmarkov_serve_overload_early_evicted_total");
-  reload_micros_ = &metrics_->histogram("cmarkov_serve_model_reload_micros",
-                                        latency_bucket_bounds());
-  kernel_build_micros_ = &metrics_->histogram(
-      "cmarkov_serve_kernel_build_micros", latency_bucket_bounds());
-  latency_micros_ = &metrics_->histogram("cmarkov_serve_latency_micros",
-                                         latency_bucket_bounds());
-  uptime_gauge_ = &metrics_->gauge("cmarkov_serve_uptime_seconds");
-  sessions_gauge_ = &metrics_->gauge("cmarkov_serve_sessions_open");
-  state_bytes_gauge_ = &metrics_->gauge("cmarkov_serve_session_state_bytes");
+      &metrics_.counter("cmarkov_serve_overload_early_evicted_total");
+  reload_micros_ = &metrics_.histogram("cmarkov_serve_model_reload_micros",
+                                       obs::latency_bucket_bounds());
+  kernel_build_micros_ = &metrics_.histogram(
+      "cmarkov_serve_kernel_build_micros", obs::latency_bucket_bounds());
+  latency_micros_ = &metrics_.histogram("cmarkov_serve_latency_micros",
+                                        obs::latency_bucket_bounds());
+  uptime_gauge_ = &metrics_.gauge("cmarkov_serve_uptime_seconds");
+  sessions_gauge_ = &metrics_.gauge("cmarkov_serve_sessions_open");
+  state_bytes_gauge_ = &metrics_.gauge("cmarkov_serve_session_state_bytes");
   kernel_image_bytes_gauge_ =
-      &metrics_->gauge("cmarkov_serve_kernel_image_bytes");
-  overload_level_gauge_ = &metrics_->gauge("cmarkov_serve_overload_level");
-  snapshots_.bind_instruments(*metrics_);
+      &metrics_.gauge("cmarkov_serve_kernel_image_bytes");
+  overload_level_gauge_ = &metrics_.gauge("cmarkov_serve_overload_level");
+  snapshots_.bind_instruments(metrics_);
   queue_depth_gauges_.reserve(config_.num_workers);
   shard_sessions_gauges_.reserve(config_.num_workers);
   shard_state_bytes_gauges_.reserve(config_.num_workers);
@@ -240,24 +237,23 @@ SessionManager::SessionManager(ModelRegistry& registry, ServiceConfig config)
   shard_evicted_totals_.reserve(config_.num_workers);
   for (std::size_t i = 0; i < config_.num_workers; ++i) {
     queue_depth_gauges_.push_back(
-        &metrics_->gauge("cmarkov_serve_queue_depth_w" + std::to_string(i)));
+        &metrics_.gauge("cmarkov_serve_queue_depth_w" + std::to_string(i)));
     shard_sessions_gauges_.push_back(
-        &metrics_->gauge("cmarkov_serve_shard_sessions_w" + std::to_string(i)));
-    shard_state_bytes_gauges_.push_back(&metrics_->gauge(
+        &metrics_.gauge("cmarkov_serve_shard_sessions_w" + std::to_string(i)));
+    shard_state_bytes_gauges_.push_back(&metrics_.gauge(
         "cmarkov_serve_shard_state_bytes_w" + std::to_string(i)));
-    shard_processed_totals_.push_back(&metrics_->counter(
+    shard_processed_totals_.push_back(&metrics_.counter(
         "cmarkov_serve_shard_processed_total_w" + std::to_string(i)));
-    shard_evicted_totals_.push_back(&metrics_->counter(
+    shard_evicted_totals_.push_back(&metrics_.counter(
         "cmarkov_serve_shard_evicted_total_w" + std::to_string(i)));
   }
   tracer_ = std::make_unique<obs::Tracer>(config_.tracing);
-  decision_log_ =
-      std::make_unique<obs::DecisionLog>(config_.decision_log_capacity);
-  spans_total_ = &metrics_->counter("cmarkov_trace_spans_total");
-  spans_dropped_total_ = &metrics_->counter("cmarkov_trace_spans_dropped_total");
-  decisions_total_ = &metrics_->counter("cmarkov_trace_decisions_total");
+  decision_log_ = std::make_unique<obs::DecisionLog>(kDecisionLogCapacity);
+  spans_total_ = &metrics_.counter("cmarkov_trace_spans_total");
+  spans_dropped_total_ = &metrics_.counter("cmarkov_trace_spans_dropped_total");
+  decisions_total_ = &metrics_.counter("cmarkov_trace_decisions_total");
   decisions_dropped_total_ =
-      &metrics_->counter("cmarkov_trace_decisions_dropped_total");
+      &metrics_.counter("cmarkov_trace_decisions_dropped_total");
   workers_.reserve(config_.num_workers);
   for (std::size_t i = 0; i < config_.num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -608,50 +604,6 @@ void SessionManager::drain() {
   }
 }
 
-ServiceMetrics SessionManager::metrics() const {
-  ServiceMetrics m;
-  m.uptime_seconds = clock_.seconds();
-  {
-    const std::shared_lock lock(sessions_mu_);
-    m.sessions_open = sessions_.size();
-  }
-  m.events_enqueued = enqueued_total_->value();
-  m.events_processed = processed_total_->value();
-  m.events_dropped = dropped_total_->value();
-  m.events_rejected = rejected_total_->value();
-  m.windows_scored = windows_total_->value();
-  m.alarms = alarms_total_->value();
-  if (m.uptime_seconds > 0.0) {
-    m.events_per_second =
-        static_cast<double>(m.events_processed) / m.uptime_seconds;
-  }
-  m.queue_depths.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    m.queue_depths.push_back(worker->depth.load(std::memory_order_relaxed));
-  }
-  m.latency_samples = latency_micros_->count();
-  m.p50_latency_micros = latency_micros_->quantile(0.50);
-  m.p99_latency_micros = latency_micros_->quantile(0.99);
-  return m;
-}
-
-std::vector<ShardStatus> SessionManager::shard_status() const {
-  std::vector<ShardStatus> out(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    out[i].shard = i;
-    out[i].queue_depth = workers_[i]->depth.load(std::memory_order_relaxed);
-    out[i].processed = shard_processed_totals_[i]->value();
-    out[i].evicted_sessions = shard_evicted_totals_[i]->value();
-  }
-  const std::shared_lock lock(sessions_mu_);
-  for (const auto& session : session_list_) {
-    out[session->shard].sessions += 1;
-    out[session->shard].state_bytes +=
-        session->state_bytes.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
 void SessionManager::refresh_gauges() {
   uptime_gauge_->set(clock_.seconds());
   std::size_t resident = 0;
@@ -760,14 +712,14 @@ void SessionManager::sync_failpoint_hits() {
     std::string metric = "cmarkov_failpoint_";
     for (const char c : info.name) metric.push_back(c == '.' ? '_' : c);
     metric += "_hits_total";
-    metrics_->counter(metric).add(info.hits - seen);
+    metrics_.counter(metric).add(info.hits - seen);
     seen = info.hits;
   }
 }
 
 const obs::MetricsRegistry& SessionManager::metrics_registry() {
   refresh_gauges();
-  return *metrics_;
+  return metrics_;
 }
 
 std::string SessionManager::next_session_id() {

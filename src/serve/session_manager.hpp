@@ -42,7 +42,6 @@
 #include "src/obs/trace/tracer.hpp"
 #include "src/serve/model_registry.hpp"
 #include "src/serve/overload_governor.hpp"
-#include "src/serve/service_metrics.hpp"
 #include "src/serve/session_snapshot.hpp"
 #include "src/serve/state_pool.hpp"
 #include "src/util/stopwatch.hpp"
@@ -78,19 +77,12 @@ struct ServiceConfig {
   /// accounting deterministic. (A full queue under the block policy is
   /// pumped inline instead of deadlocking.)
   bool manual_pump = false;
-  /// Registry receiving the cmarkov_serve_* instruments. Non-owning; must
-  /// outlive the manager. Null = the manager creates a private registry
-  /// (exposed via metrics_registry()).
-  obs::MetricsRegistry* metrics = nullptr;
   /// Per-event span tracing (queue/score/reply); off by default. The
   /// sampling decision is taken once per event at submit time; events
   /// carrying an explicit protocol trace id (tid=) are always traced.
   /// Decision-record sampling is configured separately via
   /// monitor.decisions (cmarkovd's --trace-sample sets both).
   obs::TracerOptions tracing;
-  /// Capacity of the service-wide JSONL decision log (appends beyond it
-  /// are dropped and counted — flight-recorder semantics).
-  std::size_t decision_log_capacity = 4096;
   /// Overload degradation ladder (overload_governor.hpp): deadline budget,
   /// water marks, hysteresis. `overload.enabled = false` turns the whole
   /// ladder off (no admission checks, no level gauge movement).
@@ -119,24 +111,6 @@ struct SessionStats {
   std::uint64_t evicted_dropped = 0;
   /// Cumulative monitor counters (alarms live in monitor.alarms).
   core::MonitorStats monitor;
-};
-
-/// Point-in-time per-shard breakdown (the admin plane's /statusz). All
-/// fields come from relaxed atomics or counters plus one shared-lock sweep
-/// of the resident list — no worker queue or monitor lock is touched, so
-/// a scrape never stalls admission or scoring.
-struct ShardStatus {
-  std::size_t shard = 0;
-  /// Resident sessions hashed onto this shard.
-  std::size_t sessions = 0;
-  /// Events queued on the shard worker right now.
-  std::size_t queue_depth = 0;
-  /// Events this shard's worker has processed (lifetime).
-  std::uint64_t processed = 0;
-  /// Sessions evicted from this shard into the snapshot store (lifetime).
-  std::uint64_t evicted_sessions = 0;
-  /// Scoring-state bytes of this shard's resident sessions.
-  std::uint64_t state_bytes = 0;
 };
 
 /// Outcome of a hot model reload (reload_model).
@@ -223,20 +197,17 @@ class SessionManager {
   /// Quiescent only if no producer submits concurrently.
   void drain();
 
-  ServiceMetrics metrics() const;
-
-  /// Per-shard breakdown for the admin plane's /statusz. Lock-cheap (see
-  /// ShardStatus); safe from any thread, any time.
-  std::vector<ShardStatus> shard_status() const;
-
-  /// Refreshes the instantaneous gauges (uptime, sessions, queue depths,
-  /// bytes/session) and returns the registry holding every cmarkov_serve_*
-  /// instrument — the METRICS verb renders this via obs::to_kv_line.
+  /// Refreshes the instantaneous gauges (uptime, sessions, per-shard
+  /// sessions/state bytes, queue depths, bytes/session) and returns the
+  /// registry holding every instrument of the service. It is the one
+  /// metrics source: METRICS, /metrics, /varz, /healthz, /statusz, benches
+  /// and tests all render it. Lock-cheap — the per-shard sweep takes only
+  /// a shared lock on the resident list, never a worker or monitor lock.
   const obs::MetricsRegistry& metrics_registry();
 
   /// The mutable instrument registry (transports register their
-  /// cmarkov_net_* instruments here so METRICS exposes one surface).
-  obs::MetricsRegistry& instruments() { return *metrics_; }
+  /// cmarkov_net_* instruments here so every surface sees one registry).
+  obs::MetricsRegistry& instruments() { return metrics_; }
 
   /// Fresh collision-free id ("s1", "s2", ...) for transports whose HELLO
   /// omits one.
@@ -343,6 +314,9 @@ class SessionManager {
   ModelRegistry& registry_;
   ServiceConfig config_;
   Stopwatch clock_;
+  /// Every instrument of the service. Declared before the members that
+  /// cache instrument pointers (snapshots_), so it outlives them.
+  obs::MetricsRegistry metrics_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   /// Serializes lifecycle transitions (open, evict, restore, close) so a
@@ -385,10 +359,7 @@ class SessionManager {
 
   std::atomic<std::uint64_t> next_id_{0};
 
-  // Service-wide instruments, resolved once in the constructor from the
-  // caller's registry (or the private owned one).
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
+  // Service-wide instruments, resolved once in the constructor.
   obs::Counter* enqueued_total_;
   obs::Counter* processed_total_;
   obs::Counter* dropped_total_;

@@ -462,19 +462,33 @@ TEST(AdminConnTest, MetricsEndpointServesPrometheusText) {
 
 // -- /statusz ground truth (manual pump: exact queue depths) ---------------
 
-TEST(StatuszTest, PerShardCountsMatchGroundTruthExactly) {
-  HandlerHarness h(2);
+// Parameter: num_workers. 12 matters: the registry's name-sorted map puts
+// "_w10" and "_w11" before "_w2", so a renderer that walked the map instead
+// of indexing shards would report them in the wrong order.
+class StatuszTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StatuszTest, PerShardCountsMatchGroundTruthExactly) {
+  const std::size_t workers = GetParam();
+  HandlerHarness h(workers);
   SessionManager& manager = *h.manager;
   const std::vector<trace::CallEvent> events = fixture().events_for(7, 1);
   ASSERT_GE(events.size(), 4u);
 
-  const std::vector<std::string> ids = {"alpha", "bravo", "charlie", "delta",
-                                        "echo"};
-  std::vector<std::size_t> want_sessions(2, 0);
-  std::vector<std::size_t> want_depth(2, 0);
+  // Fixed names plus one id per shard, so every shard (w10 and w11
+  // included) holds a session and a distinct queue depth.
+  std::vector<std::string> ids = {"alpha", "bravo", "charlie", "delta",
+                                  "echo"};
+  for (std::size_t shard = 0, k = 0; shard < workers; ++k) {
+    const std::string id = "s" + std::to_string(k);
+    if (shard_of(id, workers) != shard) continue;
+    ids.push_back(id);
+    ++shard;
+  }
+  std::vector<std::size_t> want_sessions(workers, 0);
+  std::vector<std::size_t> want_depth(workers, 0);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     manager.open_session(ids[i], "gzip");
-    const std::size_t shard = shard_of(ids[i], 2);
+    const std::size_t shard = shard_of(ids[i], workers);
     want_sessions[shard] += 1;
     // i+1 events per session, queued but not pumped: exact depths.
     for (std::size_t e = 0; e <= i; ++e) {
@@ -492,8 +506,8 @@ TEST(StatuszTest, PerShardCountsMatchGroundTruthExactly) {
     const util::JsonValue doc = statusz();
     const util::JsonValue* shards = doc.find("shards");
     ASSERT_TRUE(shards != nullptr && shards->is_array());
-    ASSERT_EQ(shards->array.size(), 2u);
-    for (std::size_t s = 0; s < 2; ++s) {
+    ASSERT_EQ(shards->array.size(), workers);
+    for (std::size_t s = 0; s < workers; ++s) {
       const util::JsonValue& shard = shards->array[s];
       EXPECT_EQ(shard.find("shard")->number_or(-1),
                 static_cast<double>(s));
@@ -517,13 +531,13 @@ TEST(StatuszTest, PerShardCountsMatchGroundTruthExactly) {
     const util::JsonValue doc = statusz();
     const util::JsonValue* shards = doc.find("shards");
     std::uint64_t processed = 0;
-    for (std::size_t s = 0; s < 2; ++s) {
+    for (std::size_t s = 0; s < workers; ++s) {
       const util::JsonValue& shard = shards->array[s];
       EXPECT_EQ(shard.find("queue_depth")->number_or(-1), 0.0);
       processed +=
           static_cast<std::uint64_t>(shard.find("processed")->number_or(0));
       EXPECT_EQ(shard.find("evicted_sessions")->number_or(-1),
-                s == shard_of("alpha", 2) ? 1.0 : 0.0);
+                s == shard_of("alpha", workers) ? 1.0 : 0.0);
       // Resident sessions hold scoring state; the evicted one released its.
       if (shard.find("sessions")->number_or(0) > 0) {
         EXPECT_GT(shard.find("state_bytes")->number_or(0), 0.0);
@@ -536,6 +550,9 @@ TEST(StatuszTest, PerShardCountsMatchGroundTruthExactly) {
               static_cast<double>(ids.size() - 1));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Workers, StatuszTest,
+                         ::testing::Values(std::size_t{2}, std::size_t{12}));
 
 // -- End-to-end over sockets -----------------------------------------------
 
@@ -567,8 +584,6 @@ struct AdminServerHarness {
     net.admin_port = 0;
     server = std::make_unique<EpollServer>(*manager, net);
     server->start();
-    admin->set_loop_status_fn(
-        [srv = server.get()] { return srv->loop_status(); });
     collector->start();
   }
   ~AdminServerHarness() {
@@ -614,6 +629,47 @@ TEST(AdminEndToEndTest, ScrapesAllEndpointsOverHttp) {
   const util::JsonValue* loops = statusz_doc.find("loops");
   ASSERT_TRUE(loops != nullptr && loops->is_array());
   EXPECT_EQ(loops->array.size(), 2u);
+
+  // At quiescence every loops[i] field is the matching per-loop instrument.
+  // Rendered in-process once the scrape connections above have closed: an
+  // HTTP scrape's own reply bytes are counted after it is rendered.
+  const auto open_connections = [&harness] {
+    return harness.manager->metrics_registry().snapshot().gauges.at(
+        "cmarkov_net_connections_open");
+  };
+  const auto quiet_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (open_connections() > 0 &&
+         std::chrono::steady_clock::now() < quiet_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(open_connections(), 0.0);
+  const util::JsonValue quiet =
+      util::parse_json(harness.admin->handle({"GET", "/statusz"}).body);
+  const obs::MetricsRegistry::Snapshot snap =
+      harness.manager->metrics_registry().snapshot();
+  const util::JsonValue* quiet_loops = quiet.find("loops");
+  ASSERT_TRUE(quiet_loops != nullptr && quiet_loops->is_array());
+  ASSERT_EQ(quiet_loops->array.size(), 2u);
+  double bytes_read = 0.0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const util::JsonValue& loop = quiet_loops->array[i];
+    const std::string w = "_w" + std::to_string(i);
+    EXPECT_EQ(loop.find("loop")->number_or(-1), static_cast<double>(i));
+    EXPECT_EQ(loop.find("connections_open")->number_or(-1),
+              snap.gauges.at("cmarkov_net_loop_connections_open" + w));
+    EXPECT_EQ(loop.find("bytes_read")->number_or(-1),
+              static_cast<double>(
+                  snap.counters.at("cmarkov_net_loop_bytes_read_total" + w)));
+    EXPECT_EQ(loop.find("bytes_written")->number_or(-1),
+              static_cast<double>(snap.counters.at(
+                  "cmarkov_net_loop_bytes_written_total" + w)));
+    EXPECT_EQ(loop.find("units")->number_or(-1),
+              static_cast<double>(
+                  snap.counters.at("cmarkov_net_loop_units_total" + w)));
+    bytes_read += loop.find("bytes_read")->number_or(0);
+  }
+  EXPECT_GT(bytes_read, 0.0);  // the scrapes above went through the loops
 
   const auto missing = admin_http_get("127.0.0.1", port, "/nope");
   EXPECT_EQ(missing.status, 404);
@@ -796,7 +852,9 @@ TEST(AdminEndToEndTest, ConcurrentScrapesNeverStallTrafficOrChangeKeys) {
   EXPECT_EQ(scrape_failures.load(), 0);
   EXPECT_EQ(keyset_changes.load(), 0);
   EXPECT_EQ(traffic_failures.load(), 0);
-  EXPECT_GT(harness.manager->metrics().events_processed, 0u);
+  EXPECT_GT(harness.manager->metrics_registry().snapshot().counters.at(
+                "cmarkov_serve_events_processed_total"),
+            0u);
   // One final scrape post-churn: still the same instrument surface.
   EXPECT_EQ(prometheus_names(
                 admin_http_get("127.0.0.1", admin_port, "/metrics").body),

@@ -285,16 +285,32 @@ Frame make_frame(FrameOp op, std::string payload, std::uint16_t flags = 0) {
   return frame;
 }
 
+std::string event_line(const trace::CallEvent& event) {
+  const std::string site = event.caller.empty() ? "?" : event.caller;
+  const char* kind = event.kind == ir::CallKind::kLibcall ? "lib" : "sys";
+  return "EV " + site + " " + event.name + " " + kind + "\n";
+}
+
 TEST(BinarySessionTest, FullConversationMatchesTextProtocolReplies) {
   auto registry = make_registry();
-  SessionManager manager(*registry, pump_config());
+  // Decision tracing on, so the TRACE step carries records.
+  ServiceConfig config = pump_config();
+  config.monitor.decisions.enabled = true;
+  config.monitor.decisions.sample_every = 1;
+  SessionManager manager(*registry, config);
   BinarySession session(manager);
+  // The same conversation over the text protocol, on its own manager so
+  // both sessions can be called "bin-1": every reply must match byte for
+  // byte (EV batches aside — the text protocol acks per event).
+  SessionManager text_manager(*registry, config);
+  ProtocolSession text(text_manager);
 
   // Application errors before HELLO are kReply "ERR ...", not kError.
   const auto early = session.handle_frame(
       make_frame(FrameOp::kEventBatch, encode_event_batch_payload({})));
   EXPECT_FALSE(early.close);
-  EXPECT_TRUE(starts_with(reply_text(early), "ERR no session"));
+  EXPECT_EQ(reply_text(early), "ERR no session (send HELLO first)");
+  EXPECT_EQ(text.handle_line("EV main read"), reply_text(early));
 
   const auto unknown_model = session.handle_frame(
       make_frame(FrameOp::kHello, encode_hello_payload("nope", "", "")));
@@ -305,6 +321,7 @@ TEST(BinarySessionTest, FullConversationMatchesTextProtocolReplies) {
       make_frame(FrameOp::kHello, encode_hello_payload("gzip", "bin-1", "")));
   EXPECT_FALSE(hello.close);
   EXPECT_EQ(reply_text(hello), "OK session=bin-1 model=gzip");
+  EXPECT_EQ(text.handle_line("HELLO gzip bin-1"), reply_text(hello));
   EXPECT_EQ(session.session_id(), "bin-1");
 
   const std::vector<trace::CallEvent> events = fixture().events_for(5, 1);
@@ -319,17 +336,39 @@ TEST(BinarySessionTest, FullConversationMatchesTextProtocolReplies) {
       FrameOp::kEventBatch, encode_event_batch_payload(events), kFlagNoReply));
   EXPECT_FALSE(silent.close);
   EXPECT_TRUE(silent.bytes.empty());
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& event : events) {
+      ASSERT_EQ(text.handle_line(event_line(event)), "OK");
+    }
+  }
 
   const auto stats = session.handle_frame(make_frame(FrameOp::kStats, ""));
   manager.drain();
   const std::string expected_stats =
       format_session_stats(manager.session_stats("bin-1"));
   EXPECT_EQ(reply_text(stats), expected_stats);
+  EXPECT_EQ(text.handle_line("STATS"), expected_stats);
   EXPECT_NE(expected_stats.find("evicted_dropped=0"), std::string::npos);
+
+  const auto trace = session.handle_frame(
+      make_frame(FrameOp::kTrace, encode_trace_payload(3)));
+  EXPECT_FALSE(trace.close);
+  EXPECT_TRUE(starts_with(reply_text(trace), "TRACE v=1 session=bin-1 n=3\n"))
+      << reply_text(trace);
+  EXPECT_EQ(text.handle_line("TRACE 3"), reply_text(trace));
+
+  // The second EVICT finds the session already frozen; same report.
+  for (int round = 0; round < 2; ++round) {
+    const auto evict = session.handle_frame(make_frame(FrameOp::kEvict, ""));
+    EXPECT_FALSE(evict.close);
+    EXPECT_EQ(reply_text(evict), "OK session=bin-1 evicted_dropped=0");
+    EXPECT_EQ(text.handle_line("EVICT"), reply_text(evict));
+  }
 
   const auto bye = session.handle_frame(make_frame(FrameOp::kBye, ""));
   EXPECT_TRUE(bye.close);
-  EXPECT_TRUE(starts_with(reply_text(bye), "OK session=bin-1"));
+  EXPECT_TRUE(starts_with(reply_text(bye), "OK session=bin-1 alarms="));
+  EXPECT_EQ(text.handle_line("BYE"), reply_text(bye));
   EXPECT_TRUE(session.closed());
   EXPECT_FALSE(manager.has_session("bin-1"));
 }
@@ -652,7 +691,9 @@ TEST(SessionLifecycleTest, EvictionDropsAreNotBackpressureDrops) {
   EXPECT_EQ(stats.dropped, 0u);
   EXPECT_EQ(stats.rejected, 0u);
   // The service-wide backpressure counter must not move either.
-  EXPECT_EQ(manager.metrics().events_dropped, 0u);
+  EXPECT_EQ(manager.metrics_registry().snapshot().counters.at(
+                "cmarkov_serve_events_dropped_total"),
+            0u);
 
   // The loss is permanent but the accounting survives restore.
   ASSERT_EQ(manager.submit("acct", event), SubmitResult::kAccepted);
@@ -841,12 +882,6 @@ struct ServerHarness {
   }
   ~ServerHarness() { server->stop(); }
 };
-
-std::string event_line(const trace::CallEvent& event) {
-  const std::string site = event.caller.empty() ? "?" : event.caller;
-  const char* kind = event.kind == ir::CallKind::kLibcall ? "lib" : "sys";
-  return "EV " + site + " " + event.name + " " + kind + "\n";
-}
 
 TEST(EpollServerTest, TextAndBinaryClientsScoreIdentically) {
   ServerHarness harness;

@@ -40,6 +40,13 @@ void compare_golden(const std::string& name, const std::string& actual) {
   EXPECT_EQ(buffer.str(), actual);
 }
 
+/// Lifetime value of a service counter, read from the refreshed registry
+/// snapshot. at() throws on a missing name, where counter(name) would
+/// silently register a zero.
+std::uint64_t counter_value(SessionManager& manager, const std::string& name) {
+  return manager.metrics_registry().snapshot().counters.at(name);
+}
+
 core::Detector train_detector(const workload::ProgramSuite& suite,
                               std::uint64_t seed) {
   core::DetectorConfig config;
@@ -200,11 +207,16 @@ TEST(SessionManagerTest, InterleavedSubmissionMatchesSequential) {
         manager.session_stats(ids[i]),
         sequential_stats(*detectors[i], feeds[i], config.monitor));
   }
-  const ServiceMetrics metrics = manager.metrics();
-  EXPECT_EQ(metrics.events_processed, metrics.events_enqueued);
-  EXPECT_EQ(metrics.events_dropped, 0u);
-  EXPECT_EQ(metrics.events_rejected, 0u);
-  EXPECT_EQ(metrics.latency_samples, metrics.events_processed);
+  const obs::MetricsRegistry::Snapshot metrics =
+      manager.metrics_registry().snapshot();
+  const std::uint64_t processed =
+      metrics.counters.at("cmarkov_serve_events_processed_total");
+  EXPECT_EQ(processed,
+            metrics.counters.at("cmarkov_serve_events_enqueued_total"));
+  EXPECT_EQ(metrics.counters.at("cmarkov_serve_events_dropped_total"), 0u);
+  EXPECT_EQ(metrics.counters.at("cmarkov_serve_events_rejected_total"), 0u);
+  EXPECT_EQ(metrics.histograms.at("cmarkov_serve_latency_micros").count,
+            processed);
 }
 
 // Same guarantee under real MPSC contention: one producer thread per
@@ -301,8 +313,8 @@ TEST(SessionManagerTest, LiveReloadSwapsSharedKernelUnderTraffic) {
   for (auto& producer : producers) producer.join();
   manager.drain();
 
-  const ServiceMetrics metrics = manager.metrics();
-  EXPECT_EQ(metrics.events_processed, metrics.events_enqueued);
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_processed_total"),
+            counter_value(manager, "cmarkov_serve_events_enqueued_total"));
   for (int s = 0; s < 6; ++s) {
     const SessionStats stats = manager.session_stats("k" + std::to_string(s));
     EXPECT_EQ(stats.model, "m");
@@ -333,7 +345,8 @@ TEST(SessionManagerTest, RejectPolicyCountsPerSession) {
   EXPECT_EQ(manager.session_stats("a").enqueued, 4u);
   EXPECT_EQ(manager.session_stats("a").rejected, 0u);
   EXPECT_EQ(manager.session_stats("b").rejected, 3u);
-  EXPECT_EQ(manager.metrics().events_rejected, 3u);
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_rejected_total"),
+            3u);
 
   manager.drain();  // frees the queue
   EXPECT_EQ(manager.session_stats("a").processed, 4u);
@@ -366,7 +379,7 @@ TEST(SessionManagerTest, DropOldestEvictsVictimAndCountsIt) {
   manager.drain();
   EXPECT_EQ(manager.session_stats("victim").processed, 2u);
   EXPECT_EQ(manager.session_stats("hog").processed, 2u);
-  EXPECT_EQ(manager.metrics().events_dropped, 2u);
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_dropped_total"), 2u);
 }
 
 TEST(SessionManagerTest, BlockPolicyLosesNothingUnderSaturation) {
@@ -388,11 +401,12 @@ TEST(SessionManagerTest, BlockPolicyLosesNothingUnderSaturation) {
   for (auto& producer : producers) producer.join();
   manager.drain();
 
-  const ServiceMetrics metrics = manager.metrics();
-  EXPECT_EQ(metrics.events_enqueued, 4 * feed.size());
-  EXPECT_EQ(metrics.events_processed, 4 * feed.size());
-  EXPECT_EQ(metrics.events_dropped, 0u);
-  EXPECT_EQ(metrics.events_rejected, 0u);
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_enqueued_total"),
+            4 * feed.size());
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_processed_total"),
+            4 * feed.size());
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_dropped_total"), 0u);
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_rejected_total"), 0u);
 }
 
 TEST(SessionManagerTest, LifecycleErrorsAreLoud) {
@@ -417,9 +431,9 @@ TEST(SessionManagerTest, LifecycleErrorsAreLoud) {
 
 TEST(LatencyHistogramTest, QuantilesLandInTheRightBucket) {
   // The serve latency histogram is a plain obs::Histogram over
-  // latency_bucket_bounds(); this pins the quantile semantics the
-  // SessionManager's p50/p99 snapshot fields rely on.
-  obs::Histogram histogram(latency_bucket_bounds());
+  // obs::latency_bucket_bounds(); this pins the quantile semantics the
+  // registry's p50/p99 snapshot fields rely on.
+  obs::Histogram histogram(obs::latency_bucket_bounds());
   EXPECT_EQ(histogram.count(), 0u);
   EXPECT_EQ(histogram.quantile(0.5), 0.0);
   for (int i = 0; i < 99; ++i) histogram.record(0.8);  // bucket <=1us
@@ -429,20 +443,8 @@ TEST(LatencyHistogramTest, QuantilesLandInTheRightBucket) {
   EXPECT_DOUBLE_EQ(histogram.quantile(0.99), 1.0);
   EXPECT_DOUBLE_EQ(histogram.quantile(1.0), 1000.0);
   histogram.record(1e9);  // overflow bucket saturates at the last bound
-  EXPECT_DOUBLE_EQ(histogram.quantile(1.0), latency_bucket_bounds().back());
-}
-
-TEST(ServiceMetricsTest, RendersOneVersionedKeyValueLine) {
-  ServiceMetrics metrics;
-  metrics.uptime_seconds = 1.5;
-  metrics.events_processed = 42;
-  metrics.queue_depths = {3, 0};
-  const std::string line = metrics.to_line();
-  EXPECT_TRUE(line.starts_with("v=1 ")) << line;
-  EXPECT_NE(line.find("uptime_s=1.500"), std::string::npos);
-  EXPECT_NE(line.find("processed=42"), std::string::npos);
-  EXPECT_NE(line.find("qdepth=3,0"), std::string::npos);
-  EXPECT_NE(line.find("p99_us="), std::string::npos);
+  EXPECT_DOUBLE_EQ(histogram.quantile(1.0),
+                   obs::latency_bucket_bounds().back());
 }
 
 ServiceConfig protocol_config() {
@@ -789,9 +791,9 @@ TEST(DriftRefreshTest, WorkloadShiftPublishesRefreshedModel) {
   EXPECT_FALSE(refresher.poll());
 
   // Zero accepted-event loss across the refresh (the PR 6 guarantee).
-  const ServiceMetrics metrics = manager.metrics();
-  EXPECT_EQ(metrics.events_processed, metrics.events_enqueued);
-  EXPECT_EQ(metrics.events_dropped, 0u);
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_processed_total"),
+            counter_value(manager, "cmarkov_serve_events_enqueued_total"));
+  EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_dropped_total"), 0u);
   const SessionStats stats = manager.session_stats("watched");
   EXPECT_EQ(stats.processed, stats.enqueued);
   EXPECT_EQ(stats.dropped, 0u);
@@ -830,7 +832,9 @@ TEST(ServiceTest, ServeStreamEndToEnd) {
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_TRUE(line.starts_with("OK session=scripted"));
   EXPECT_FALSE(std::getline(lines, line));  // nothing after BYE
-  EXPECT_EQ(service.metrics().sessions_open, 0u);
+  EXPECT_EQ(service.metrics_registry().snapshot().gauges.at(
+                "cmarkov_serve_sessions_open"),
+            0.0);
 }
 
 }  // namespace

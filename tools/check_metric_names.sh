@@ -14,6 +14,13 @@
 # instrument name literal must sit on the same line as its
 # counter(/gauge(/histogram( call.
 #
+# A second pass protects the benchmark's METRICS keys: every cmarkov_*
+# literal perfbench/serve.cpp passes to metric(metrics, ...) must be
+# registered somewhere in src/ (after stripping a histogram's _count,
+# _sum, _p50 or _p99 key suffix; a "..._w" literal is the per-shard prefix
+# src/ registers as "..._w" + std::to_string(i)). Deleting an instrument
+# the benchmark reads then fails here, not in a benchmark run.
+#
 # Wired into CTest as `check_metric_names` (label: obs).
 set -eu
 
@@ -57,3 +64,36 @@ END {
   print "ok: " total " metric name(s) follow the naming convention";
 }
 '
+
+# Pass 2. Files are flattened to one line each, so calls split across
+# lines still match.
+flat_literals() {
+  pattern="$1"
+  shift
+  for f in "$@"; do
+    tr '\n' ' ' < "$f" | grep -oE "$pattern" || true
+  done | grep -oE '"cmarkov_[a-zA-Z0-9_:]*"' | tr -d '"' | sort -u
+}
+
+registered="$(flat_literals \
+  '(counter|gauge|histogram)\([[:space:]]*"cmarkov_[a-zA-Z0-9_:]*"' \
+  $(find "$repo_root/src" -name '*.cpp' -o -name '*.hpp'))"
+bench_keys="$(flat_literals \
+  'metric\([[:space:]]*metrics,[[:space:]]*"cmarkov_[a-zA-Z0-9_:]*"' \
+  "$repo_root/perfbench/serve.cpp")"
+
+if [ -z "$bench_keys" ]; then
+  echo "error: no METRICS keys found in perfbench/serve.cpp; the grep pattern has rotted" >&2
+  exit 1
+fi
+
+missing=0
+for key in $bench_keys; do
+  base="$(printf '%s\n' "$key" | sed -E 's/_(count|sum|p50|p99)$//')"
+  if ! printf '%s\n' "$registered" | grep -qxF -e "$key" -e "$base"; then
+    echo "perfbench/serve.cpp: METRICS key \"$key\" is not registered in src/" >&2
+    missing=$((missing + 1))
+  fi
+done
+if [ "$missing" -gt 0 ]; then exit 1; fi
+echo "ok: $(printf '%s\n' "$bench_keys" | wc -l | tr -d ' ') benchmark METRICS key(s) are registered in src/"

@@ -286,10 +286,7 @@ int serve_tcp(serve::CmarkovService& service, const DaemonOptions& options,
 
   serve::net::EpollServer server(service.sessions(), net);
   server.start();
-  if (admin != nullptr) {
-    admin->set_loop_status_fn([&server] { return server.loop_status(); });
-    collector->start();
-  }
+  if (collector != nullptr) collector->start();
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     // Drift refresh runs on this idle thread: partial_fit + hot reload
@@ -297,7 +294,6 @@ int serve_tcp(serve::CmarkovService& service, const DaemonOptions& options,
     if (refresher != nullptr) refresher->poll();
   }
   log_info() << "cmarkovd: shutting down";
-  // Stop sampling before the server (and its loop_status fn) goes away.
   if (collector != nullptr) collector->stop();
   server.stop();
   return 0;
