@@ -97,9 +97,14 @@ ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t) {
           model.num_states()};
 }
 
-double forward_pass(const ForwardTables& tables,
-                    std::span<const std::size_t> observations,
-                    const ForwardOutputs& out) {
+// Starts on a cache-line boundary so that its code layout, and with it
+// the cost of its branches, no longer shifts with the size of unrelated
+// code linked ahead of it: perfbench `stream` moved ~1.5x between builds
+// whose only difference was this function's offset in its 64-byte line
+// (ROADMAP.md item 2, *Code placement*).
+[[gnu::aligned(64)]] double forward_pass(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const ForwardOutputs& out) {
   const std::size_t n = tables.num_states;
   const std::size_t t_len = observations.size();
   const auto row = [&](std::size_t t) {

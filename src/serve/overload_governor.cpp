@@ -1,9 +1,15 @@
 #include "src/serve/overload_governor.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace cmarkov::serve {
+
+namespace {
+constexpr double kHighWaterRatio = 0.75;
+constexpr double kLowWaterRatio = 0.25;
+constexpr double kShedResidentFraction = 0.75;
+constexpr std::uint64_t kRetryAfterMs = 1000;
+}  // namespace
 
 const char* overload_level_name(OverloadLevel level) {
   switch (level) {
@@ -20,16 +26,15 @@ const char* overload_level_name(OverloadLevel level) {
 }
 
 OverloadGovernor::OverloadGovernor(OverloadOptions options)
-    : options_(options) {
-  if (options_.high_water_ratio <= options_.low_water_ratio) {
-    throw std::invalid_argument(
-        "OverloadGovernor: high_water_ratio must exceed low_water_ratio");
-  }
-  if (options_.shed_resident_fraction <= 0.0 ||
-      options_.shed_resident_fraction > 1.0) {
-    throw std::invalid_argument(
-        "OverloadGovernor: shed_resident_fraction must be in (0, 1]");
-  }
+    : options_(options) {}
+
+std::uint64_t OverloadGovernor::retry_after_ms() const { return kRetryAfterMs; }
+
+std::size_t OverloadGovernor::resident_budget(std::size_t max_resident) const {
+  if (!shed_idle_sessions()) return max_resident;
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(static_cast<double>(max_resident) *
+                                  kShedResidentFraction));
 }
 
 double OverloadGovernor::pressure(std::size_t queued, std::size_t capacity,
@@ -54,7 +59,7 @@ OverloadGovernor::Update OverloadGovernor::update(double now_micros,
   const double p = pressure(queued, capacity, est_service_micros);
   const std::lock_guard lock(mu_);
   int level = level_.load(std::memory_order_relaxed);
-  if (p >= options_.high_water_ratio) {
+  if (p >= kHighWaterRatio) {
     relief_since_ = -1.0;
     if (breach_since_ < 0.0) breach_since_ = now_micros;
     if (level < static_cast<int>(OverloadLevel::kShedIdle) &&
@@ -63,7 +68,7 @@ OverloadGovernor::Update OverloadGovernor::update(double now_micros,
       ++result.transitions;
       breach_since_ = now_micros;  // the next rung needs its own sustain
     }
-  } else if (p <= options_.low_water_ratio) {
+  } else if (p <= kLowWaterRatio) {
     breach_since_ = -1.0;
     if (level > 0) {
       if (relief_since_ < 0.0) relief_since_ = now_micros;

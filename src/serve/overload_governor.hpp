@@ -20,10 +20,17 @@
 //
 // Pressure is the max of two signals: queue occupancy (queued / capacity)
 // and the per-event deadline budget (estimated queue delay, queued x EMA
-// service time, over ServiceConfig's event_deadline_micros). The ladder
+// service time, over OverloadOptions::event_deadline_micros). The ladder
 // moves one rung at a time, and only after the breach (or the relief) has
 // persisted for sustain_micros — transient bursts don't shed, and recovery
 // is as deliberate as degradation (hysteresis via the low/high water pair).
+//
+// Ladder constants (overload_governor.cpp):
+//   high water 0.75   pressure at/above which the breach timer runs
+//   low water  0.25   pressure at/below which the relief timer runs (the
+//                     gap between the two is the hysteresis hold band)
+//   shed-idle  0.75   level 3 enforces max_resident_sessions x this
+//   retry-after 1000  ms hint sent with shed HELLOs
 #pragma once
 
 #include <atomic>
@@ -40,19 +47,8 @@ struct OverloadOptions {
   /// pressure even while queues have headroom. 0 disables the delay signal
   /// (occupancy still governs).
   double event_deadline_micros = 50'000.0;
-  /// Occupancy (or deadline-normalized delay) at/above which the breach
-  /// timer runs.
-  double high_water_ratio = 0.75;
-  /// Occupancy at/below which the relief timer runs (the gap between the
-  /// two is the hysteresis hold band).
-  double low_water_ratio = 0.25;
   /// Breach/relief must persist this long before the ladder moves a rung.
   double sustain_micros = 250'000.0;
-  /// Retry hint (milliseconds) sent with shed HELLOs.
-  std::uint64_t retry_after_ms = 1000;
-  /// At level 3, residency is enforced against
-  /// max_resident_sessions * this fraction (early idle eviction).
-  double shed_resident_fraction = 0.75;
 };
 
 enum class OverloadLevel : int {
@@ -88,7 +84,6 @@ class OverloadGovernor {
   explicit OverloadGovernor(OverloadOptions options);
 
   bool enabled() const { return options_.enabled; }
-  const OverloadOptions& options() const { return options_; }
 
   OverloadLevel level() const {
     return static_cast<OverloadLevel>(level_.load(std::memory_order_relaxed));
@@ -105,7 +100,11 @@ class OverloadGovernor {
     return level_.load(std::memory_order_relaxed) >=
            static_cast<int>(OverloadLevel::kShedIdle);
   }
-  std::uint64_t retry_after_ms() const { return options_.retry_after_ms; }
+  /// Retry hint (milliseconds) sent with shed HELLOs.
+  std::uint64_t retry_after_ms() const;
+  /// Resident-session budget under the current level: `max_resident`, cut
+  /// to a fraction of it (at least 1) at shed-idle.
+  std::size_t resident_budget(std::size_t max_resident) const;
 
   struct Update {
     OverloadLevel level = OverloadLevel::kNormal;

@@ -84,53 +84,17 @@ struct SessionManager::Session {
   /// Activity tick of the last submit (LRU ordering for eviction).
   std::atomic<std::uint64_t> last_active{0};
 
-  /// Set under the shard worker's mu when the session is evicted. A
-  /// producer that still holds this (stale) object re-resolves through the
-  /// snapshot store instead of queueing into a frozen session.
+  /// Set under the shard worker's mu when the session is evicted or
+  /// closed (retire_locked). A producer that still holds this (stale)
+  /// object re-resolves through the snapshot store instead of queueing
+  /// into a frozen session.
   bool evicted = false;
 
   /// Position in SessionManager::session_list_ (guarded by sessions_mu_).
   std::size_t list_index = 0;
-  /// monitor.state_bytes() as last accounted into state_bytes_sum_.
-  /// Written on lifecycle transitions and reloads; atomic so the gauge
-  /// refresh can read it under only sessions_mu_.
+  /// monitor.state_bytes(), written on insertion and reloads; atomic so
+  /// the gauge refresh can sweep it under only sessions_mu_.
   std::atomic<std::size_t> state_bytes{0};
-
-  /// Relaxed mirror of monitor.stats(), refreshed by the owning worker
-  /// after every event. Stats snapshots try-lock monitor_mu and fall back
-  /// to this, so a scrape never waits on a scoring batch (at worst it
-  /// reports the state as of the previous event).
-  struct StatsCache {
-    std::atomic<std::size_t> events_seen{0};
-    std::atomic<std::size_t> events_observed{0};
-    std::atomic<std::size_t> windows_scored{0};
-    std::atomic<std::size_t> windows_flagged{0};
-    std::atomic<std::size_t> alarms{0};
-  };
-  StatsCache stats_cache;
-
-  void store_stats_cache(const core::MonitorStats& s) {
-    stats_cache.events_seen.store(s.events_seen, std::memory_order_relaxed);
-    stats_cache.events_observed.store(s.events_observed,
-                                      std::memory_order_relaxed);
-    stats_cache.windows_scored.store(s.windows_scored,
-                                     std::memory_order_relaxed);
-    stats_cache.windows_flagged.store(s.windows_flagged,
-                                      std::memory_order_relaxed);
-    stats_cache.alarms.store(s.alarms, std::memory_order_relaxed);
-  }
-  core::MonitorStats load_stats_cache() const {
-    core::MonitorStats s;
-    s.events_seen = stats_cache.events_seen.load(std::memory_order_relaxed);
-    s.events_observed =
-        stats_cache.events_observed.load(std::memory_order_relaxed);
-    s.windows_scored =
-        stats_cache.windows_scored.load(std::memory_order_relaxed);
-    s.windows_flagged =
-        stats_cache.windows_flagged.load(std::memory_order_relaxed);
-    s.alarms = stats_cache.alarms.load(std::memory_order_relaxed);
-    return s;
-  }
 
   /// Guards `monitor` and the model binding below: held by the owning
   /// worker while scoring, by stats readers while snapshotting, and by
@@ -162,8 +126,8 @@ struct SessionManager::Worker {
   /// This worker's shard index (set once at construction).
   std::size_t index = 0;
   /// Mirror of queue.size(), updated alongside every queue mutation: the
-  /// gauge refresh reads depths with one relaxed load instead of taking
-  /// every worker's mutex.
+  /// gauge refresh and the governor read depths with one relaxed load
+  /// instead of taking every worker's mutex.
   std::atomic<std::size_t> depth{0};
   mutable std::mutex mu;
   std::condition_variable cv_nonempty;  // producer -> worker
@@ -324,11 +288,6 @@ void SessionManager::open_session(const std::string& id,
 }
 
 SubmitResult SessionManager::submit(const std::string& id,
-                                    trace::CallEvent event) {
-  return submit(id, std::move(event), std::string());
-}
-
-SubmitResult SessionManager::submit(const std::string& id,
                                     trace::CallEvent event,
                                     const std::string& trace_id,
                                     std::uint64_t* seq_out) {
@@ -338,9 +297,13 @@ SubmitResult SessionManager::submit(const std::string& id,
   bool traced = false;
   std::uint64_t seq = 0;
   bool sampled = false;
+  bool stale = false;
 
   for (;;) {
-    std::shared_ptr<Session> session = find_session(id);
+    // A stale session is being retired under lifecycle_mu_: wait that out
+    // in try_restore instead of spinning on the resident map.
+    std::shared_ptr<Session> session = stale ? nullptr : find_session(id);
+    stale = false;
     if (!session) {
       // Not resident: transparently restore from the snapshot store (the
       // session may have been evicted — possibly by a previous daemon run).
@@ -367,7 +330,6 @@ SubmitResult SessionManager::submit(const std::string& id,
 
     Worker& worker = *workers_[session->shard];
     SubmitResult result = SubmitResult::kAccepted;
-    bool stale = false;
     bool rejected = false;
     {
       std::unique_lock lock(worker.mu);
@@ -399,7 +361,6 @@ SubmitResult SessionManager::submit(const std::string& id,
             dropped_total_->add(1);
             worker.queue.pop_front();
             worker.depth.fetch_sub(1, std::memory_order_relaxed);
-            queued_events_.fetch_sub(1, std::memory_order_relaxed);
             result = SubmitResult::kDroppedOldest;
             break;
           }
@@ -411,11 +372,14 @@ SubmitResult SessionManager::submit(const std::string& id,
         }
       }
       if (!stale && !rejected) {
+        // Counted under worker.mu, with the push: a retirement that purges
+        // or freezes this session then sees the event and its count
+        // together.
         session->pending.fetch_add(1, std::memory_order_relaxed);
+        session->enqueued.fetch_add(1, std::memory_order_relaxed);
         worker.queue.push_back(Item{session, std::move(event),
                                     clock_.micros(), trace_id, traced, seq});
         worker.depth.fetch_add(1, std::memory_order_relaxed);
-        queued_events_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (stale) continue;
@@ -429,7 +393,6 @@ SubmitResult SessionManager::submit(const std::string& id,
     session->last_active.store(
         activity_clock_.fetch_add(1, std::memory_order_relaxed),
         std::memory_order_relaxed);
-    session->enqueued.fetch_add(1, std::memory_order_relaxed);
     enqueued_total_->add(1);
     maybe_update_governor();
     return result;
@@ -442,63 +405,26 @@ bool SessionManager::has_session(const std::string& id) const {
 
 SessionStats SessionManager::session_stats(const std::string& id) const {
   if (const auto session = find_session(id)) return snapshot(*session);
+  // A miss may fall between an eviction's unlink and its store, or a
+  // restore's take and its insert; under the lifecycle lock the session
+  // is in exactly one of the two.
+  const std::lock_guard lifecycle(lifecycle_mu_);
+  if (const auto session = find_session(id)) return snapshot(*session);
   if (const auto snap = snapshots_.peek(id)) return stats_from_snapshot(*snap);
   throw std::invalid_argument("SessionManager: no session '" + id + "'");
 }
 
-std::vector<SessionStats> SessionManager::all_session_stats() const {
-  std::vector<std::shared_ptr<Session>> sessions;
-  {
-    const std::shared_lock lock(sessions_mu_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session);
-  }
-  std::vector<SessionStats> out;
-  out.reserve(sessions.size());
-  for (const auto& session : sessions) out.push_back(snapshot(*session));
-  return out;
-}
-
 SessionStats SessionManager::close_session(const std::string& id) {
-  if (find_session(id) != nullptr) {
-    drain();
-    const std::lock_guard lifecycle(lifecycle_mu_);
-    // Re-resolve under the lifecycle lock: the session may have been
-    // evicted between the check and here (falls through to the store).
-    if (const auto session = find_session(id)) {
-      Worker& worker = *workers_[session->shard];
-      {
-        // Mirror evict_locked: a producer that resolved this session
-        // before the erase below must observe the close under worker.mu
-        // and re-resolve (submit's stale-retry loop), not enqueue after
-        // the pending==0 wait into a monitor whose storage was released.
-        const std::lock_guard lock(worker.mu);
-        session->evicted = true;
-      }
-      // Blocked producers re-check the evicted flag in their predicate.
-      worker.cv_space.notify_all();
-      while (session->pending.load(std::memory_order_acquire) != 0) {
-        if (config_.manual_pump) pump_worker(worker);
-        std::this_thread::yield();
-      }
-      SessionStats stats = snapshot(*session);
-      {
-        const std::unique_lock lock(sessions_mu_);
-        sessions_.erase(session->id);
-        const std::size_t index = session->list_index;
-        if (index + 1 != session_list_.size()) {
-          session_list_[index] = std::move(session_list_.back());
-          session_list_[index]->list_index = index;
-        }
-        session_list_.pop_back();
-      }
-      state_bytes_sum_.fetch_sub(
-          session->state_bytes.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      const std::lock_guard monitor_lock(session->monitor_mu);
-      pool_.release(session->monitor.release_storage());
-      return stats;
-    }
+  if (find_session(id) != nullptr) drain();
+  const std::lock_guard lifecycle(lifecycle_mu_);
+  // Resolved under the lifecycle lock, so a concurrent eviction or restore
+  // cannot move the session between the map and the store meanwhile.
+  if (const auto session = find_session(id)) {
+    retire_locked(*session, /*purge=*/false);
+    SessionStats stats = snapshot(*session);
+    const std::lock_guard lock(session->monitor_mu);
+    pool_.release(session->monitor.release_storage());
+    return stats;
   }
   if (auto snap = snapshots_.take(id)) return stats_from_snapshot(*snap);
   throw std::invalid_argument("SessionManager: no session '" + id + "'");
@@ -508,7 +434,7 @@ bool SessionManager::evict_session(const std::string& id) {
   const std::lock_guard lifecycle(lifecycle_mu_);
   const auto session = find_session(id);
   if (!session) return false;
-  evict_locked(session);
+  evict_locked(*session);
   return true;
 }
 
@@ -557,10 +483,8 @@ ReloadReport SessionManager::reload_model(
     session->model_version = versioned.version;
     session->model_fingerprint = versioned.fingerprint;
     session->monitor.rebind(*session->detector, versioned.kernel);
-    const std::size_t bytes = session->monitor.state_bytes();
-    const std::size_t prev =
-        session->state_bytes.exchange(bytes, std::memory_order_relaxed);
-    state_bytes_sum_.fetch_add(bytes - prev, std::memory_order_relaxed);
+    session->state_bytes.store(session->monitor.state_bytes(),
+                               std::memory_order_relaxed);
     ++report.sessions_rebound;
   }
 
@@ -619,13 +543,14 @@ void SessionManager::refresh_gauges() {
     }
   }
   sessions_gauge_->set(static_cast<double>(resident));
+  std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     shard_sessions_gauges_[i]->set(static_cast<double>(shard_sessions[i]));
     shard_state_bytes_gauges_[i]->set(static_cast<double>(shard_bytes[i]));
+    bytes += shard_bytes[i];
   }
   // Average per-resident-session scoring-state footprint — the number the
   // sessions-per-gigabyte budget in docs/SERVING.md is written against.
-  const std::uint64_t bytes = state_bytes_sum_.load(std::memory_order_relaxed);
   state_bytes_gauge_->set(
       resident == 0 ? 0.0
                     : static_cast<double>(bytes) /
@@ -661,15 +586,19 @@ void SessionManager::maybe_update_governor() {
 void SessionManager::update_governor() {
   if (!governor_.enabled()) return;
   const OverloadLevel before = governor_.level();
-  const OverloadGovernor::Update update = governor_.update(
-      clock_.micros(), queued_events_.load(std::memory_order_relaxed),
-      config_.num_workers * config_.queue_capacity, service_ema_micros());
+  std::size_t queued = 0;
+  for (const auto& worker : workers_) {
+    queued += worker->depth.load(std::memory_order_relaxed);
+  }
+  const OverloadGovernor::Update update =
+      governor_.update(clock_.micros(), queued,
+                       config_.num_workers * config_.queue_capacity,
+                       service_ema_micros());
   if (update.transitions == 0) return;
   overload_transitions_total_->add(
       static_cast<std::uint64_t>(update.transitions));
   log_info() << "overload: " << overload_level_name(before) << " -> "
-             << overload_level_name(update.level) << " (queued="
-             << queued_events_.load(std::memory_order_relaxed)
+             << overload_level_name(update.level) << " (queued=" << queued
              << ", ema=" << service_ema_micros() << "us)";
   if (update.level == OverloadLevel::kShedIdle &&
       before != OverloadLevel::kShedIdle) {
@@ -769,7 +698,6 @@ std::shared_ptr<SessionManager::Session> SessionManager::restore_locked(
     monitor.consecutive_flagged = 0;
   }
   session->monitor.restore(monitor);
-  session->store_stats_cache(session->monitor.stats());
   session->last_active.store(
       activity_clock_.fetch_add(1, std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -790,65 +718,68 @@ void SessionManager::insert_resident(std::shared_ptr<Session> session) {
     raw->list_index = session_list_.size();
     session_list_.push_back(std::move(session));
   }
-  const std::size_t bytes = raw->monitor.state_bytes();
-  raw->state_bytes.store(bytes, std::memory_order_relaxed);
-  state_bytes_sum_.fetch_add(bytes, std::memory_order_relaxed);
+  raw->state_bytes.store(raw->monitor.state_bytes(),
+                         std::memory_order_relaxed);
 }
 
-void SessionManager::evict_locked(const std::shared_ptr<Session>& session) {
-  Worker& worker = *workers_[session->shard];
+void SessionManager::retire_locked(Session& session, bool purge) {
+  Worker& worker = *workers_[session.shard];
   std::size_t purged = 0;
   {
+    // A producer that resolved this session earlier observes the flag
+    // under worker.mu and re-resolves (submit's stale retry) instead of
+    // enqueueing into a monitor whose storage is about to be released.
     const std::lock_guard lock(worker.mu);
-    session->evicted = true;
-    auto& queue = worker.queue;
-    const auto keep_end =
-        std::remove_if(queue.begin(), queue.end(), [&](const Item& item) {
-          return item.session.get() == session.get();
-        });
-    purged = static_cast<std::size_t>(queue.end() - keep_end);
-    queue.erase(keep_end, queue.end());
+    session.evicted = true;
+    if (purge) {
+      auto& queue = worker.queue;
+      const auto keep_end =
+          std::remove_if(queue.begin(), queue.end(), [&](const Item& item) {
+            return item.session.get() == &session;
+          });
+      purged = static_cast<std::size_t>(queue.end() - keep_end);
+      queue.erase(keep_end, queue.end());
+    }
   }
   if (purged > 0) {
     // Lifecycle loss, not backpressure: accounted on its own counter
     // (events_dropped_total would misattribute it to queue pressure).
-    session->pending.fetch_sub(purged, std::memory_order_release);
-    session->evicted_dropped.fetch_add(purged, std::memory_order_relaxed);
+    session.pending.fetch_sub(purged, std::memory_order_release);
+    session.evicted_dropped.fetch_add(purged, std::memory_order_relaxed);
     evicted_dropped_total_->add(purged);
     worker.depth.fetch_sub(purged, std::memory_order_relaxed);
-    queued_events_.fetch_sub(purged, std::memory_order_relaxed);
   }
   // Blocked producers of this session must re-resolve it (their wait
   // predicate checks the evicted flag), so wake them even if no queued
   // item was purged.
   worker.cv_space.notify_all();
-  // An item popped into a worker batch is not in the queue but still
-  // pending; let the score finish so the snapshot sees its effect.
-  while (session->pending.load(std::memory_order_acquire) != 0) {
+  // Queued (close) or popped into a worker batch (either): let the score
+  // finish so the caller's snapshot sees its effect.
+  while (session.pending.load(std::memory_order_acquire) != 0) {
+    if (config_.manual_pump) pump_worker(worker);
     std::this_thread::yield();
   }
-  {
-    const std::unique_lock lock(sessions_mu_);
-    sessions_.erase(session->id);
-    const std::size_t index = session->list_index;
-    if (index + 1 != session_list_.size()) {
-      session_list_[index] = std::move(session_list_.back());
-      session_list_[index]->list_index = index;
-    }
-    session_list_.pop_back();
+  const std::unique_lock lock(sessions_mu_);
+  sessions_.erase(session.id);
+  const std::size_t index = session.list_index;
+  if (index + 1 != session_list_.size()) {
+    session_list_[index] = std::move(session_list_.back());
+    session_list_[index]->list_index = index;
   }
-  state_bytes_sum_.fetch_sub(
-      session->state_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  session_list_.pop_back();
+}
+
+void SessionManager::evict_locked(Session& session) {
+  retire_locked(session, /*purge=*/true);
   SessionSnapshot snap;
   {
-    const std::lock_guard lock(session->monitor_mu);
-    snap = freeze(*session);
-    pool_.release(session->monitor.release_storage());
+    const std::lock_guard lock(session.monitor_mu);
+    snap = freeze(session);
+    pool_.release(session.monitor.release_storage());
   }
   snapshots_.put(std::move(snap));
   sessions_evicted_total_->add(1);
-  shard_evicted_totals_[session->shard]->add(1);
+  shard_evicted_totals_[session.shard]->add(1);
 }
 
 void SessionManager::enforce_residency_locked(const Session* keep) {
@@ -856,13 +787,8 @@ void SessionManager::enforce_residency_locked(const Session* keep) {
   // Ladder level 3: enforce against a reduced budget, evicting idle
   // sessions EARLY to shrink the working set (they lose nothing — snapshot
   // + transparent restore — they just pay a restore once pressure clears).
-  std::size_t limit = config_.max_resident_sessions;
-  if (governor_.enabled() && governor_.shed_idle_sessions()) {
-    const auto shed = static_cast<std::size_t>(
-        static_cast<double>(limit) *
-        governor_.options().shed_resident_fraction);
-    limit = std::max<std::size_t>(1, shed);
-  }
+  const std::size_t limit =
+      governor_.resident_budget(config_.max_resident_sessions);
   // Bounded rounds: when every sampled candidate is busy (pending > 0) we
   // tolerate a temporary overshoot rather than spinning — the next open or
   // restore tries again.
@@ -901,7 +827,7 @@ void SessionManager::enforce_residency_locked(const Session* keep) {
       }
     }
     if (!victim) return;  // all sampled candidates busy
-    evict_locked(victim);
+    evict_locked(*victim);
     if (early) overload_early_evicted_total_->add(1);
   }
 }
@@ -957,7 +883,6 @@ void SessionManager::process_item(Item& item, BatchCounters& batch) {
         has_decision = true;
       }
     }
-    item.session->store_stats_cache(item.session->monitor.stats());
   }
   if (has_decision) {
     if (decision_log_->append(std::move(decision))) {
@@ -1046,67 +971,49 @@ std::vector<obs::DecisionRecord> SessionManager::recent_decisions(
   return out;
 }
 
-void SessionManager::pump_worker(Worker& worker) {
-  BatchCounters counters;
-  std::size_t pumped = 0;
-  const double start_micros = clock_.micros();
-  for (;;) {
-    Item item;
-    {
-      const std::lock_guard lock(worker.mu);
-      if (worker.queue.empty()) {
-        flush_batch(worker.index, counters);
-        if (pumped > 0) {
-          note_service_time((clock_.micros() - start_micros) /
-                            static_cast<double>(pumped));
-        }
-        return;
-      }
-      item = std::move(worker.queue.front());
-      worker.queue.pop_front();
-      worker.depth.fetch_sub(1, std::memory_order_relaxed);
-      queued_events_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    process_item(item, counters);
-    ++pumped;
+void SessionManager::run_batch(Worker& worker,
+                               std::unique_lock<std::mutex>& lock,
+                               std::vector<Item>& batch) {
+  while (!worker.queue.empty() && batch.size() < kBatchSize) {
+    batch.push_back(std::move(worker.queue.front()));
+    worker.queue.pop_front();
   }
+  worker.in_flight = batch.size();
+  lock.unlock();
+  worker.depth.fetch_sub(batch.size(), std::memory_order_relaxed);
+  worker.cv_space.notify_all();
+  worker.active_epoch.store(registry_.reload_epoch(),
+                            std::memory_order_release);
+  BatchCounters counters;
+  const double batch_start_micros = clock_.micros();
+  for (Item& item : batch) process_item(item, counters);
+  note_service_time((clock_.micros() - batch_start_micros) /
+                    static_cast<double>(batch.size()));
+  // Flushed before in_flight drops to zero, so drain() implies the
+  // service-wide counters already cover everything processed.
+  flush_batch(worker.index, counters);
+  worker.active_epoch.store(kEpochIdle, std::memory_order_release);
+  batch.clear();
+  lock.lock();
+  worker.in_flight = 0;
+  if (worker.queue.empty()) worker.cv_idle.notify_all();
+}
+
+void SessionManager::pump_worker(Worker& worker) {
+  std::vector<Item> batch;
+  std::unique_lock lock(worker.mu);
+  while (!worker.queue.empty()) run_batch(worker, lock, batch);
 }
 
 void SessionManager::worker_loop(Worker& worker) {
   std::vector<Item> batch;
   batch.reserve(kBatchSize);
+  std::unique_lock lock(worker.mu);
   for (;;) {
-    {
-      std::unique_lock lock(worker.mu);
-      worker.cv_nonempty.wait(
-          lock, [&] { return worker.stop || !worker.queue.empty(); });
-      if (worker.queue.empty()) return;  // stop requested, queue drained
-      while (!worker.queue.empty() && batch.size() < kBatchSize) {
-        batch.push_back(std::move(worker.queue.front()));
-        worker.queue.pop_front();
-      }
-      worker.in_flight = batch.size();
-    }
-    worker.depth.fetch_sub(batch.size(), std::memory_order_relaxed);
-    queued_events_.fetch_sub(batch.size(), std::memory_order_relaxed);
-    worker.cv_space.notify_all();
-    worker.active_epoch.store(registry_.reload_epoch(),
-                              std::memory_order_release);
-    BatchCounters counters;
-    const double batch_start_micros = clock_.micros();
-    for (Item& item : batch) process_item(item, counters);
-    note_service_time((clock_.micros() - batch_start_micros) /
-                      static_cast<double>(batch.size()));
-    // Flushed before in_flight drops to zero, so drain() implies the
-    // service-wide counters already cover everything processed.
-    flush_batch(worker.index, counters);
-    worker.active_epoch.store(kEpochIdle, std::memory_order_release);
-    batch.clear();
-    {
-      const std::lock_guard lock(worker.mu);
-      worker.in_flight = 0;
-      if (worker.queue.empty()) worker.cv_idle.notify_all();
-    }
+    worker.cv_nonempty.wait(
+        lock, [&] { return worker.stop || !worker.queue.empty(); });
+    if (worker.queue.empty()) return;  // stop requested, queue drained
+    run_batch(worker, lock, batch);
   }
 }
 
@@ -1120,15 +1027,8 @@ SessionStats SessionManager::snapshot(const Session& session) const {
   stats.rejected = session.rejected.load(std::memory_order_relaxed);
   stats.evicted_dropped =
       session.evicted_dropped.load(std::memory_order_relaxed);
-  {
-    // Never wait on the owning worker: mid-batch the lock is held for the
-    // whole scoring step, and a blocking stats read here is exactly how a
-    // scrape used to stall admission. The cache is refreshed per event, so
-    // the fallback is at most one event behind.
-    const std::unique_lock lock(session.monitor_mu, std::try_to_lock);
-    stats.monitor = lock.owns_lock() ? session.monitor.stats()
-                                     : session.load_stats_cache();
-  }
+  const std::lock_guard lock(session.monitor_mu);
+  stats.monitor = session.monitor.stats();
   return stats;
 }
 

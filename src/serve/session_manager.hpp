@@ -10,7 +10,7 @@
 //     evict the oldest queued event (counted against the evicted event's
 //     session), or reject the new event (counted against the submitter).
 //
-// Session lifecycle (new in the 1M-session PR): resident sessions hold a
+// Session lifecycle: resident sessions hold a
 // pool-allocated monitor; when max_resident_sessions is exceeded, the
 // least-recently-active idle session is snapshotted into the SnapshotStore
 // and released. A later submit (or HELLO) for that id transparently
@@ -83,8 +83,8 @@ struct ServiceConfig {
   /// Decision-record sampling is configured separately via
   /// monitor.decisions (cmarkovd's --trace-sample sets both).
   obs::TracerOptions tracing;
-  /// Overload degradation ladder (overload_governor.hpp): deadline budget,
-  /// water marks, hysteresis. `overload.enabled = false` turns the whole
+  /// Overload degradation ladder (overload_governor.hpp): deadline budget
+  /// and hysteresis hold time. `overload.enabled = false` turns the whole
   /// ladder off (no admission checks, no level gauge movement).
   OverloadOptions overload;
 };
@@ -145,28 +145,23 @@ class SessionManager {
 
   /// Queues one event for the session; applies the backpressure policy when
   /// the shard queue is full. Safe from any thread. Sessions evicted to the
-  /// snapshot store are transparently restored first.
-  SubmitResult submit(const std::string& id, trace::CallEvent event);
-
-  /// Same, threading a protocol trace id through the worker queue into the
-  /// scoring path. A non-empty `trace_id` forces span tracing for this
-  /// event (sampling bypassed) and is stamped into any decision record the
-  /// event produces. When the event is admitted for tracing, `seq_out` (if
+  /// snapshot store are transparently restored first. A non-empty
+  /// `trace_id` (protocol tid=) forces span tracing for this event
+  /// (sampling bypassed) and is stamped into any decision record the event
+  /// produces. When the event is admitted for tracing, `seq_out` (if
   /// non-null) receives its span sequence number so the caller can record
   /// correlated spans (the protocol layer's "reply" span).
   SubmitResult submit(const std::string& id, trace::CallEvent event,
-                      const std::string& trace_id,
+                      const std::string& trace_id = {},
                       std::uint64_t* seq_out = nullptr);
 
   /// True for resident sessions and for sessions evicted to the store.
   bool has_session(const std::string& id) const;
 
   /// Live counters (no drain; may lag concurrent processing). Works for
-  /// resident and evicted sessions alike. Never blocks on a scoring batch:
-  /// the monitor counters are read under a try-lock, falling back to a
-  /// per-event refreshed cache when the owning worker holds the lock.
+  /// resident and evicted sessions alike. The monitor counters are read
+  /// under the session's monitor lock, which scoring holds for one event.
   SessionStats session_stats(const std::string& id) const;
-  std::vector<SessionStats> all_session_stats() const;
 
   /// Drains outstanding events, then removes the session and returns its
   /// final stats (an evicted session's snapshot is consumed and reported).
@@ -243,8 +238,8 @@ class SessionManager {
   SnapshotStore& snapshot_store() { return snapshots_; }
   const SnapshotStore& snapshot_store() const { return snapshots_; }
 
-  /// The overload degradation ladder's admission governor (level reads,
-  /// options; tests drive transitions through submit pressure).
+  /// The overload degradation ladder's admission governor (level reads;
+  /// tests drive transitions through submit pressure).
   OverloadGovernor& overload_governor() { return governor_; }
   const OverloadGovernor& overload_governor() const { return governor_; }
 
@@ -283,14 +278,29 @@ class SessionManager {
   /// Inserts a session into the resident map/list. Caller holds
   /// lifecycle_mu_; takes sessions_mu_ itself.
   void insert_resident(std::shared_ptr<Session> session);
+  /// Takes a resident session out of service (close and evict): marks it
+  /// retired under its shard's mu — with `purge` its queued events are
+  /// discarded as evicted_dropped, otherwise the worker scores them —
+  /// waits for every pending event and unlinks it from the resident
+  /// map/list. The caller then snapshots the monitor and releases its
+  /// storage. Caller holds lifecycle_mu_.
+  void retire_locked(Session& session, bool purge);
   /// Evicts `session` (must be resident). Caller holds lifecycle_mu_.
-  void evict_locked(const std::shared_ptr<Session>& session);
+  void evict_locked(Session& session);
   /// Enforces max_resident_sessions by evicting sampled-LRU idle sessions.
   /// Caller holds lifecycle_mu_. `keep` is never evicted.
   void enforce_residency_locked(const Session* keep);
   SessionStats stats_from_snapshot(const SessionSnapshot& snapshot) const;
   void process_item(Item& item, BatchCounters& batch);
   void flush_batch(std::size_t shard, const BatchCounters& batch);
+  /// Scores one batch: moves up to kBatchSize queued items into `batch`
+  /// under `lock` (held on worker.mu), then scores and flushes them with
+  /// the lock released and the worker's epoch stamped. Returns with the
+  /// lock held again, in_flight cleared and cv_idle notified.
+  void run_batch(Worker& worker, std::unique_lock<std::mutex>& lock,
+                 std::vector<Item>& batch);
+  /// manual_pump: runs batches on the calling thread until the queue is
+  /// empty.
   void pump_worker(Worker& worker);
   void worker_loop(Worker& worker);
   SessionStats snapshot(const Session& session) const;
@@ -321,9 +331,10 @@ class SessionManager {
 
   /// Serializes lifecycle transitions (open, evict, restore, close) so a
   /// session is always either resident or in the snapshot store — never
-  /// both, never neither. The submit hot path takes it only on a resident
-  /// miss. Ordering: lifecycle_mu_ > sessions_mu_ > worker.mu/monitor_mu.
-  std::mutex lifecycle_mu_;
+  /// both, never neither — as seen under this lock. The submit hot path
+  /// and session_stats take it only on a resident miss. Ordering:
+  /// lifecycle_mu_ > sessions_mu_ > worker.mu/monitor_mu.
+  mutable std::mutex lifecycle_mu_;
 
   mutable std::shared_mutex sessions_mu_;
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
@@ -340,9 +351,6 @@ class SessionManager {
   /// traffic (set_drift_monitor contract).
   std::atomic<DriftMonitor*> drift_monitor_{nullptr};
   std::string drift_model_name_;
-  /// Aggregate queued-event count across all worker queues (the governor's
-  /// occupancy signal without taking every worker lock per update).
-  std::atomic<std::uint64_t> queued_events_{0};
   /// Submit counter driving the every-64th governor update cadence.
   std::atomic<std::uint64_t> governor_ticks_{0};
   /// Bit pattern of the per-event service-time EMA (double); lock-free
@@ -353,8 +361,6 @@ class SessionManager {
   std::unordered_map<std::string, std::uint64_t> failpoint_hits_seen_;
   /// Monotonic activity tick; stamped per submit for LRU ordering.
   std::atomic<std::uint64_t> activity_clock_{1};
-  /// Resident-session state bytes (sum) feeding the bytes/session gauge.
-  std::atomic<std::uint64_t> state_bytes_sum_{0};
   std::uint64_t evict_rng_state_ = 0x9e3779b97f4a7c15ull;
 
   std::atomic<std::uint64_t> next_id_{0};

@@ -467,6 +467,24 @@ TEST(AdminConnTest, MetricsEndpointServesPrometheusText) {
 // of indexing shards would report them in the wrong order.
 class StatuszTest : public ::testing::TestWithParam<std::size_t> {};
 
+/// cmarkov_serve_session_state_bytes is the per-shard sweep's total over
+/// the resident count, exactly, within one registry snapshot.
+void expect_bytes_per_session_from_sweep(SessionManager& manager,
+                                         std::size_t workers) {
+  const obs::MetricsRegistry::Snapshot snap =
+      manager.metrics_registry().snapshot();
+  double shard_bytes = 0.0;
+  for (std::size_t i = 0; i < workers; ++i) {
+    shard_bytes +=
+        snap.gauges.at("cmarkov_serve_shard_state_bytes_w" + std::to_string(i));
+  }
+  const double resident = snap.gauges.at("cmarkov_serve_sessions_open");
+  ASSERT_GT(resident, 0.0);
+  EXPECT_GT(shard_bytes, 0.0);
+  EXPECT_EQ(snap.gauges.at("cmarkov_serve_session_state_bytes"),
+            shard_bytes / resident);
+}
+
 TEST_P(StatuszTest, PerShardCountsMatchGroundTruthExactly) {
   const std::size_t workers = GetParam();
   HandlerHarness h(workers);
@@ -549,6 +567,12 @@ TEST_P(StatuszTest, PerShardCountsMatchGroundTruthExactly) {
     EXPECT_EQ(doc.find("sessions_open")->number_or(0),
               static_cast<double>(ids.size() - 1));
   }
+  expect_bytes_per_session_from_sweep(manager, workers);
+
+  // A reload rebinds every session; the gauge follows the new per-session
+  // bytes through the same sweep.
+  manager.reload_model("gzip", fixture().gzip_model);
+  expect_bytes_per_session_from_sweep(manager, workers);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, StatuszTest,

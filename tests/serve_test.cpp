@@ -409,6 +409,80 @@ TEST(SessionManagerTest, BlockPolicyLosesNothingUnderSaturation) {
   EXPECT_EQ(counter_value(manager, "cmarkov_serve_events_rejected_total"), 0u);
 }
 
+// Evict and close retire a session through one path while its producer
+// keeps submitting: an eviction discards the queued events (counted as
+// evicted_dropped) and the next submit restores the session; close scores
+// what is queued. No accepted event goes unaccounted, the live stats never
+// run backwards, and nothing is accepted after close. TSan-covered via
+// tools/run_tsan_smoke.sh.
+//
+// The producer is bounded: close_session() starts with a service-wide
+// drain(), which waits for the shard queue to empty, and a producer that
+// never stops can keep it non-empty for as long as it outpaces the worker.
+TEST(SessionManagerTest, CloseAndEvictRacingAProducerLoseNoAcceptedEvent) {
+  ServiceConfig config;
+  config.num_workers = 2;
+  config.queue_capacity = 16;
+  config.policy = BackpressurePolicy::kBlock;
+  SessionManager manager(fixture().registry, config);
+  manager.open_session("racer", "gzip");
+  const auto feed = fixture().events_for(fixture().gzip, 500, 2);
+  const std::size_t total = 20 * feed.size();
+
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<bool> producer_done{false};
+  std::thread producer([&] {
+    for (std::size_t i = 0; i < total; ++i) {
+      const SubmitResult result = manager.submit("racer", feed[i % feed.size()]);
+      if (result == SubmitResult::kUnknownSession) break;  // closed
+      EXPECT_EQ(result, SubmitResult::kAccepted);
+      accepted.fetch_add(1, std::memory_order_relaxed);
+    }
+    producer_done.store(true, std::memory_order_release);
+  });
+
+  std::atomic<bool> closing{false};
+  std::thread reader([&] {
+    std::uint64_t processed = 0;
+    std::size_t events_seen = 0;
+    while (!closing.load(std::memory_order_acquire)) {
+      SessionStats stats;
+      try {
+        stats = manager.session_stats("racer");
+      } catch (const std::invalid_argument&) {
+        EXPECT_TRUE(closing.load(std::memory_order_acquire))
+            << "an open session vanished from session_stats";
+        return;
+      }
+      EXPECT_GE(stats.processed, processed);
+      EXPECT_GE(stats.monitor.events_seen, events_seen);
+      processed = stats.processed;
+      events_seen = stats.monitor.events_seen;
+    }
+  });
+
+  std::size_t evictions = 0;
+  while (evictions < 20 && !producer_done.load(std::memory_order_acquire)) {
+    if (manager.evict_session("racer")) ++evictions;
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  EXPECT_GT(evictions, 0u);
+
+  closing.store(true, std::memory_order_release);
+  const SessionStats stats = manager.close_session("racer");
+  producer.join();
+  reader.join();
+
+  EXPECT_EQ(stats.processed + stats.evicted_dropped, stats.enqueued);
+  EXPECT_EQ(stats.enqueued, accepted.load());
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.monitor.events_seen, stats.processed);
+  EXPECT_EQ(manager.submit("racer", feed.front()),
+            SubmitResult::kUnknownSession);
+  EXPECT_FALSE(manager.has_session("racer"));
+}
+
 TEST(SessionManagerTest, LifecycleErrorsAreLoud) {
   ServiceConfig config;
   config.manual_pump = true;

@@ -1,44 +1,59 @@
 #!/usr/bin/env bash
-# ThreadSanitizer smoke for the concurrent subsystems: builds the repo with
-# CMARKOV_SANITIZE=thread and runs the concurrency-sensitive tests — the
+# Sanitizer smoke for the concurrent subsystems: builds the repo with
+# CMARKOV_SANITIZE=<sanitizer> and runs the concurrency-sensitive tests — the
 # cmarkovd serving layer (serve_test's LiveReloadSwapsSharedKernelUnderTraffic
 # drives concurrent shard workers scoring through one shared ScoringKernel
 # image while RELOAD hot-swaps model + kernel under the epoch-reclamation
-# scheme), the epoll TCP front-end (serve_net_test drives concurrent
-# connects across event loops, session eviction/restore, and hot model
-# reload under live producer traffic), the parallel training engine
-# (worker pool, multi-threaded Baum-Welch/k-means/PCA — including the
-# incremental hmm::Trainer whose partial_fit must stay bit-identical at
-# every thread count, and the drift-armed refresh loop in serve_test's
-# DriftRefreshTest feeding DriftMonitor from shard workers), and the obs
-# layer
-# (sharded counters/histograms under concurrent writers plus the threaded
+# scheme, and CloseAndEvictRacingAProducerLoseNoAcceptedEvent retires a
+# session through close and evict while its producer keeps submitting), the
+# epoll TCP front-end (serve_net_test drives concurrent connects across
+# event loops, session eviction/restore, and hot model reload under live
+# producer traffic), the parallel training engine (worker pool,
+# multi-threaded Baum-Welch/k-means/PCA — including the incremental
+# hmm::Trainer whose partial_fit must stay bit-identical at every thread
+# count, and the drift-armed refresh loop in serve_test's DriftRefreshTest
+# feeding DriftMonitor from shard workers), and the obs layer (sharded
+# counters/histograms under concurrent writers plus the threaded
 # pipeline-with-metrics smoke in obs_test), and the chaos harness
 # (chaos_test exercises failpoint arming/firing, crash-restart snapshot
 # recovery, and the overload ladder's governor transitions against the
 # worker pool), and the admin plane (admin_test's scrape hammer runs
 # concurrent /metrics + /varz + /statusz pollers against the collector
-# thread and live traffic with eviction churn). Any TSan report fails the
-# run (halt_on_error). Usage:
+# thread and live traffic with eviction churn).
 #
-#   tools/run_tsan_smoke.sh            # build into build-tsan/ and run
+# CMARKOV_SANITIZE picks the sanitizer: thread (default; data races),
+# address (heap/stack misuse, leaks) or undefined (UB). The first report
+# fails the run (halt_on_error). Usage:
+#
+#   tools/run_tsan_smoke.sh                            # build-thread/
+#   CMARKOV_SANITIZE=address tools/run_tsan_smoke.sh   # build-address/
+#   CMARKOV_SANITIZE=undefined tools/run_tsan_smoke.sh # build-undefined/
 #   BUILD_DIR=/tmp/tsan tools/run_tsan_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="${BUILD_DIR:-build-tsan}"
+SANITIZER="${CMARKOV_SANITIZE:-thread}"
+case "$SANITIZER" in
+  thread | address | undefined) ;;
+  *)
+    echo "CMARKOV_SANITIZE must be thread, address or undefined" >&2
+    exit 2
+    ;;
+esac
+BUILD_DIR="${BUILD_DIR:-build-$SANITIZER}"
 TESTS='^(serve_test|serve_net_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test)$'
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMARKOV_SANITIZE=thread
+  -DCMARKOV_SANITIZE="$SANITIZER"
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target serve_test serve_net_test admin_test chaos_test logging_test \
   --target parallel_test parallel_training_test incremental_training_test \
   --target obs_test
 
-(cd "$BUILD_DIR" && \
-  TSAN_OPTIONS="halt_on_error=1 abort_on_error=1" \
-  ctest --output-on-failure -R "$TESTS")
+export TSAN_OPTIONS="halt_on_error=1 abort_on_error=1"
+export ASAN_OPTIONS="halt_on_error=1 abort_on_error=1"
+export UBSAN_OPTIONS="halt_on_error=1 abort_on_error=1 print_stacktrace=1"
+(cd "$BUILD_DIR" && ctest --output-on-failure -R "$TESTS")
 
-echo "TSan smoke: clean"
+echo "Sanitizer smoke ($SANITIZER): clean"
