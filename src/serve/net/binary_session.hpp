@@ -1,30 +1,27 @@
-// Frame-protocol counterpart of ProtocolSession: one BinarySession is one
-// CMKB conversation, which is one monitored session. It owns the session
-// it opens (destroying the object without BYE closes it — transport
-// disconnect semantics identical to the text protocol).
+// The CMKB codec of cmarkovd's conversation (conversation.hpp): one
+// BinarySession serves one frame-protocol connection. It decodes each
+// frame into a Request, hands it to its Conversation and encodes the
+// Reply as a kReply frame carrying the text protocol's line — for an
+// event batch, the one summary "OK n=<accepted> dropped=<d> rejected=<r>"
+// (none under kFlagNoReply).
 //
-// Error handling is two-tier, matching the frame spec:
-//   - application errors (unknown model, no HELLO yet, queue-full reject)
-//     answer a kReply frame carrying the same "ERR ..." line the text
-//     protocol produces, and the conversation continues;
-//   - protocol violations (malformed payload, unknown op) answer one
-//     kError frame and ask the server to drop the connection — a client
-//     that misframes once is desynchronized for good.
+// Only a frame that does not decode (malformed payload, unknown or
+// server-side op) answers one kError frame and asks the server to drop
+// the connection — a client that misframes once is desynchronized for
+// good. Everything the conversation answers, its errors included, is a
+// kReply and the conversation continues.
 #pragma once
 
 #include <string>
 
+#include "src/serve/conversation.hpp"
 #include "src/serve/net/frame.hpp"
-#include "src/serve/session_manager.hpp"
 
 namespace cmarkov::serve::net {
 
 class BinarySession {
  public:
-  explicit BinarySession(SessionManager& manager);
-  ~BinarySession();
-  BinarySession(const BinarySession&) = delete;
-  BinarySession& operator=(const BinarySession&) = delete;
+  explicit BinarySession(SessionManager& manager) : conversation_(manager) {}
 
   struct Output {
     /// Encoded response frame(s) to send; may be empty (kFlagNoReply).
@@ -37,22 +34,13 @@ class BinarySession {
   Output handle_frame(const Frame& frame);
 
   /// Empty until HELLO succeeds.
-  const std::string& session_id() const { return session_id_; }
+  const std::string& session_id() const { return conversation_.session_id(); }
 
   /// True once BYE was processed (the session is closed and released).
-  bool closed() const { return closed_; }
+  bool closed() const { return conversation_.closed(); }
 
  private:
-  Output reply(std::string line) const;
-  Output protocol_error(std::string reason) const;
-  Output handle_hello(const Frame& frame);
-  Output handle_event_batch(const Frame& frame);
-
-  SessionManager& manager_;
-  std::string session_id_;
-  /// HELLO's trace id; applied to every event of the conversation.
-  std::string trace_id_;
-  bool closed_ = false;
+  Conversation conversation_;
 };
 
 }  // namespace cmarkov::serve::net

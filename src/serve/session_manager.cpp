@@ -400,7 +400,12 @@ SubmitResult SessionManager::submit(const std::string& id,
 }
 
 bool SessionManager::has_session(const std::string& id) const {
-  return find_session(id) != nullptr || snapshots_.contains(id);
+  const auto present = [&] {
+    return find_session(id) != nullptr || snapshots_.contains(id);
+  };
+  if (present()) return true;
+  const std::lock_guard lifecycle(lifecycle_mu_);  // see session_stats
+  return present();
 }
 
 SessionStats SessionManager::session_stats(const std::string& id) const {
@@ -954,9 +959,13 @@ void SessionManager::record_span(obs::SpanRecord span) {
 
 std::vector<obs::DecisionRecord> SessionManager::recent_decisions(
     const std::string& id, std::size_t n) const {
-  const auto session = find_session(id);
+  auto session = find_session(id);
   if (!session) {
-    if (snapshots_.contains(id)) return {};  // ring not snapshotted
+    const std::lock_guard lifecycle(lifecycle_mu_);  // see session_stats
+    session = find_session(id);
+    if (!session && snapshots_.contains(id)) return {};  // ring not kept
+  }
+  if (!session) {
     throw std::invalid_argument("SessionManager: no session '" + id + "'");
   }
   std::vector<obs::DecisionRecord> out;

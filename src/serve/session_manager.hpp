@@ -150,7 +150,7 @@ class SessionManager {
   /// (sampling bypassed) and is stamped into any decision record the event
   /// produces. When the event is admitted for tracing, `seq_out` (if
   /// non-null) receives its span sequence number so the caller can record
-  /// correlated spans (the protocol layer's "reply" span).
+  /// correlated spans (the conversation's "reply" span).
   SubmitResult submit(const std::string& id, trace::CallEvent event,
                       const std::string& trace_id = {},
                       std::uint64_t* seq_out = nullptr);
@@ -209,9 +209,8 @@ class SessionManager {
   std::string next_session_id();
 
   /// The service's span tracer (always present; disabled unless
-  /// config.tracing.enabled). Exposed for the reply-span instrumentation
-  /// in the protocol layer and for exporters.
-  obs::Tracer& tracer() { return *tracer_; }
+  /// config.tracing.enabled). Read by the conversation layer's reply-span
+  /// instrumentation and by exporters.
   const obs::Tracer& tracer() const { return *tracer_; }
 
   /// Records a span through the tracer with cmarkov_trace_spans_* counter
@@ -332,7 +331,7 @@ class SessionManager {
   /// Serializes lifecycle transitions (open, evict, restore, close) so a
   /// session is always either resident or in the snapshot store — never
   /// both, never neither — as seen under this lock. The submit hot path
-  /// and session_stats take it only on a resident miss. Ordering:
+  /// and the lookups take it only on a resident miss. Ordering:
   /// lifecycle_mu_ > sessions_mu_ > worker.mu/monitor_mu.
   mutable std::mutex lifecycle_mu_;
 

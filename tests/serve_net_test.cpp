@@ -373,6 +373,84 @@ TEST(BinarySessionTest, FullConversationMatchesTextProtocolReplies) {
   EXPECT_FALSE(manager.has_session("bin-1"));
 }
 
+TEST(BinarySessionTest, TracedConversationRecordsTheSameReplySpans) {
+  auto registry = make_registry();
+  ServiceConfig config = pump_config();
+  config.tracing.enabled = true;
+  config.tracing.sample_every = 0;  // only trace-id carrying events trace
+  SessionManager manager(*registry, config);
+  SessionManager text_manager(*registry, config);
+  BinarySession session(manager);
+  ProtocolSession text(text_manager);
+
+  const auto hello = session.handle_frame(make_frame(
+      FrameOp::kHello, encode_hello_payload("gzip", "bin-1", "t-1")));
+  EXPECT_EQ(reply_text(hello), "OK session=bin-1 model=gzip tid=t-1");
+  EXPECT_EQ(text.handle_line("HELLO gzip bin-1 tid=t-1"), reply_text(hello));
+
+  const std::vector<trace::CallEvent> events = fixture().events_for(5, 1);
+  const auto batch = session.handle_frame(
+      make_frame(FrameOp::kEventBatch, encode_event_batch_payload(events)));
+  EXPECT_EQ(reply_text(batch), "OK n=" + std::to_string(events.size()) +
+                                   " dropped=0 rejected=0");
+  for (const auto& event : events) {
+    ASSERT_EQ(text.handle_line(event_line(event)), "OK");
+  }
+  manager.drain();
+  text_manager.drain();
+
+  const auto reply_spans = [](const SessionManager& m) {
+    std::vector<obs::SpanRecord> spans;
+    for (const obs::SpanRecord& span : m.tracer().snapshot()) {
+      if (span.name == "reply") spans.push_back(span);
+    }
+    return spans;
+  };
+  const std::vector<obs::SpanRecord> binary_spans = reply_spans(manager);
+  const std::vector<obs::SpanRecord> text_spans = reply_spans(text_manager);
+  ASSERT_EQ(binary_spans.size(), events.size());
+  ASSERT_EQ(text_spans.size(), binary_spans.size());
+  for (std::size_t i = 0; i < binary_spans.size(); ++i) {
+    EXPECT_EQ(binary_spans[i].name, text_spans[i].name) << i;
+    EXPECT_EQ(binary_spans[i].session, "bin-1") << i;
+    EXPECT_EQ(text_spans[i].session, "bin-1") << i;
+    EXPECT_EQ(binary_spans[i].trace_id, "t-1") << i;
+    EXPECT_EQ(text_spans[i].trace_id, "t-1") << i;
+  }
+}
+
+/// The sibling of HostilePayloadsAnswerErrorFrameAndClose: a well-formed
+/// frame the conversation refuses is an application error — a kReply
+/// "ERR …" on a connection that stays open.
+TEST(BinarySessionTest, ApplicationErrorsAnswerReplyAndKeepTheConnection) {
+  auto registry = make_registry();
+  ServiceConfig config = pump_config();
+  config.overload.sustain_micros = 0.0;  // one observation per rung
+  SessionManager manager(*registry, config);
+  for (int rung = 0; rung < 2; ++rung) {
+    manager.overload_governor().update(1.0, 100, 100, 0.0);
+  }
+  ASSERT_EQ(manager.overload_governor().level(), OverloadLevel::kShedHellos);
+
+  BinarySession session(manager);
+  const auto shed = session.handle_frame(
+      make_frame(FrameOp::kHello, encode_hello_payload("gzip", "late", "")));
+  EXPECT_FALSE(shed.close);
+  FrameParser parser;
+  parser.feed(shed.bytes.data(), shed.bytes.size());
+  const auto frame = parser.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->op, FrameOp::kReply);
+  EXPECT_EQ(frame->payload, "ERR overloaded retry-after=1000");
+
+  SessionManager text_manager(*registry, config);
+  for (int rung = 0; rung < 2; ++rung) {
+    text_manager.overload_governor().update(1.0, 100, 100, 0.0);
+  }
+  ProtocolSession text(text_manager);
+  EXPECT_EQ(text.handle_line("HELLO gzip late"), frame->payload);
+}
+
 TEST(BinarySessionTest, DestructorClosesUnfinishedSession) {
   auto registry = make_registry();
   SessionManager manager(*registry, pump_config());

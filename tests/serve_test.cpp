@@ -483,6 +483,51 @@ TEST(SessionManagerTest, CloseAndEvictRacingAProducerLoseNoAcceptedEvent) {
   EXPECT_FALSE(manager.has_session("racer"));
 }
 
+// A session is always resident or frozen, never neither: lookups that race
+// an eviction's unlink-then-store or a restore's take-then-insert must
+// still find it.
+TEST(SessionManagerTest, LookupsNeverMissASessionMovingBetweenMapAndStore) {
+  ServiceConfig config;
+  config.num_workers = 2;
+  config.monitor.decisions.enabled = true;
+  config.monitor.decisions.sample_every = 1;
+  SessionManager manager(fixture().registry, config);
+  manager.open_session("mover", "gzip");
+  const auto feed = fixture().events_for(fixture().gzip, 501, 1);
+
+  std::atomic<bool> done{false};
+  std::size_t polls = 0;
+  std::size_t misses = 0;
+  std::size_t throws = 0;
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      ++polls;
+      if (!manager.has_session("mover")) ++misses;
+      try {
+        manager.recent_decisions("mover", 4);
+      } catch (const std::invalid_argument&) {
+        ++throws;
+      }
+    }
+  });
+
+  std::size_t moves = 0;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    if (manager.evict_session("mover")) ++moves;
+    // The submit restores the frozen session.
+    EXPECT_EQ(manager.submit("mover", feed[i % feed.size()]),
+              SubmitResult::kAccepted);
+  }
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  EXPECT_EQ(moves, 2000u);
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(misses, 0u) << "has_session missed a live session";
+  EXPECT_EQ(throws, 0u) << "recent_decisions threw for a live session";
+  manager.close_session("mover");
+}
+
 TEST(SessionManagerTest, LifecycleErrorsAreLoud) {
   ServiceConfig config;
   config.manual_pump = true;
@@ -625,6 +670,8 @@ TEST(ProtocolTest, TraceUsageErrorsAreLoud) {
   EXPECT_TRUE(session.handle_line("TRACE abc").starts_with("ERR usage"));
   EXPECT_TRUE(session.handle_line("TRACE 0").starts_with("ERR usage"));
   EXPECT_TRUE(session.handle_line("TRACE 4 5").starts_with("ERR usage"));
+  EXPECT_EQ(session.handle_line("TRACE 99999999999999999999999"),
+            "ERR usage: TRACE [n]");
   EXPECT_TRUE(session.handle_line("EV main read tid=").starts_with("ERR usage"));
   // No decision tracing configured: the verb answers, with zero records.
   EXPECT_EQ(session.handle_line("TRACE 4"), "TRACE v=1 session=s1 n=0");

@@ -1,0 +1,26 @@
+#!/usr/bin/env sh
+# Guards the single conversation: cmarkovd's text line protocol
+# (src/serve/protocol.cpp) and CMKB frame protocol
+# (src/serve/net/binary_session.cpp) are codecs only. They decode a request,
+# hand it to serve::Conversation and encode its reply; conversation.cpp is
+# the one place that calls SessionManager on behalf of a conversation. A
+# session verb called from a codec fails this check, so the two transports
+# cannot drift apart again.
+#
+# Wired into CTest as `check_conversation` (label: serve).
+set -eu
+
+repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+
+verbs='open_session|submit|drain|session_stats|recent_decisions|evict_session|close_session|reload_model|record_span'
+bad="$(grep -nE "(\.|->|::)($verbs)[[:space:]]*\(" \
+  "$repo_root/src/serve/protocol.cpp" \
+  "$repo_root/src/serve/net/binary_session.cpp" || true)"
+
+if [ -n "$bad" ]; then
+  echo "error: the codecs may not call SessionManager session verbs;" >&2
+  echo "serve them through serve::Conversation (src/serve/conversation.cpp):" >&2
+  echo "$bad" >&2
+  exit 1
+fi
+echo "ok: only the conversation calls SessionManager for a session"

@@ -4,8 +4,10 @@
 # cmarkovd serving layer (serve_test's LiveReloadSwapsSharedKernelUnderTraffic
 # drives concurrent shard workers scoring through one shared ScoringKernel
 # image while RELOAD hot-swaps model + kernel under the epoch-reclamation
-# scheme, and CloseAndEvictRacingAProducerLoseNoAcceptedEvent retires a
-# session through close and evict while its producer keeps submitting), the
+# scheme, CloseAndEvictRacingAProducerLoseNoAcceptedEvent retires a
+# session through close and evict while its producer keeps submitting, and
+# LookupsNeverMissASessionMovingBetweenMapAndStore polls has_session and
+# recent_decisions while one session is evicted and restored in a loop), the
 # epoll TCP front-end (serve_net_test drives concurrent connects across
 # event loops, session eviction/restore, and hot model reload under live
 # producer traffic), the parallel training engine (worker pool,
