@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "src/core/pipeline.hpp"
 #include "src/hmm/trainer.hpp"
@@ -32,15 +33,65 @@ hmm::ObservationSeq segment_for(const hmm::Hmm& model, std::size_t length) {
   return seq;
 }
 
+// The serve models' state counts (perfbench `stream`), then the paper's
+// larger CMarkov models.
+void scoring_sizes(benchmark::internal::Benchmark* bench) {
+  for (const int states : {25, 36, 39, 50, 128, 372}) bench->Arg(states);
+}
+
+void serve_sizes(benchmark::internal::Benchmark* bench) {
+  for (const int states : {25, 36, 39, 50}) bench->Arg(states);
+}
+
+// Production scoring: hmm::forward_pass over the ForwardTables layout with
+// two ping-pong alpha rows, as the ScoringKernel scores a window.
 void BM_SegmentScoring(benchmark::State& state) {
+  const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));
+  const auto segment = segment_for(model, 15);
+  const Matrix emission_t = model.emission.transposed();
+  const hmm::ForwardTables tables = hmm::forward_tables(model, emission_t);
+  std::vector<double> rows(2 * model.num_states());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hmm::forward_pass(tables, segment, {.alpha = rows.data()}));
+  }
+  state.SetLabel("15-call segment, forward_pass");
+}
+BENCHMARK(BM_SegmentScoring)->Apply(scoring_sizes);
+
+// The reference recursion (hmm::forward_scaled) the tests hold
+// forward_pass to; it allocates its T x N result on every call.
+void BM_SegmentScoringReference(benchmark::State& state) {
   const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));
   const auto segment = segment_for(model, 15);
   for (auto _ : state) {
     benchmark::DoNotOptimize(hmm::sequence_log_likelihood(model, segment));
   }
-  state.SetLabel("15-call segment");
+  state.SetLabel("15-call segment, forward_scaled");
 }
-BENCHMARK(BM_SegmentScoring)->Arg(32)->Arg(128)->Arg(372)->Arg(455);
+BENCHMARK(BM_SegmentScoringReference)->Apply(scoring_sizes);
+
+// The E-step's backward recursion over one 15-call segment.
+void BM_BackwardPass(benchmark::State& state) {
+  const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));
+  const auto segment = segment_for(model, 15);
+  const std::size_t n = model.num_states();
+  const Matrix emission_t = model.emission.transposed();
+  const hmm::ForwardTables tables = hmm::forward_tables(model, emission_t);
+  std::vector<double> alpha(segment.size() * n);
+  std::vector<double> scales(segment.size());
+  std::vector<double> beta(segment.size() * n);
+  hmm::forward_pass(tables, segment,
+                    {.alpha = alpha.data(), .keep_rows = true,
+                     .scales = scales.data()});
+  for (auto _ : state) {
+    hmm::backward_pass(tables, segment, scales, beta.data());
+    benchmark::DoNotOptimize(beta.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("15-call segment, backward_pass");
+}
+BENCHMARK(BM_BackwardPass)->Apply(serve_sizes);
 
 void BM_ViterbiDecode(benchmark::State& state) {
   const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));
@@ -66,8 +117,14 @@ void BM_BaumWelchIteration(benchmark::State& state) {
   state.SetLabel("50 segments x 1 iteration");
 }
 // The O(T S^2) scaling the Table II reduction exploits: 3x fewer states ->
-// ~9x faster iterations.
-BENCHMARK(BM_BaumWelchIteration)->Arg(40)->Arg(120)->Arg(360);
+// ~9x faster iterations. At the serve models' sizes this is the E-step
+// case: forward, backward and expected transitions per segment dominate a
+// single-threaded iteration, the M-step being O(N^2 + NM).
+BENCHMARK(BM_BaumWelchIteration)
+    ->Apply(serve_sizes)
+    ->Arg(40)
+    ->Arg(120)
+    ->Arg(360);
 
 void BM_BaumWelchIterationThreads(benchmark::State& state) {
   const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));

@@ -6,6 +6,14 @@
 #include <stdexcept>
 
 namespace cmarkov::hmm {
+namespace {
+
+// Source rows (forward, backward) or time steps (expected transitions)
+// taken per pass of the O(N^2) loops below, whose blocked bodies are
+// written out for exactly this many.
+constexpr std::size_t kBlock = 4;
+
+}  // namespace
 
 ForwardResult forward_scaled(const Hmm& model,
                              std::span<const std::size_t> observations) {
@@ -124,13 +132,33 @@ ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t) {
     } else {
       // Sources outer, destinations inner: the inner loop is n independent
       // accumulator lanes the compiler can vectorize (a destination-major
-      // dot product is a serial reduction and cannot), yet each cur[j]
-      // still receives its terms in ascending-i order, so not one double
-      // differs from forward_scaled.
+      // dot product is a serial reduction and cannot). Four source rows
+      // share one pass over cur, so each cur[j] is loaded and stored once
+      // per four rows, yet it still receives its terms one at a time in
+      // ascending-i order: not one double differs from forward_scaled.
       const double* prev = row(t - 1);
       std::fill(cur, cur + n, 0.0);
       const double* from_i = tables.transition;
-      for (std::size_t i = 0; i < n; ++i, from_i += n) {
+      std::size_t i = 0;
+      for (; i + kBlock <= n; i += kBlock, from_i += kBlock * n) {
+        const double p0 = prev[i];
+        const double p1 = prev[i + 1];
+        const double p2 = prev[i + 2];
+        const double p3 = prev[i + 3];
+        const double* a0 = from_i;
+        const double* a1 = from_i + n;
+        const double* a2 = from_i + 2 * n;
+        const double* a3 = from_i + 3 * n;
+        for (std::size_t j = 0; j < n; ++j) {
+          double c = cur[j];
+          c += p0 * a0[j];
+          c += p1 * a1[j];
+          c += p2 * a2[j];
+          c += p3 * a3[j];
+          cur[j] = c;
+        }
+      }
+      for (; i < n; ++i, from_i += n) {
         const double p = prev[i];
         for (std::size_t j = 0; j < n; ++j) cur[j] += p * from_i[j];
       }
@@ -164,12 +192,93 @@ void backward_pass(const ForwardTables& tables,
   for (std::size_t t = t_len - 1; t-- > 0;) {
     const double* em = tables.emission_t + observations[t + 1] * n;
     const double* next = beta + (t + 1) * n;
+    double* out = beta + t * n;
     const double* from_i = tables.transition;
-    for (std::size_t i = 0; i < n; ++i, from_i += n) {
+    // Each beta(t, i) is one serial sum, bound by the latency of its adds;
+    // four source rows run as four independent chains over the same j
+    // loop. Every chain keeps its own ascending-j order and backward_scaled's
+    // (A * B) * beta product, so each row's sum is bit-identical.
+    std::size_t i = 0;
+    for (; i + kBlock <= n; i += kBlock, from_i += kBlock * n) {
+      const double* a0 = from_i;
+      const double* a1 = from_i + n;
+      const double* a2 = from_i + 2 * n;
+      const double* a3 = from_i + 3 * n;
+      double s0 = 0.0;
+      double s1 = 0.0;
+      double s2 = 0.0;
+      double s3 = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        s0 += a0[j] * em[j] * next[j];
+        s1 += a1[j] * em[j] * next[j];
+        s2 += a2[j] * em[j] * next[j];
+        s3 += a3[j] * em[j] * next[j];
+      }
+      out[i] = s0 / scales[t];
+      out[i + 1] = s1 / scales[t];
+      out[i + 2] = s2 / scales[t];
+      out[i + 3] = s3 / scales[t];
+    }
+    for (; i < n; ++i, from_i += n) {
       double sum = 0.0;
       for (std::size_t j = 0; j < n; ++j) sum += from_i[j] * em[j] * next[j];
-      beta[t * n + i] = sum / scales[t];
+      out[i] = sum / scales[t];
     }
+  }
+}
+
+void accumulate_expected_transitions(const ForwardTables& tables,
+                                     std::span<const std::size_t> observations,
+                                     const double* alpha, const double* beta,
+                                     double* transition_num) {
+  const std::size_t n = tables.num_states;
+  const std::size_t steps = observations.empty() ? 0 : observations.size() - 1;
+  // xi(t, i, j) for one step, skipping a zero alpha(t, i) as the reference
+  // E-step does: the fallback for a block that holds one.
+  const auto add_step = [&](std::size_t t, std::size_t i, const double* a,
+                            double* num) {
+    const double x = alpha[t * n + i];
+    if (x == 0.0) return;
+    const double* e = tables.emission_t + observations[t + 1] * n;
+    const double* b = beta + (t + 1) * n;
+    for (std::size_t j = 0; j < n; ++j) num[j] += x * a[j] * e[j] * b[j];
+  };
+  // One row of the counts per source state i, four time steps per pass
+  // over it: each num(i, j) is loaded and stored once per four steps, yet
+  // it still receives its xi terms one at a time in ascending t, each
+  // formed as ((alpha * A) * B) * beta. Cells of different rows never mix,
+  // so taking rows outer and steps inner changes no sum.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* a = tables.transition + i * n;
+    double* num = transition_num + i * n;
+    std::size_t t = 0;
+    for (; t + kBlock <= steps; t += kBlock) {
+      const double x0 = alpha[t * n + i];
+      const double x1 = alpha[(t + 1) * n + i];
+      const double x2 = alpha[(t + 2) * n + i];
+      const double x3 = alpha[(t + 3) * n + i];
+      if (x0 == 0.0 || x1 == 0.0 || x2 == 0.0 || x3 == 0.0) {
+        for (std::size_t k = 0; k < kBlock; ++k) add_step(t + k, i, a, num);
+        continue;
+      }
+      const double* e0 = tables.emission_t + observations[t + 1] * n;
+      const double* e1 = tables.emission_t + observations[t + 2] * n;
+      const double* e2 = tables.emission_t + observations[t + 3] * n;
+      const double* e3 = tables.emission_t + observations[t + 4] * n;
+      const double* b0 = beta + (t + 1) * n;
+      const double* b1 = beta + (t + 2) * n;
+      const double* b2 = beta + (t + 3) * n;
+      const double* b3 = beta + (t + 4) * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        double c = num[j];
+        c += x0 * a[j] * e0[j] * b0[j];
+        c += x1 * a[j] * e1[j] * b1[j];
+        c += x2 * a[j] * e2[j] * b2[j];
+        c += x3 * a[j] * e3[j] * b3[j];
+        num[j] = c;
+      }
+    }
+    for (; t < steps; ++t) add_step(t, i, a, num);
   }
 }
 

@@ -34,9 +34,11 @@ Matrix backward_scaled(const Hmm& model,
 
 // forward_scaled / backward_scaled above are the reference recursions the
 // tests hold everything else to. Production scores through forward_pass /
-// backward_pass below: the Trainer's E-step and holdout scoring, and the
-// serve tier's ScoringKernel, which compiles the same three tables into
-// its arena. Both produce the oracle's doubles bit for bit.
+// backward_pass / accumulate_expected_transitions below: the Trainer's
+// E-step and holdout scoring, and the serve tier's ScoringKernel, which
+// compiles the same three tables into its arena. They produce the oracle's
+// doubles bit for bit: every O(N^2) loop is register-blocked four rows (or
+// steps) per pass without reordering any floating-point sum.
 
 /// The parameter arrays the production passes read:
 ///   - initial    : pi, N doubles;
@@ -72,20 +74,36 @@ struct ForwardOutputs {
 /// The production scaled forward recursion. Returns log P(observations |
 /// model) as the step-order sum of log c_t: 0 for an empty sequence,
 /// -infinity when some prefix has zero probability. Observations are not
-/// range-checked; callers pass ids < num_symbols. Every alpha cell adds its
-/// predecessor terms in ascending source order, exactly like
-/// forward_scaled's per-destination sum, so rows, scales and likelihood are
-/// bit-identical to it.
+/// range-checked; callers pass ids < num_symbols. Each step takes four
+/// source rows per pass over the alpha row, yet every alpha cell still adds
+/// its predecessor terms one at a time in ascending source order, exactly
+/// like forward_scaled's per-destination sum, so rows, scales and
+/// likelihood are bit-identical to it.
 double forward_pass(const ForwardTables& tables,
                     std::span<const std::size_t> observations,
                     const ForwardOutputs& out);
 
 /// Backward pass over the same tables and the forward scales: writes
 /// beta(t, i) at beta[t*N + i] (T*N doubles); bit-identical to
-/// backward_scaled. Must not be called for impossible sequences.
+/// backward_scaled. Must not be called for impossible sequences. Four
+/// source rows run as four independent sums over one pass of j, each in
+/// ascending j with backward_scaled's (A * B) * beta product.
 void backward_pass(const ForwardTables& tables,
                    std::span<const std::size_t> observations,
                    std::span<const double> scales, double* beta);
+
+/// The E-step's expected transition counts of one sequence: adds
+///   xi(t, i, j) = ((alpha(t, i) * A(i, j)) * B(j, o[t+1])) * beta(t+1, j)
+/// to transition_num[i*N + j] (N*N doubles) for t = 0 .. T-2, skipping
+/// every (t, i) whose alpha(t, i) is exactly zero. alpha and beta are
+/// forward_pass's kept rows and backward_pass's output (scaled, so the
+/// normalizer is 1). Each cell receives its terms one at a time in
+/// ascending t, four steps per pass over a row, so the counts are
+/// bit-identical to the naive t / i / j triple loop.
+void accumulate_expected_transitions(const ForwardTables& tables,
+                                     std::span<const std::size_t> observations,
+                                     const double* alpha, const double* beta,
+                                     double* transition_num);
 
 /// Additive per-symbol decomposition of the log-likelihood: entry t is
 /// log(c_t), the log-probability of symbol t given the (scaled) state

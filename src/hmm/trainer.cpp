@@ -54,22 +54,8 @@ bool accumulate_sequence(const ForwardTables& tables,
 
   for (std::size_t i = 0; i < n; ++i) acc.initial[i] += gamma(0, i);
 
-  for (std::size_t t = 0; t + 1 < t_len; ++t) {
-    const double* emission_col = tables.emission_t + seq[t + 1] * n;
-    const double* next_beta = beta + (t + 1) * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double alpha_ti = alpha[t * n + i];
-      if (alpha_ti == 0.0) continue;
-      const double* out_of_i = tables.transition + i * n;
-      auto num_row = acc.transition_num.row(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        // xi(t, i, j): scaled alpha/beta make the normalizer 1.
-        const double xi =
-            alpha_ti * out_of_i[j] * emission_col[j] * next_beta[j];
-        num_row[j] += xi;
-      }
-    }
-  }
+  accumulate_expected_transitions(tables, seq, alpha, beta,
+                                  acc.transition_num.data());
   for (std::size_t t = 0; t < t_len; ++t) {
     for (std::size_t i = 0; i < n; ++i) {
       const double g = gamma(t, i);

@@ -41,6 +41,7 @@ class Matrix {
 
   /// Row-major storage, rows() * cols() doubles.
   const double* data() const { return data_.data(); }
+  double* data() { return data_.data(); }
 
   /// View of row r.
   std::span<const double> row(std::size_t r) const;

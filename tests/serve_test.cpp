@@ -496,12 +496,12 @@ TEST(SessionManagerTest, LookupsNeverMissASessionMovingBetweenMapAndStore) {
   const auto feed = fixture().events_for(fixture().gzip, 501, 1);
 
   std::atomic<bool> done{false};
-  std::size_t polls = 0;
+  std::atomic<std::size_t> polls{0};
   std::size_t misses = 0;
   std::size_t throws = 0;
   std::thread poller([&] {
     while (!done.load(std::memory_order_acquire)) {
-      ++polls;
+      polls.fetch_add(1, std::memory_order_release);
       if (!manager.has_session("mover")) ++misses;
       try {
         manager.recent_decisions("mover", 4);
@@ -511,6 +511,9 @@ TEST(SessionManagerTest, LookupsNeverMissASessionMovingBetweenMapAndStore) {
     }
   });
 
+  // Start moving only once the poller runs, so the two always overlap
+  // even when a loaded host schedules the poller late.
+  while (polls.load(std::memory_order_acquire) == 0) std::this_thread::yield();
   std::size_t moves = 0;
   for (std::size_t i = 0; i < 2000; ++i) {
     if (manager.evict_session("mover")) ++moves;
@@ -522,7 +525,7 @@ TEST(SessionManagerTest, LookupsNeverMissASessionMovingBetweenMapAndStore) {
   poller.join();
 
   EXPECT_EQ(moves, 2000u);
-  EXPECT_GT(polls, 0u);
+  EXPECT_GT(polls.load(), 0u);
   EXPECT_EQ(misses, 0u) << "has_session missed a live session";
   EXPECT_EQ(throws, 0u) << "recent_decisions threw for a live session";
   manager.close_session("mover");

@@ -21,7 +21,11 @@
 # recovery, and the overload ladder's governor transitions against the
 # worker pool), and the admin plane (admin_test's scrape hammer runs
 # concurrent /metrics + /varz + /statusz pollers against the collector
-# thread and live traffic with eviction churn).
+# thread and live traffic with eviction churn), and the register-blocked
+# HMM loops (forward_backward_test, parallel_training_test, detector_test
+# and online_monitor_test run the block and remainder index arithmetic of
+# forward_pass, backward_pass and accumulate_expected_transitions, which
+# src/CMakeLists builds without its -O3 under a sanitizer).
 #
 # CMARKOV_SANITIZE picks the sanitizer: thread (default; data races),
 # address (heap/stack misuse, leaks) or undefined (UB). The first report
@@ -43,7 +47,7 @@ case "$SANITIZER" in
     ;;
 esac
 BUILD_DIR="${BUILD_DIR:-build-$SANITIZER}"
-TESTS='^(serve_test|serve_net_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test)$'
+TESTS='^(serve_test|serve_net_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test|forward_backward_test|detector_test|online_monitor_test)$'
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -51,7 +55,7 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target serve_test serve_net_test admin_test chaos_test logging_test \
   --target parallel_test parallel_training_test incremental_training_test \
-  --target obs_test
+  --target obs_test forward_backward_test detector_test online_monitor_test
 
 export TSAN_OPTIONS="halt_on_error=1 abort_on_error=1"
 export ASAN_OPTIONS="halt_on_error=1 abort_on_error=1"
