@@ -35,10 +35,18 @@ void extend_emission(hmm::Hmm& model, std::size_t new_symbols,
 double calibrate_threshold(const hmm::Hmm& model,
                            const std::vector<hmm::ObservationSeq>& calibration,
                            double target_fp) {
+  // forward_pass on two ping-pong rows: bit-identical to forward_scaled.
+  const Matrix emission_t = model.emission.transposed();
+  const hmm::ForwardTables tables = hmm::forward_tables(model, emission_t);
+  std::vector<double> rows(2 * model.num_states());
   std::vector<double> scores;
   scores.reserve(calibration.size());
   for (const auto& segment : calibration) {
-    scores.push_back(hmm::sequence_log_likelihood(model, segment));
+    if (!segment.empty() && std::ranges::max(segment) >= model.num_symbols()) {
+      throw std::out_of_range("calibrate_threshold: id out of range");
+    }
+    scores.push_back(
+        hmm::forward_pass(tables, segment, {.alpha = rows.data()}));
   }
   std::sort(scores.begin(), scores.end());
   const auto budget = static_cast<std::size_t>(

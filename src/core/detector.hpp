@@ -48,8 +48,9 @@ struct DetectorConfig {
 /// Threshold calibration at a target false-positive budget: scores the
 /// calibration segments under `model`, sorts, and picks the score at the
 /// target_fp quantile (+infinity when the budget covers every segment).
-/// Shared by Detector::train and the drift-refresh path — serve code must
-/// not run raw forward passes itself (tools/check_scoring_kernel.sh).
+/// Throws std::out_of_range for an id >= model.num_symbols(). Shared by
+/// Detector::train and the drift-refresh path — serve code must not run
+/// raw forward passes itself (tools/check_scoring_kernel.sh).
 double calibrate_threshold(const hmm::Hmm& model,
                            const std::vector<hmm::ObservationSeq>& calibration,
                            double target_fp);

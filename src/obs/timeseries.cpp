@@ -125,7 +125,6 @@ void TimeSeriesCollector::sample_now(double t_seconds) {
   const MetricsRegistry::Snapshot snap = registry_.snapshot();
   const std::lock_guard lock(mu_);
   for (const auto& [name, value] : snap.counters) {
-    if (options_.filter && !options_.filter(name)) continue;
     auto it = counters_.find(name);
     if (it == counters_.end()) {
       it = counters_.emplace(name, TimeSeriesRing(options_.ring_capacity))
@@ -134,7 +133,6 @@ void TimeSeriesCollector::sample_now(double t_seconds) {
     it->second.push(t_seconds, static_cast<double>(value));
   }
   for (const auto& [name, value] : snap.gauges) {
-    if (options_.filter && !options_.filter(name)) continue;
     auto it = gauges_.find(name);
     if (it == gauges_.end()) {
       it = gauges_.emplace(name, TimeSeriesRing(options_.ring_capacity)).first;
@@ -142,7 +140,6 @@ void TimeSeriesCollector::sample_now(double t_seconds) {
     it->second.push(t_seconds, value);
   }
   for (const auto& [name, hist] : snap.histograms) {
-    if (options_.filter && !options_.filter(name)) continue;
     HistSeries& series = histograms_[name];
     if (series.bounds.empty()) series.bounds = hist.bounds;
     series.ring.push_back(HistSample{t_seconds, hist.count, hist.buckets});

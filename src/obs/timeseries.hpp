@@ -91,8 +91,6 @@ struct CollectorOptions {
   /// cmarkovd hooks the serve gauge refresh here so sampled gauges are
   /// live. May be empty. Must not call back into the collector.
   std::function<void()> pre_sample;
-  /// Optional instrument filter (null = sample everything).
-  std::function<bool(std::string_view name)> filter;
 };
 
 /// Windowed derivations for one histogram (over the ring's span).

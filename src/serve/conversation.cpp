@@ -102,12 +102,12 @@ std::string Conversation::serve(Events& batch, Reply& reply) {
 
 std::string Conversation::serve(Stats&, Reply&) {
   const std::string& id = bound();
-  manager_.drain();  // verdicts are async; settle before reporting
+  manager_.drain(id);  // verdicts are async; settle before reporting
   return format_session_stats(manager_.session_stats(id));
 }
 
 std::string Conversation::serve(Metrics&, Reply&) {
-  manager_.drain();
+  manager_.drain();  // the reply is service-wide: settle every shard
   // Versioned key=value exposition generated from the metrics registry
   // (docs/SERVING.md documents the schema).
   return "METRICS " + obs::to_kv_line(manager_.metrics_registry());
@@ -116,7 +116,7 @@ std::string Conversation::serve(Metrics&, Reply&) {
 std::string Conversation::serve(Trace& trace, Reply&) {
   const std::string& id = bound();
   if (trace.n == 0) return "ERR usage: TRACE [n] (n must be > 0)";
-  manager_.drain();  // decisions are recorded by workers; settle first
+  manager_.drain(id);  // decisions are recorded by workers; settle first
   const auto records = manager_.recent_decisions(id, trace.n);
   std::string text =
       "TRACE v=1 session=" + id + " n=" + std::to_string(records.size());

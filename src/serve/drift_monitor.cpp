@@ -9,8 +9,13 @@
 
 namespace cmarkov::serve {
 
+/// Histogram stand-in for -infinity window log-likelihoods (impossible
+/// windows); matches TrainingOptions::impossible_penalty. Their mass
+/// piling into the lowest bucket is itself the drift signal.
+constexpr double kImpossiblePenalty = -1e4;
+
 DriftMonitor::DriftMonitor(DriftOptions options, obs::MetricsRegistry* metrics)
-    : options_(options), penalty_(options.ll_penalty) {
+    : options_(options) {
   if (options_.baseline_windows == 0 || options_.recent_windows == 0 ||
       options_.buckets == 0 || options_.consecutive_epochs == 0 ||
       options_.max_absorb_segments == 0) {
@@ -93,7 +98,7 @@ void DriftMonitor::observe(double log_likelihood, bool flagged,
                            bool unknown_symbol,
                            const hmm::ObservationSeq& window) {
   const double sample =
-      std::isfinite(log_likelihood) ? log_likelihood : penalty_;
+      std::isfinite(log_likelihood) ? log_likelihood : kImpossiblePenalty;
   const std::lock_guard lock(mu_);
   if (windows_total_ != nullptr) windows_total_->add(1);
 

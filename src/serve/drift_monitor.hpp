@@ -62,10 +62,6 @@ struct DriftOptions {
   /// Absorb buffer capacity; once full, the oldest clean window is
   /// replaced (the buffer tracks the *current* workload).
   std::size_t max_absorb_segments = 4096;
-  /// Histogram stand-in for -infinity window log-likelihoods (impossible
-  /// windows); matches TrainingOptions::impossible_penalty. Their mass
-  /// piling into the lowest bucket is itself the drift signal.
-  double ll_penalty = -1e4;
 };
 
 class DriftMonitor {
@@ -77,8 +73,8 @@ class DriftMonitor {
   /// Feeds one completed window. Called by SessionManager::process_item
   /// under the session's monitor_mu; an internal mutex serializes feeds
   /// across shard workers. Log-likelihoods of impossible windows are
-  /// clamped to `penalty_` for histogram purposes (their mass landing in
-  /// the lowest bucket IS the drift signal); unknown-symbol windows are
+  /// clamped to a -1e4 penalty for histogram purposes (their mass landing
+  /// in the lowest bucket IS the drift signal); unknown-symbol windows are
   /// never absorbed.
   void observe(double log_likelihood, bool flagged, bool unknown_symbol,
                const hmm::ObservationSeq& window);
@@ -108,7 +104,6 @@ class DriftMonitor {
   void evaluate_epoch_locked();
 
   const DriftOptions options_;
-  const double penalty_;
 
   mutable std::mutex mu_;
   /// Baseline collection phase: raw samples until baseline_windows.

@@ -6,7 +6,7 @@
 //   HELLO <model> [session-id] [tid=<id>] -> OK session=<id> model=<model>
 //   EV <site> <callee> [sys|lib] [tid=<id>]
 //                           -> OK [dropped-oldest] | ERR rejected queue-full
-//   STATS                   -> STATS v=1 session=... (drains first)
+//   STATS                   -> STATS v=1 session=... (settles first)
 //   METRICS                 -> METRICS v=1 <name>=<value>... (service-wide)
 //   TRACE [n]               -> TRACE v=1 session=... n=<k> + k JSON records
 //   EVICT                   -> OK session=<id> evicted_dropped=<n>

@@ -120,6 +120,7 @@ struct SessionManager::Item {
   bool traced = false;
   /// Correlates this event's queue/score/reply spans.
   std::uint64_t seq = 0;
+  std::uint64_t ticket = 0;  // Worker::pushed at the push
 };
 
 struct SessionManager::Worker {
@@ -132,9 +133,10 @@ struct SessionManager::Worker {
   mutable std::mutex mu;
   std::condition_variable cv_nonempty;  // producer -> worker
   std::condition_variable cv_space;     // worker -> blocked producers
-  std::condition_variable cv_idle;      // worker -> drain()
-  std::deque<Item> queue;
-  std::size_t in_flight = 0;  // items popped but not yet processed
+  std::condition_variable cv_idle;      // worker -> settle(), retire
+  std::deque<Item> queue;  // in ticket order: pops and purges keep it
+  std::uint64_t pushed = 0;     // tickets issued; the first is 1
+  std::uint64_t in_flight = 0;  // first ticket of the running batch, or 0
   bool stop = false;
   /// Registry reload epoch observed when the current scoring batch began;
   /// kEpochIdle between batches. reload_model takes the minimum across
@@ -378,7 +380,8 @@ SubmitResult SessionManager::submit(const std::string& id,
         session->pending.fetch_add(1, std::memory_order_relaxed);
         session->enqueued.fetch_add(1, std::memory_order_relaxed);
         worker.queue.push_back(Item{session, std::move(event),
-                                    clock_.micros(), trace_id, traced, seq});
+                                    clock_.micros(), trace_id, traced, seq,
+                                    ++worker.pushed});
         worker.depth.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -420,7 +423,7 @@ SessionStats SessionManager::session_stats(const std::string& id) const {
 }
 
 SessionStats SessionManager::close_session(const std::string& id) {
-  if (find_session(id) != nullptr) drain();
+  drain(id);  // before the lifecycle lock, so that lock is held briefly
   const std::lock_guard lifecycle(lifecycle_mu_);
   // Resolved under the lifecycle lock, so a concurrent eviction or restore
   // cannot move the session between the map and the store meanwhile.
@@ -521,16 +524,22 @@ void SessionManager::set_drift_monitor(DriftMonitor* monitor,
 }
 
 void SessionManager::drain() {
-  for (auto& worker : workers_) {
-    if (config_.manual_pump) {
-      pump_worker(*worker);
-      continue;
-    }
-    std::unique_lock lock(worker->mu);
-    worker->cv_idle.wait(lock, [&] {
-      return worker->queue.empty() && worker->in_flight == 0;
-    });
-  }
+  for (auto& worker : workers_) settle(*worker);
+}
+
+void SessionManager::drain(const std::string& id) {
+  if (const auto session = find_session(id)) settle(*workers_[session->shard]);
+}
+
+void SessionManager::settle(Worker& worker) {
+  if (config_.manual_pump) return pump_worker(worker);
+  std::unique_lock lock(worker.mu);
+  const std::uint64_t target = worker.pushed;
+  // Until the oldest unfinished ticket is past the last one pushed so far.
+  worker.cv_idle.wait(lock, [&] {
+    if (worker.in_flight != 0) return worker.in_flight > target;
+    return worker.queue.empty() || worker.queue.front().ticket > target;
+  });
 }
 
 void SessionManager::refresh_gauges() {
@@ -729,12 +738,11 @@ void SessionManager::insert_resident(std::shared_ptr<Session> session) {
 
 void SessionManager::retire_locked(Session& session, bool purge) {
   Worker& worker = *workers_[session.shard];
-  std::size_t purged = 0;
   {
     // A producer that resolved this session earlier observes the flag
     // under worker.mu and re-resolves (submit's stale retry) instead of
     // enqueueing into a monitor whose storage is about to be released.
-    const std::lock_guard lock(worker.mu);
+    std::unique_lock lock(worker.mu);
     session.evicted = true;
     if (purge) {
       auto& queue = worker.queue;
@@ -742,27 +750,29 @@ void SessionManager::retire_locked(Session& session, bool purge) {
           std::remove_if(queue.begin(), queue.end(), [&](const Item& item) {
             return item.session.get() == &session;
           });
-      purged = static_cast<std::size_t>(queue.end() - keep_end);
+      const auto purged = static_cast<std::size_t>(queue.end() - keep_end);
       queue.erase(keep_end, queue.end());
+      // Lifecycle loss, not backpressure: accounted on its own counter
+      // (events_dropped_total would misattribute it to queue pressure).
+      session.pending.fetch_sub(purged, std::memory_order_release);
+      session.evicted_dropped.fetch_add(purged, std::memory_order_relaxed);
+      evicted_dropped_total_->add(purged);
+      worker.depth.fetch_sub(purged, std::memory_order_relaxed);
+      // It may have finished a settle's backlog with nothing left to run.
+      worker.cv_idle.notify_all();
     }
-  }
-  if (purged > 0) {
-    // Lifecycle loss, not backpressure: accounted on its own counter
-    // (events_dropped_total would misattribute it to queue pressure).
-    session.pending.fetch_sub(purged, std::memory_order_release);
-    session.evicted_dropped.fetch_add(purged, std::memory_order_relaxed);
-    evicted_dropped_total_->add(purged);
-    worker.depth.fetch_sub(purged, std::memory_order_relaxed);
-  }
-  // Blocked producers of this session must re-resolve it (their wait
-  // predicate checks the evicted flag), so wake them even if no queued
-  // item was purged.
-  worker.cv_space.notify_all();
-  // Queued (close) or popped into a worker batch (either): let the score
-  // finish so the caller's snapshot sees its effect.
-  while (session.pending.load(std::memory_order_acquire) != 0) {
-    if (config_.manual_pump) pump_worker(worker);
-    std::this_thread::yield();
+    // Blocked producers of this session must re-resolve it (their wait
+    // predicate checks the evicted flag), so wake them even if no queued
+    // item was purged.
+    worker.cv_space.notify_all();
+    // Queued (close) or popped into a worker batch (either): let the score
+    // finish so the caller's snapshot sees its effect. Bounded: nothing of
+    // this session is pushed after the mark (manual_pump: close's drain(id)
+    // has already scored its queue). A worker lowers pending outside
+    // worker.mu, but notifies under it after every batch.
+    worker.cv_idle.wait(lock, [&] {
+      return session.pending.load(std::memory_order_acquire) == 0;
+    });
   }
   const std::unique_lock lock(sessions_mu_);
   sessions_.erase(session.id);
@@ -987,7 +997,7 @@ void SessionManager::run_batch(Worker& worker,
     batch.push_back(std::move(worker.queue.front()));
     worker.queue.pop_front();
   }
-  worker.in_flight = batch.size();
+  worker.in_flight = batch.front().ticket;
   lock.unlock();
   worker.depth.fetch_sub(batch.size(), std::memory_order_relaxed);
   worker.cv_space.notify_all();
@@ -998,14 +1008,14 @@ void SessionManager::run_batch(Worker& worker,
   for (Item& item : batch) process_item(item, counters);
   note_service_time((clock_.micros() - batch_start_micros) /
                     static_cast<double>(batch.size()));
-  // Flushed before in_flight drops to zero, so drain() implies the
-  // service-wide counters already cover everything processed.
+  // Flushed before in_flight is cleared, so a settle implies the
+  // service-wide counters already cover everything it waited for.
   flush_batch(worker.index, counters);
   worker.active_epoch.store(kEpochIdle, std::memory_order_release);
   batch.clear();
   lock.lock();
   worker.in_flight = 0;
-  if (worker.queue.empty()) worker.cv_idle.notify_all();
+  worker.cv_idle.notify_all();
 }
 
 void SessionManager::pump_worker(Worker& worker) {

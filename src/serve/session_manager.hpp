@@ -163,9 +163,9 @@ class SessionManager {
   /// under the session's monitor lock, which scoring holds for one event.
   SessionStats session_stats(const std::string& id) const;
 
-  /// Drains outstanding events, then removes the session and returns its
-  /// final stats (an evicted session's snapshot is consumed and reported).
-  /// Throws std::invalid_argument for unknown ids.
+  /// Settles the session's shard (drain(id)), then removes the session and
+  /// returns its final stats (an evicted session's snapshot is consumed and
+  /// reported). Throws std::invalid_argument for unknown ids.
   SessionStats close_session(const std::string& id);
 
   /// Snapshot-evicts one resident session into the store: queued events
@@ -188,9 +188,12 @@ class SessionManager {
   ReloadReport reload_model(const std::string& name,
                             std::shared_ptr<const core::Detector> detector);
 
-  /// Blocks until every event submitted before the call has been processed.
-  /// Quiescent only if no producer submits concurrently.
+  /// Blocks until every event submitted before the call has finished
+  /// (scored, dropped or purged): per shard, bounded by its backlog.
   void drain();
+
+  /// drain() of the one shard that owns `id`; a no-op unless resident.
+  void drain(const std::string& id);
 
   /// Refreshes the instantaneous gauges (uptime, sessions, per-shard
   /// sessions/state bytes, queue depths, bytes/session) and returns the
@@ -302,6 +305,8 @@ class SessionManager {
   /// empty.
   void pump_worker(Worker& worker);
   void worker_loop(Worker& worker);
+  /// drain()'s wait on one shard (manual_pump: pumps it instead).
+  void settle(Worker& worker);
   SessionStats snapshot(const Session& session) const;
   SessionSnapshot freeze(Session& session) const;
   void refresh_gauges();

@@ -227,20 +227,6 @@ TEST(TimeSeriesCollectorTest, VarzJsonParsesWithSchemaAndDerivations) {
   EXPECT_EQ(series->find("rate_per_second")->number_or(0), 10.0);
 }
 
-TEST(TimeSeriesCollectorTest, FilterLimitsSampledInstruments) {
-  obs::MetricsRegistry registry;
-  registry.counter("cmarkov_keep_total").add(1);
-  registry.counter("cmarkov_skip_total").add(1);
-  obs::CollectorOptions options;
-  options.filter = [](std::string_view name) {
-    return name.find("keep") != std::string_view::npos;
-  };
-  obs::TimeSeriesCollector collector(registry, options);
-  collector.sample_now(0.0);
-  EXPECT_EQ(collector.counter_latest("cmarkov_keep_total"), 1.0);
-  EXPECT_EQ(collector.counter_latest("cmarkov_skip_total"), 0.0);
-}
-
 TEST(TimeSeriesCollectorTest, ThreadSamplesAndRunsPreSampleHook) {
   obs::MetricsRegistry registry;
   registry.counter("cmarkov_test_ticks_total").add(1);

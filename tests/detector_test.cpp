@@ -2,11 +2,13 @@
 // detection of context-violating attacks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/attack/exploit_driver.hpp"
 #include "src/core/detector.hpp"
 #include "src/core/scoring_kernel.hpp"
+#include "src/hmm/forward_backward.hpp"
 #include "src/workload/testcase_generator.hpp"
 
 namespace cmarkov::core {
@@ -261,6 +263,38 @@ TEST(DetectorTest, ScoringKernelRejectsUntrainedDetector) {
   const Detector untrained =
       Detector::build(fixture().suite.module(), quick_config());
   EXPECT_THROW(ScoringKernel::compile(untrained), std::invalid_argument);
+}
+
+TEST(DetectorTest, CalibrationPicksTheReferenceScoreQuantile) {
+  // calibrate_threshold scores with the production forward_pass; the
+  // threshold must be the exact target_fp quantile of the reference
+  // forward_scaled scores, bit for bit.
+  Detector detector =
+      Detector::build(fixture().suite.module(), quick_config());
+  detector.train(fixture().collection.traces);
+  const hmm::Hmm& model = detector.model();
+  std::vector<hmm::ObservationSeq> segments;
+  for (const auto& trace : fixture().collection.traces) {
+    for (auto& segment : detector.encode_trace_segments(trace)) {
+      segments.push_back(std::move(segment));
+    }
+  }
+  ASSERT_GT(segments.size(), 20u);
+  std::vector<double> reference;
+  for (const auto& segment : segments) {
+    reference.push_back(hmm::forward_scaled(model, segment).log_likelihood);
+  }
+  std::sort(reference.begin(), reference.end());
+  for (const double target_fp : {0.0, 0.01, 0.1, 0.5}) {
+    const auto budget = static_cast<std::size_t>(
+        std::floor(target_fp * static_cast<double>(reference.size())));
+    EXPECT_EQ(calibrate_threshold(model, segments, target_fp),
+              reference[budget])
+        << target_fp;
+  }
+
+  segments.back().back() = model.num_symbols();
+  EXPECT_THROW(calibrate_threshold(model, segments, 0.01), std::out_of_range);
 }
 
 TEST(DetectorTest, DynamicOnlySymbolsExtendEmission) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -416,9 +417,9 @@ TEST(SessionManagerTest, BlockPolicyLosesNothingUnderSaturation) {
 // run backwards, and nothing is accepted after close. TSan-covered via
 // tools/run_tsan_smoke.sh.
 //
-// The producer is bounded: close_session() starts with a service-wide
-// drain(), which waits for the shard queue to empty, and a producer that
-// never stops can keep it non-empty for as long as it outpaces the worker.
+// The producer never stops on its own: close_session() settles only the
+// backlog at the call, so the producer ends when its submit finds the
+// session closed.
 TEST(SessionManagerTest, CloseAndEvictRacingAProducerLoseNoAcceptedEvent) {
   ServiceConfig config;
   config.num_workers = 2;
@@ -427,18 +428,15 @@ TEST(SessionManagerTest, CloseAndEvictRacingAProducerLoseNoAcceptedEvent) {
   SessionManager manager(fixture().registry, config);
   manager.open_session("racer", "gzip");
   const auto feed = fixture().events_for(fixture().gzip, 500, 2);
-  const std::size_t total = 20 * feed.size();
 
   std::atomic<std::uint64_t> accepted{0};
-  std::atomic<bool> producer_done{false};
   std::thread producer([&] {
-    for (std::size_t i = 0; i < total; ++i) {
+    for (std::size_t i = 0;; ++i) {
       const SubmitResult result = manager.submit("racer", feed[i % feed.size()]);
       if (result == SubmitResult::kUnknownSession) break;  // closed
       EXPECT_EQ(result, SubmitResult::kAccepted);
       accepted.fetch_add(1, std::memory_order_relaxed);
     }
-    producer_done.store(true, std::memory_order_release);
   });
 
   std::atomic<bool> closing{false};
@@ -462,7 +460,7 @@ TEST(SessionManagerTest, CloseAndEvictRacingAProducerLoseNoAcceptedEvent) {
   });
 
   std::size_t evictions = 0;
-  while (evictions < 20 && !producer_done.load(std::memory_order_acquire)) {
+  while (evictions < 20) {
     if (manager.evict_session("racer")) ++evictions;
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
@@ -481,6 +479,69 @@ TEST(SessionManagerTest, CloseAndEvictRacingAProducerLoseNoAcceptedEvent) {
   EXPECT_EQ(manager.submit("racer", feed.front()),
             SubmitResult::kUnknownSession);
   EXPECT_FALSE(manager.has_session("racer"));
+}
+
+// Neighbours cannot stall a session's verbs. On one shard, producers that
+// never stop keep a deep queue full: every event is a syscall the model
+// scores, every window is audited, and the ladder is off, so the worker is
+// the slower side (one producer, or a 1024-event queue, let the queue run
+// empty now and then on a loaded host). Yet STATS, TRACE, METRICS and BYE
+// of another session each wait only for the backlog at the call. Each verb
+// runs under a deadline; one that misses it stops the producers, so its
+// wait ends and the test fails instead of hanging.
+TEST(SessionManagerTest, SaturatingNeighbourCannotStallSessionVerbs) {
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.queue_capacity = 16384;
+  config.policy = BackpressurePolicy::kBlock;
+  config.monitor.decisions.enabled = true;
+  config.monitor.decisions.sample_every = 1;
+  config.overload.enabled = false;
+  SessionManager manager(fixture().registry, config);
+  std::vector<trace::CallEvent> feed;
+  for (auto& event : fixture().events_for(fixture().gzip, 502, 2)) {
+    if (event.kind == ir::CallKind::kSyscall) feed.push_back(std::move(event));
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (const std::string id : {"flood-a", "flood-b", "flood-c"}) {
+    manager.open_session(id, "gzip");
+    producers.emplace_back([&, id] {
+      for (std::size_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+        EXPECT_EQ(manager.submit(id, feed[i % feed.size()]),
+                  SubmitResult::kAccepted);
+      }
+    });
+  }
+
+  ProtocolSession session(manager);
+  EXPECT_EQ(session.handle_line("HELLO gzip quiet"),
+            "OK session=quiet model=gzip");
+  const std::size_t fed = 40;
+  for (std::size_t i = 0; i < fed; ++i) {
+    EXPECT_EQ(session.handle_line("EV " + feed[i].caller + " " + feed[i].name),
+              "OK");
+  }
+  const auto timed = [&](const std::string& line) {
+    auto reply = std::async(std::launch::async, [&session, line] {
+      return session.handle_line(line);
+    });
+    const bool ready = reply.wait_for(std::chrono::seconds(30)) ==
+                       std::future_status::ready;
+    EXPECT_TRUE(ready) << line << " waited on the neighbours' producers";
+    if (!ready) stop.store(true, std::memory_order_release);
+    return reply.get();
+  };
+  const std::string processed = " processed=" + std::to_string(fed);
+  const std::string stats = timed("STATS");
+  EXPECT_NE(stats.find(processed + " "), std::string::npos) << stats;
+  EXPECT_TRUE(timed("TRACE 1").starts_with("TRACE v=1 session=quiet n=1\n"));
+  EXPECT_TRUE(timed("METRICS").starts_with("METRICS v=1 "));
+  const std::string bye = timed("BYE");
+  stop.store(true, std::memory_order_release);
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_TRUE(bye.starts_with("OK session=quiet ")) << bye;
+  EXPECT_TRUE(bye.ends_with(processed)) << bye;
 }
 
 // A session is always resident or frozen, never neither: lookups that race

@@ -5,7 +5,9 @@
 # drives concurrent shard workers scoring through one shared ScoringKernel
 # image while RELOAD hot-swaps model + kernel under the epoch-reclamation
 # scheme, CloseAndEvictRacingAProducerLoseNoAcceptedEvent retires a
-# session through close and evict while its producer keeps submitting, and
+# session through close and evict while its producer keeps submitting,
+# SaturatingNeighbourCannotStallSessionVerbs settles one session's shard
+# while producers that never stop keep it full, and
 # LookupsNeverMissASessionMovingBetweenMapAndStore polls has_session and
 # recent_decisions while one session is evicted and restored in a loop), the
 # epoll TCP front-end (serve_net_test drives concurrent connects across
