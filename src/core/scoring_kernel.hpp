@@ -6,9 +6,9 @@
 // session scores one 15-call window per event against the SAME immutable
 // parameters, so the serve tier compiles the model once into a flat,
 // pointer-free, cache-resident image and shares it read-only across every
-// OnlineMonitor bound to that model version (ModelRegistry owns the
-// shared_ptr; hot reload swaps a freshly compiled image under the same
-// epoch-reclamation scheme as the detector itself).
+// OnlineMonitor bound to that model version (each holds a shared_ptr to
+// it; hot reload swaps in a freshly compiled image, and the old one lives
+// until its last monitor lets go).
 //
 // One contiguous arena allocation holds, in order:
 //   - pi, A, B^T : the hmm::ForwardTables layout (N, N x N source-major,

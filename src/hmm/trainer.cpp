@@ -215,16 +215,6 @@ const TrainingReport& Trainer::last_report() const {
   return history_.back();
 }
 
-void Trainer::publish() const {
-  if (!publish_hook_) {
-    throw std::logic_error("Trainer: no publish hook installed");
-  }
-  if (!has_model_) {
-    throw std::logic_error("Trainer: nothing to publish before fit");
-  }
-  publish_hook_(*this);
-}
-
 TrainingReport Trainer::fit(std::vector<ObservationSeq> corpus,
                             std::vector<ObservationSeq> holdout) {
   const std::size_t m = state_.initial_model.num_symbols();

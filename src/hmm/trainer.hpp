@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "src/hmm/baum_welch.hpp"
@@ -167,16 +166,6 @@ class Trainer {
   const std::vector<TrainingReport>& history() const { return history_; }
   const TrainingReport& last_report() const;
 
-  /// Publish hook: the serving tier installs a callback that wraps the
-  /// trained model into a core::Detector, compiles its ScoringKernel and
-  /// pushes a new version into the ModelRegistry (src/hmm cannot see
-  /// those layers, hence the inversion). publish() invokes it with this
-  /// trainer; throws std::logic_error when no hook is installed or no
-  /// model has been trained yet.
-  using PublishHook = std::function<void(const Trainer&)>;
-  void set_publish_hook(PublishHook hook) { publish_hook_ = std::move(hook); }
-  void publish() const;
-
  private:
   /// Replays EM from θ₀ over the absorbed corpus. Iteration 0 continues
   /// the cached slot fold over train[0..cached_count) and snapshots the
@@ -191,7 +180,6 @@ class Trainer {
   Hmm model_;
   bool has_model_ = false;
   std::vector<TrainingReport> history_;
-  PublishHook publish_hook_;
 };
 
 }  // namespace cmarkov::hmm

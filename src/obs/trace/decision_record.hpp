@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,8 +34,9 @@ struct SymbolContribution {
   /// detector's alphabet (or a string literal), NOT an owned copy: records
   /// are assembled on the scoring hot path for every sampled window, and
   /// copying 15+ label strings per window would dominate the tracing
-  /// budget. Valid as long as that detector is alive — which every holder
-  /// (monitor ring, service decision log, CLI replay) already guarantees.
+  /// budget. Valid while that detector is alive: a record that can outlive
+  /// its producer's binding (cmarkovd hot-reloads models under live
+  /// sessions) holds the detector in DecisionRecord::label_owner.
   std::string_view label;
   /// log c_t: this symbol's additive share of the window log-likelihood.
   /// For an impossible window only the first failing symbol carries -inf
@@ -67,6 +69,12 @@ struct DecisionRecord {
   /// the always-on flagged/alarm path).
   bool sampled = false;
   std::vector<SymbolContribution> symbols;
+  /// Keeps alive the bytes `symbols[*].label` view: the serving tier sets
+  /// it to the scoring detector, so its ring and log records survive a
+  /// hot reload. Null where the detector outlives every record by
+  /// contract (a standalone monitor, the CLI's explain replay). Not
+  /// rendered.
+  std::shared_ptr<const void> label_owner;
 
   /// Sum of per-symbol log_prob values — equals log_likelihood (exactly
   /// for finite windows: same addends, same order).

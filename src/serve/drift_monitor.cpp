@@ -197,33 +197,28 @@ DriftRefresher::DriftRefresher(SessionManager& manager,
       trainer_(std::move(trainer)),
       monitor_(options, &manager.instruments()),
       refreshes_total_(
-          &manager.instruments().counter("cmarkov_drift_refreshes_total")) {
-  // The publish hook is where the layers meet: hmm::Trainer hands over the
-  // refreshed model, core rebuilds the detector (recalibrated threshold),
-  // and the PR 6 reload path swaps it under live traffic with zero
-  // accepted-event loss (the registry compiles the new ScoringKernel).
-  trainer_.set_publish_hook([this](const hmm::Trainer& t) {
-    const std::shared_ptr<const core::Detector> base =
-        registry_.require(model_name_);
-    const hmm::TrainerState& state = t.state();
-    const std::vector<hmm::ObservationSeq>& calibration =
-        state.holdout.empty() ? state.train : state.holdout;
-    auto refreshed = std::make_shared<const core::Detector>(
-        base->rebuilt_with(t.model(), calibration));
-    const ReloadReport report =
-        manager_.reload_model(model_name_, std::move(refreshed));
-    monitor_.reset_for_new_model();
-    log_info() << "drift refresh: model=" << model_name_ << " version="
-               << report.version << " sessions=" << report.sessions_rebound;
-  });
-}
+          &manager.instruments().counter("cmarkov_drift_refreshes_total")) {}
 
 bool DriftRefresher::poll() {
   if (!monitor_.refresh_due()) return false;
   std::vector<hmm::ObservationSeq> batch = monitor_.take_absorb_buffer();
   if (batch.empty()) return false;
   trainer_.partial_fit(batch);
-  trainer_.publish();
+  // Where the layers meet: hmm::Trainer hands over the refreshed model,
+  // core rebuilds the detector (recalibrated threshold), and the reload
+  // path swaps it under live traffic with zero accepted-event loss (the
+  // registry compiles the new ScoringKernel).
+  const std::shared_ptr<const core::Detector> base =
+      registry_.require(model_name_);
+  const hmm::TrainerState& state = trainer_.state();
+  const std::vector<hmm::ObservationSeq>& calibration =
+      state.holdout.empty() ? state.train : state.holdout;
+  const ReloadReport report = manager_.reload_model(
+      model_name_, std::make_shared<const core::Detector>(
+                       base->rebuilt_with(trainer_.model(), calibration)));
+  monitor_.reset_for_new_model();
+  log_info() << "drift refresh: model=" << model_name_ << " version="
+             << report.version << " sessions=" << report.sessions_rebound;
   refreshes_ += 1;
   refreshes_total_->add(1);
   return true;

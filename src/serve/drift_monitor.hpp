@@ -15,13 +15,12 @@
 //
 // DriftRefresher closes the loop: poll() (driven by cmarkovd's idle loop,
 // or directly by tests) absorbs the buffered segments through
-// hmm::Trainer::partial_fit, publishes via the trainer's publish hook —
-// which rebuilds the detector with a recalibrated threshold
-// (core::calibrate_threshold, inside src/core so the serve tier never
-// runs raw forward passes) and hot-reloads it through
-// SessionManager::reload_model (PR 6 path: zero accepted-event loss, the
-// registry compiles the new ScoringKernel) — then re-baselines the
-// monitor against the refreshed model.
+// hmm::Trainer::partial_fit, rebuilds the detector with a recalibrated
+// threshold (core::calibrate_threshold, inside src/core so the serve tier
+// never runs raw forward passes), hot-reloads it through
+// SessionManager::reload_model (zero accepted-event loss, the registry
+// compiles the new ScoringKernel), then re-baselines the monitor against
+// the refreshed model.
 //
 // Instruments (registered lazily, only when a DriftMonitor exists, so the
 // METRICS golden of drift-less deployments is unchanged):
@@ -128,10 +127,10 @@ class DriftMonitor {
   obs::Gauge* absorb_depth_gauge_ = nullptr;
 };
 
-/// Drives the drift -> partial_fit -> hot-reload loop for one model.
-/// Construction installs a publish hook on the trainer that rebuilds the
-/// served detector (same config/alphabet, refreshed HMM, recalibrated
-/// threshold) and reloads it through the session manager.
+/// Drives the drift -> partial_fit -> hot-reload loop for one model: each
+/// refresh rebuilds the served detector (same config/alphabet, refreshed
+/// HMM, recalibrated threshold) and reloads it through the session
+/// manager.
 class DriftRefresher {
  public:
   /// `trainer` must carry the state that trained the served model
@@ -145,8 +144,8 @@ class DriftRefresher {
   const DriftMonitor& monitor() const { return monitor_; }
 
   /// When the monitor has confirmed drift: absorbs the buffered clean
-  /// windows via partial_fit, publishes the refreshed model version and
-  /// re-baselines the monitor. Returns true when a version was published.
+  /// windows via partial_fit, reloads the refreshed model version and
+  /// re-baselines the monitor. Returns true when a version was reloaded.
   /// Call from one thread (cmarkovd's idle loop); not reentrant.
   bool poll();
 

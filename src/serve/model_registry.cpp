@@ -52,21 +52,11 @@ void ModelRegistry::add_shared(
   // the full model, and readers must never block on it.
   auto kernel = core::ScoringKernel::compile(*detector);
   const std::unique_lock lock(mu_);
-  Entry& entry = models_[name];
-  if (entry.detector != nullptr) {
-    // Hot swap: retire the outgoing references under the pre-bump epoch so
-    // reclaim_retired can tell late readers of the old version apart from
-    // readers that resolved after the swap. The kernel rides along: it is
-    // only ever reached through the version that owns it.
-    retired_.push_back(
-        {std::move(entry.detector), std::move(entry.kernel),
-         reload_epoch_.load(std::memory_order_relaxed)});
-  }
+  VersionedModel& entry = models_[name];
   entry.detector = std::move(detector);
   entry.kernel = std::move(kernel);
   entry.version += 1;
   entry.fingerprint = fingerprint;
-  reload_epoch_.fetch_add(1, std::memory_order_release);
 }
 
 void ModelRegistry::load_file(const std::string& name,
@@ -87,39 +77,20 @@ std::size_t ModelRegistry::load_directory(const std::string& dir) {
   return loaded;
 }
 
-std::shared_ptr<const core::Detector> ModelRegistry::get(
-    const std::string& name) const {
-  const std::shared_lock lock(mu_);
-  const auto it = models_.find(name);
-  return it == models_.end() ? nullptr : it->second.detector;
-}
-
 std::shared_ptr<const core::Detector> ModelRegistry::require(
     const std::string& name) const {
-  auto detector = get(name);
-  if (!detector) {
-    throw std::invalid_argument("ModelRegistry: no model named '" + name +
-                                "'");
-  }
-  return detector;
-}
-
-VersionedModel ModelRegistry::get_versioned(const std::string& name) const {
-  const std::shared_lock lock(mu_);
-  const auto it = models_.find(name);
-  if (it == models_.end()) return {};
-  return {it->second.detector, it->second.kernel, it->second.version,
-          it->second.fingerprint};
+  return require_versioned(name).detector;
 }
 
 VersionedModel ModelRegistry::require_versioned(
     const std::string& name) const {
-  VersionedModel model = get_versioned(name);
-  if (!model.detector) {
+  const std::shared_lock lock(mu_);
+  const auto it = models_.find(name);
+  if (it == models_.end()) {
     throw std::invalid_argument("ModelRegistry: no model named '" + name +
                                 "'");
   }
-  return model;
+  return it->second;
 }
 
 std::vector<std::string> ModelRegistry::names() const {
@@ -133,26 +104,6 @@ std::vector<std::string> ModelRegistry::names() const {
 std::size_t ModelRegistry::size() const {
   const std::shared_lock lock(mu_);
   return models_.size();
-}
-
-std::size_t ModelRegistry::reclaim_retired(std::uint64_t min_active_epoch) {
-  const std::unique_lock lock(mu_);
-  std::size_t reclaimed = 0;
-  for (std::size_t i = 0; i < retired_.size();) {
-    if (retired_[i].epoch < min_active_epoch) {
-      retired_[i] = std::move(retired_.back());
-      retired_.pop_back();
-      ++reclaimed;
-    } else {
-      ++i;
-    }
-  }
-  return reclaimed;
-}
-
-std::size_t ModelRegistry::retired_count() const {
-  const std::shared_lock lock(mu_);
-  return retired_.size();
 }
 
 std::size_t ModelRegistry::kernel_image_bytes() const {

@@ -1,19 +1,15 @@
 // Thread-safe store of trained detectors, shared immutably across every
-// session of the serving layer. Models are reference-counted and versioned:
-// replacing a name (hot swap) atomically publishes a new version, moves the
-// old detector onto a retired list, and bumps the registry's reload epoch.
+// session of the serving layer: a plain map from model name to its current
+// version. Replacing a name (hot swap) publishes a new version and drops
+// the registry's reference to the old one.
 //
-// Reclamation is two-layered. Sessions pin the exact detector they score
-// with via shared_ptr, so an in-flight forward pass can never read freed
-// memory. On top of that, the retired list + epoch counter implement
-// epoch-based reclamation for the registry's own reference: workers stamp
-// the epoch they entered before scoring a batch (SessionManager), and
-// reclaim_retired(min_active_epoch) drops retired entries no active epoch
-// can still observe — so a hot swap's memory is returned promptly instead
-// of lingering until the last long-lived session closes.
+// One lifetime rule covers every model version: whoever reads a model
+// holds a shared_ptr to it. Sessions pin the detector they score with,
+// monitors pin the compiled kernel, and decision records pin the detector
+// whose alphabet their labels view, so a swapped-out version is freed when
+// its last reader lets go — never under one.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,8 +29,7 @@ namespace cmarkov::serve {
 /// daemon restart can tell "same model bytes" from "retrained model".
 /// `kernel` is the compiled ScoringKernel image for this exact detector
 /// version, compiled once at add/swap time and shared read-only by every
-/// session bound to the version; it retires and reclaims in lockstep with
-/// the detector under the same epoch scheme.
+/// session bound to the version.
 struct VersionedModel {
   std::shared_ptr<const core::Detector> detector;
   std::shared_ptr<const core::ScoringKernel> kernel;
@@ -64,60 +59,25 @@ class ModelRegistry {
   /// number of models loaded.
   std::size_t load_directory(const std::string& dir);
 
-  /// nullptr when the name is unknown.
-  std::shared_ptr<const core::Detector> get(const std::string& name) const;
-
-  /// Throws std::invalid_argument when the name is unknown.
+  /// The current detector of `name`. Throws std::invalid_argument when the
+  /// name is unknown.
   std::shared_ptr<const core::Detector> require(const std::string& name) const;
 
-  /// Lookup with version + fingerprint; detector is null when unknown.
-  VersionedModel get_versioned(const std::string& name) const;
-
-  /// Like get_versioned but throws std::invalid_argument when unknown.
+  /// The current version of `name` with its kernel, version and
+  /// fingerprint. Throws std::invalid_argument when the name is unknown.
   VersionedModel require_versioned(const std::string& name) const;
 
   std::vector<std::string> names() const;
   std::size_t size() const;
 
-  /// Monotonic epoch, bumped by every add/swap. Readers that must not see
-  /// a freed model stamp this value before touching a detector and clear
-  /// it after; see reclaim_retired.
-  std::uint64_t reload_epoch() const {
-    return reload_epoch_.load(std::memory_order_acquire);
-  }
-
-  /// Frees retired (hot-swapped-out) registry references whose retirement
-  /// epoch precedes `min_active_epoch` — i.e. every reader active at or
-  /// after that epoch can only have resolved the replacement. Passing the
-  /// sentinel UINT64_MAX (no active readers) frees everything retired.
-  /// Returns the number of entries reclaimed.
-  std::size_t reclaim_retired(std::uint64_t min_active_epoch);
-
-  /// Retired entries awaiting reclamation (tests and METRICS).
-  std::size_t retired_count() const;
-
-  /// Total arena bytes of the live (non-retired) compiled kernel images —
-  /// the per-model-version memory bill the cmarkov_serve_kernel_image_bytes
+  /// Total arena bytes of the current compiled kernel images — the
+  /// per-model-version memory bill the cmarkov_serve_kernel_image_bytes
   /// gauge reports.
   std::size_t kernel_image_bytes() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const core::Detector> detector;
-    std::shared_ptr<const core::ScoringKernel> kernel;
-    std::uint64_t version = 0;
-    std::uint64_t fingerprint = 0;
-  };
-  struct Retired {
-    std::shared_ptr<const core::Detector> detector;
-    std::shared_ptr<const core::ScoringKernel> kernel;
-    std::uint64_t epoch = 0;  ///< reload epoch at retirement time
-  };
-
   mutable std::shared_mutex mu_;
-  std::map<std::string, Entry> models_;
-  std::vector<Retired> retired_;
-  std::atomic<std::uint64_t> reload_epoch_{1};
+  std::map<std::string, VersionedModel> models_;
 };
 
 }  // namespace cmarkov::serve

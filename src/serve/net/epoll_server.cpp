@@ -30,12 +30,6 @@ namespace {
                            std::strerror(errno));
 }
 
-void set_nonblocking_checks(int fd) {
-  // Sockets are created with SOCK_NONBLOCK; this exists for accepted fds
-  // on platforms without accept4 — not our case, but cheap to keep exact.
-  (void)fd;
-}
-
 int make_eventfd() {
   const int fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (fd < 0) throw_errno("eventfd");
@@ -289,7 +283,6 @@ void EpollServer::acceptor_main() {
         close(fd);
         continue;
       }
-      set_nonblocking_checks(fd);
       const int nodelay = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
       Loop& loop = *loops_[next_loop_];

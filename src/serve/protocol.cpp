@@ -1,6 +1,8 @@
 #include "src/serve/protocol.hpp"
 
 #include <charconv>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -115,6 +117,19 @@ std::string ProtocolSession::handle_line(std::string_view line) {
   if (!per_event || !reply.text.empty()) return reply.text;
   if (reply.rejected != 0) return "ERR rejected queue-full";
   return (reply.dropped != 0 ? "OK dropped-oldest" : "OK") + echo;
+}
+
+void serve_stream(SessionManager& manager, std::istream& in,
+                  std::ostream& out) {
+  ProtocolSession session(manager);
+  std::string line;
+  while (!session.closed() && std::getline(in, line)) {
+    const std::string response = session.handle_line(line);
+    if (!response.empty()) {
+      out << response << "\n";
+      out.flush();
+    }
+  }
 }
 
 }  // namespace cmarkov::serve

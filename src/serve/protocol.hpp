@@ -23,6 +23,7 @@
 // "ERR usage: …" or names what is wrong. docs/SERVING.md has the grammar.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -47,5 +48,12 @@ class ProtocolSession {
  private:
   Conversation conversation_;
 };
+
+/// Runs one protocol conversation over a line stream (cmarkovd's stdio
+/// front-end, tests): reads request lines from `in`, writes one response
+/// line per request to `out` (flushed per line). Returns after BYE or when
+/// `in` reaches end of stream.
+void serve_stream(SessionManager& manager, std::istream& in,
+                  std::ostream& out);
 
 }  // namespace cmarkov::serve

@@ -19,10 +19,6 @@ namespace cmarkov::serve {
 namespace {
 /// Items a worker moves out of its queue per lock acquisition.
 constexpr std::size_t kBatchSize = 64;
-/// Worker epoch stamp meaning "not inside a scoring batch" — such a worker
-/// holds no registry-derived detector reference of its own, so it never
-/// constrains retired-model reclamation.
-constexpr std::uint64_t kEpochIdle = std::numeric_limits<std::uint64_t>::max();
 /// Resident sessions probed per eviction round. Redis-style approximate
 /// LRU: with more residents than this we sample instead of scanning, and
 /// with at most this many the scan is exhaustive (exact LRU — what the
@@ -61,11 +57,9 @@ struct SessionManager::Session {
         model_name(std::move(model_name)),
         shard(shard),
         options(options),
-        detector(std::move(model.detector)),
-        model_version(model.version),
-        model_fingerprint(model.fingerprint),
-        monitor(*detector, nullptr, options, std::move(storage),
-                std::move(model.kernel)) {}
+        model(std::move(model)),
+        monitor(*this->model.detector, nullptr, options, std::move(storage),
+                this->model.kernel) {}
 
   const std::string id;
   const std::string model_name;
@@ -101,12 +95,9 @@ struct SessionManager::Session {
   /// reload_model while rebinding (uncontended in steady state — one
   /// worker owns the session's shard).
   mutable std::mutex monitor_mu;
-  /// Current binding; keeps the detector alive across registry hot-swaps.
-  /// The compiled ScoringKernel is pinned by the monitor itself
-  /// (monitor.kernel()) — one shared image per model version.
-  std::shared_ptr<const core::Detector> detector;
-  std::uint64_t model_version;
-  std::uint64_t model_fingerprint;
+  /// Current binding; its shared_ptrs keep the detector and kernel the
+  /// monitor scores with alive across registry hot-swaps.
+  VersionedModel model;
   core::OnlineMonitor monitor;
 };
 
@@ -138,10 +129,6 @@ struct SessionManager::Worker {
   std::uint64_t pushed = 0;     // tickets issued; the first is 1
   std::uint64_t in_flight = 0;  // first ticket of the running batch, or 0
   bool stop = false;
-  /// Registry reload epoch observed when the current scoring batch began;
-  /// kEpochIdle between batches. reload_model takes the minimum across
-  /// workers to prove no one can still be reading a retired model.
-  std::atomic<std::uint64_t> active_epoch{kEpochIdle};
   std::thread thread;
 };
 
@@ -487,33 +474,18 @@ ReloadReport SessionManager::reload_model(
     // right now finishes against the old model; the next one sees the new
     // binding. Nothing queued is dropped.
     const std::lock_guard lock(session->monitor_mu);
-    session->detector = versioned.detector;
-    session->model_version = versioned.version;
-    session->model_fingerprint = versioned.fingerprint;
-    session->monitor.rebind(*session->detector, versioned.kernel);
+    session->monitor.rebind(*versioned.detector, versioned.kernel);
+    session->model = versioned;
     session->state_bytes.store(session->monitor.state_bytes(),
                                std::memory_order_relaxed);
     ++report.sessions_rebound;
   }
 
-  // Epoch-based reclamation: a worker mid-batch advertises the reload
-  // epoch it started under; one that is idle resolves any future model
-  // through the registry and sees the new version. The minimum across
-  // busy workers bounds which retired references can still be observed.
-  std::uint64_t min_active = registry_.reload_epoch();
-  for (const auto& worker : workers_) {
-    const std::uint64_t epoch =
-        worker->active_epoch.load(std::memory_order_acquire);
-    if (epoch < min_active) min_active = epoch;
-  }
-  report.retired_reclaimed = registry_.reclaim_retired(min_active);
-
   report.micros = clock_.micros() - start_micros;
   model_reloads_total_->add(1);
   reload_micros_->record(report.micros);
   log_info() << "reload: model '" << name << "' -> v" << report.version
-             << " (" << report.sessions_rebound << " session(s) rebound, "
-             << report.retired_reclaimed << " retired model(s) reclaimed)";
+             << " (" << report.sessions_rebound << " session(s) rebound)";
   return report;
 }
 
@@ -704,7 +676,7 @@ std::shared_ptr<SessionManager::Session> SessionManager::restore_locked(
   session->evicted_dropped.store(snap.evicted_dropped,
                                  std::memory_order_relaxed);
   core::MonitorSnapshot monitor = std::move(snap.monitor);
-  if (session->model_fingerprint != snap.model_fingerprint) {
+  if (session->model.fingerprint != snap.model_fingerprint) {
     // The model changed while the session was frozen: the window ids index
     // a dead alphabet. Keep the cumulative stats and any pending cooldown,
     // start a fresh window (same contract as a live rebind).
@@ -883,13 +855,16 @@ void SessionManager::process_item(Item& item, BatchCounters& batch) {
       }
     }
     if (update.decision != nullptr) {
-      // Stamp ids into the monitor's ring copy (served by TRACE) and take
-      // a copy for the service-wide JSONL log while still under the lock.
-      // Once the flight-recorder log is full the copy would only be
-      // dropped, so skip it and count the drop instead.
+      // Stamp ids and the label pin into the monitor's ring copy (served
+      // by TRACE) and take a copy for the service-wide JSONL log while
+      // still under the lock, where the binding cannot change. The labels
+      // view this detector's alphabet, so the record keeps it alive past
+      // any reload. Once the flight-recorder log is full the copy would
+      // only be dropped, so skip it and count the drop instead.
       obs::DecisionRecord* record = item.session->monitor.last_decision();
       record->session = item.session->id;
       record->trace_id = item.trace_id;
+      record->label_owner = item.session->model.detector;
       if (decision_log_->full()) {
         decision_log_->drop();
         decisions_dropped_total_->add(1);
@@ -1001,8 +976,6 @@ void SessionManager::run_batch(Worker& worker,
   lock.unlock();
   worker.depth.fetch_sub(batch.size(), std::memory_order_relaxed);
   worker.cv_space.notify_all();
-  worker.active_epoch.store(registry_.reload_epoch(),
-                            std::memory_order_release);
   BatchCounters counters;
   const double batch_start_micros = clock_.micros();
   for (Item& item : batch) process_item(item, counters);
@@ -1011,7 +984,6 @@ void SessionManager::run_batch(Worker& worker,
   // Flushed before in_flight is cleared, so a settle implies the
   // service-wide counters already cover everything it waited for.
   flush_batch(worker.index, counters);
-  worker.active_epoch.store(kEpochIdle, std::memory_order_release);
   batch.clear();
   lock.lock();
   worker.in_flight = 0;
@@ -1056,8 +1028,8 @@ SessionSnapshot SessionManager::freeze(Session& session) const {
   SessionSnapshot snap;
   snap.id = session.id;
   snap.model = session.model_name;
-  snap.model_version = session.model_version;
-  snap.model_fingerprint = session.model_fingerprint;
+  snap.model_version = session.model.version;
+  snap.model_fingerprint = session.model.fingerprint;
   snap.enqueued = session.enqueued.load(std::memory_order_relaxed);
   snap.processed = session.processed.load(std::memory_order_relaxed);
   snap.dropped = session.dropped.load(std::memory_order_relaxed);

@@ -16,9 +16,10 @@
 // and released. A later submit (or HELLO) for that id transparently
 // restores it — bit-identically when the model version is unchanged. Hot
 // model reload (reload_model) atomically publishes a new version in the
-// ModelRegistry and rebinds every affected session at a window boundary;
-// epoch-based reclamation returns the retired model's registry reference
-// once no worker can still observe it.
+// ModelRegistry and rebinds every affected session at a window boundary.
+// A model version lives as long as a shared_ptr to it does: the session's
+// binding, the monitor's kernel, and every decision record whose labels
+// view the detector's alphabet (DecisionRecord::label_owner).
 //
 // Per-session verdicts are bit-identical to feeding the same events through
 // a standalone core::OnlineMonitor, provided each session has one producer
@@ -119,8 +120,6 @@ struct ReloadReport {
   std::uint64_t fingerprint = 0;
   /// Live sessions rebound to the new version.
   std::size_t sessions_rebound = 0;
-  /// Retired registry references reclaimed via the epoch check.
-  std::size_t retired_reclaimed = 0;
   double micros = 0.0;
 };
 
@@ -180,11 +179,11 @@ class SessionManager {
   /// Hot model reload: atomically publishes `detector` as the new version
   /// of `name` in the registry, rebinds every live session of that model
   /// at a window boundary (cumulative stats and cooldown carry over; the
-  /// partial window resets — its ids encode the old alphabet), and
-  /// reclaims retired registry references no worker can still observe.
-  /// Zero-loss: events already queued are not discarded — an event scoring
-  /// when the rebind lands finishes against the old version, everything
-  /// behind it scores against the new one.
+  /// partial window resets — its ids encode the old alphabet). The old
+  /// version is freed once its last session, monitor and decision record
+  /// let go of it. Zero-loss: events already queued are not discarded —
+  /// an event scoring when the rebind lands finishes against the old
+  /// version, everything behind it scores against the new one.
   ReloadReport reload_model(const std::string& name,
                             std::shared_ptr<const core::Detector> detector);
 
@@ -297,8 +296,8 @@ class SessionManager {
   void flush_batch(std::size_t shard, const BatchCounters& batch);
   /// Scores one batch: moves up to kBatchSize queued items into `batch`
   /// under `lock` (held on worker.mu), then scores and flushes them with
-  /// the lock released and the worker's epoch stamped. Returns with the
-  /// lock held again, in_flight cleared and cv_idle notified.
+  /// the lock released. Returns with the lock held again, in_flight
+  /// cleared and cv_idle notified.
   void run_batch(Worker& worker, std::unique_lock<std::mutex>& lock,
                  std::vector<Item>& batch);
   /// manual_pump: runs batches on the calling thread until the queue is

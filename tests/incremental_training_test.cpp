@@ -288,23 +288,5 @@ TEST(IncrementalTrainingTest, StateBookkeepingAfterRuns) {
   }
 }
 
-// publish() inverts control to the serving tier; without a hook or a
-// model it must refuse.
-TEST(IncrementalTrainingTest, PublishRequiresHookAndModel) {
-  Rng rng(20);
-  Trainer trainer(randomly_initialized_hmm(3, 4, rng),
-                  options_with_threads(1));
-  EXPECT_THROW(trainer.publish(), std::logic_error);  // no hook, no model
-  int published = 0;
-  trainer.set_publish_hook([&](const Trainer& t) {
-    EXPECT_TRUE(t.has_model());
-    ++published;
-  });
-  EXPECT_THROW(trainer.publish(), std::logic_error);  // hook but no model
-  trainer.fit(sample_sequences(ground_truth(), rng, 8, 10));
-  trainer.publish();
-  EXPECT_EQ(published, 1);
-}
-
 }  // namespace
 }  // namespace cmarkov::hmm

@@ -18,7 +18,7 @@
 
 #include "src/core/model_io.hpp"
 #include "src/serve/drift_monitor.hpp"
-#include "src/serve/service.hpp"
+#include "src/serve/protocol.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/testcase_generator.hpp"
 
@@ -119,8 +119,7 @@ TEST(ModelRegistryTest, ServesSharedTrainedDetectors) {
   ModelRegistry registry;
   registry.add_shared("gzip", fixture().gzip_model);
   EXPECT_EQ(registry.size(), 1u);
-  EXPECT_EQ(registry.get("gzip"), fixture().gzip_model);
-  EXPECT_EQ(registry.get("nope"), nullptr);
+  EXPECT_EQ(registry.require("gzip"), fixture().gzip_model);
   EXPECT_THROW(registry.require("nope"), std::invalid_argument);
   EXPECT_EQ(registry.names(), std::vector<std::string>{"gzip"});
 }
@@ -144,9 +143,9 @@ TEST(ModelRegistryTest, LoadsFilesAndDirectories) {
 
   ModelRegistry registry;
   registry.load_file("from-file", path);
-  EXPECT_TRUE(registry.get("from-file") != nullptr);
+  EXPECT_TRUE(registry.require("from-file") != nullptr);
   EXPECT_GE(registry.load_directory(dir), 1u);  // picks up *.model files
-  EXPECT_TRUE(registry.get("registry_gzip") != nullptr);
+  EXPECT_TRUE(registry.require("registry_gzip") != nullptr);
 
   std::ofstream(dir + "/broken.model") << "garbage\n";
   EXPECT_THROW(registry.load_file("broken", dir + "/broken.model"),
@@ -156,9 +155,9 @@ TEST(ModelRegistryTest, LoadsFilesAndDirectories) {
 TEST(ModelRegistryTest, HotSwapKeepsOldSharedPtrAlive) {
   ModelRegistry registry;
   registry.add_shared("m", fixture().gzip_model);
-  const auto before = registry.get("m");
+  const auto before = registry.require("m");
   registry.add_shared("m", fixture().sed_model);
-  EXPECT_EQ(registry.get("m"), fixture().sed_model);
+  EXPECT_EQ(registry.require("m"), fixture().sed_model);
   EXPECT_EQ(before, fixture().gzip_model);  // old handle still valid
 }
 
@@ -262,8 +261,8 @@ TEST(SessionManagerTest, ConcurrentProducersMatchSequential) {
 
 // TSan-covered via tools/run_tsan_smoke.sh: shard workers keep scoring
 // through the registry's shared ScoringKernel image while RELOAD hot-swaps
-// model + kernel underneath them (epoch reclamation keeps retired images
-// alive until no worker can still observe them).
+// model + kernel underneath them (each session's binding and monitor pin
+// the version they score with until the rebind under monitor_mu).
 TEST(SessionManagerTest, LiveReloadSwapsSharedKernelUnderTraffic) {
   ServiceConfig config;
   config.num_workers = 2;
@@ -835,6 +834,47 @@ TEST(DecisionAuditTest, FlaggedWindowExplainsItsLogLikelihood) {
   EXPECT_EQ(manager.decision_log().dropped(), 0u);
 }
 
+/// One decision_record_json line per record, newline-terminated.
+std::string render(const std::vector<obs::DecisionRecord>& records) {
+  std::string out;
+  for (const obs::DecisionRecord& record : records) {
+    out += obs::decision_record_json(record) + "\n";
+  }
+  return out;
+}
+
+// Decision records view their labels in the scoring detector's alphabet.
+// A reload drops the session's binding to that detector, and here the
+// registry held the only other reference: the records (TRACE ring and
+// service log) must keep it alive and render exactly as before.
+TEST(DecisionAuditTest, DecisionLabelsOutliveAReload) {
+  ModelRegistry registry;
+  registry.add("gzip", *fixture().gzip_model);  // a private copy
+
+  ServiceConfig config = protocol_config();
+  config.tracing.enabled = true;
+  config.monitor.decisions.enabled = true;
+  config.monitor.decisions.sample_every = 1;
+  SessionManager manager(registry, config);
+  manager.open_session("labels", "gzip");
+  for (const auto& event : fixture().events_for(fixture().gzip, 11, 1)) {
+    ASSERT_EQ(manager.submit("labels", event), SubmitResult::kAccepted);
+  }
+  manager.drain();
+
+  const std::string ring = render(manager.recent_decisions("labels", 1000));
+  const std::string log = manager.decision_log().to_jsonl();
+  ASSERT_FALSE(ring.empty());
+  ASSERT_FALSE(log.empty());
+  EXPECT_NE(ring.find('@'), std::string::npos);  // call@caller labels
+
+  EXPECT_EQ(manager.reload_model("gzip", fixture().sed_model)
+                .sessions_rebound,
+            1u);
+  EXPECT_EQ(render(manager.recent_decisions("labels", 1000)), ring);
+  EXPECT_EQ(manager.decision_log().to_jsonl(), log);
+}
+
 TEST(MetricsGoldenTest, ScriptedSessionExposition) {
   // Deterministic script under manual_pump: 20 unknown-symbol events into
   // a capacity-8 drop-oldest queue (12 evicted), STATS drains (8 scored),
@@ -988,9 +1028,9 @@ TEST(DriftRefreshTest, WorkloadShiftPublishesRefreshedModel) {
 }
 
 TEST(ServiceTest, ServeStreamEndToEnd) {
-  ServiceConfig config = protocol_config();
-  CmarkovService service(config);
-  service.registry().add_shared("gzip", fixture().gzip_model);
+  ModelRegistry registry;
+  registry.add_shared("gzip", fixture().gzip_model);
+  SessionManager manager(registry, protocol_config());
 
   std::istringstream in(
       "# scripted session\n"
@@ -1001,7 +1041,7 @@ TEST(ServiceTest, ServeStreamEndToEnd) {
       "BYE\n"
       "EV main read\n");  // after BYE: stream ends first, never answered
   std::ostringstream out;
-  service.serve_stream(in, out);
+  serve_stream(manager, in, out);
 
   std::istringstream lines(out.str());
   std::string line;
@@ -1017,7 +1057,7 @@ TEST(ServiceTest, ServeStreamEndToEnd) {
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_TRUE(line.starts_with("OK session=scripted"));
   EXPECT_FALSE(std::getline(lines, line));  // nothing after BYE
-  EXPECT_EQ(service.metrics_registry().snapshot().gauges.at(
+  EXPECT_EQ(manager.metrics_registry().snapshot().gauges.at(
                 "cmarkov_serve_sessions_open"),
             0.0);
 }

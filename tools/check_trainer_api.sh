@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Guards the training and forward-recursion API: all training goes through
-# the stateful hmm::Trainer (fit / partial_fit / publish), and every
-# production forward pass runs hmm::forward_pass over one table layout.
+# the stateful hmm::Trainer (fit / partial_fit), and every production
+# forward pass runs hmm::forward_pass over one table layout.
 # Removed symbols may not appear anywhere (declaration, definition, or call
 # site), so they cannot quietly come back:
 #   - baum_welch_train: the old free training entry point;

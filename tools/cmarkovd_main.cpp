@@ -50,7 +50,7 @@
 #include "src/obs/trace/chrome_trace.hpp"
 #include "src/serve/drift_monitor.hpp"
 #include "src/serve/net/epoll_server.hpp"
-#include "src/serve/service.hpp"
+#include "src/serve/protocol.hpp"
 #include "src/trace/trace_io.hpp"
 #include "src/util/failpoint.hpp"
 #include "src/util/logging.hpp"
@@ -226,10 +226,10 @@ DaemonOptions parse_options(int argc, char** argv) {
 
 /// Replays a recorded trace through a full protocol conversation; prints
 /// only the interesting response lines (HELLO/STATS/BYE and any errors).
-void replay_trace(serve::CmarkovService& service, const std::string& model,
+void replay_trace(serve::SessionManager& sessions, const std::string& model,
                   const std::string& trace_path) {
   const trace::Trace trace = trace::read_trace_file(trace_path);
-  serve::ProtocolSession session(service.sessions());
+  serve::ProtocolSession session(sessions);
   std::cout << session.handle_line("HELLO " + model) << "\n";
   std::size_t errors = 0;
   for (const auto& event : trace.events) {
@@ -250,7 +250,7 @@ void replay_trace(serve::CmarkovService& service, const std::string& model,
 /// The epoll TCP front-end: edge-triggered event loops over both the CMKB
 /// binary frame protocol and the text line protocol (auto-detected per
 /// connection). Blocks until SIGINT/SIGTERM.
-int serve_tcp(serve::CmarkovService& service, const DaemonOptions& options,
+int serve_tcp(serve::SessionManager& sessions, const DaemonOptions& options,
               serve::DriftRefresher* refresher) {
   static volatile std::sig_atomic_t g_stop = 0;
   std::signal(SIGINT, [](int) { g_stop = 1; });
@@ -267,24 +267,24 @@ int serve_tcp(serve::CmarkovService& service, const DaemonOptions& options,
   std::unique_ptr<serve::net::AdminHandler> admin;
   std::unique_ptr<obs::TimeSeriesCollector> collector;
   if (options.admin_port > 0) {
-    admin = std::make_unique<serve::net::AdminHandler>(service.sessions());
+    admin = std::make_unique<serve::net::AdminHandler>(sessions);
     obs::CollectorOptions copts;
     copts.period_seconds =
         static_cast<double>(options.collector_period_ms) / 1000.0;
     // Gauges (sessions, queue depths, per-shard occupancy) are refreshed
     // by the scrape path; make the collector do the same before sampling.
-    copts.pre_sample = [&service] {
-      (void)service.sessions().metrics_registry();
+    copts.pre_sample = [&sessions] {
+      (void)sessions.metrics_registry();
     };
     collector = std::make_unique<obs::TimeSeriesCollector>(
-        service.sessions().instruments(), std::move(copts));
+        sessions.instruments(), std::move(copts));
     admin->set_collector(collector.get());
     if (refresher != nullptr) admin->set_drift_monitor(&refresher->monitor());
     net.admin = admin.get();
     net.admin_port = static_cast<std::uint16_t>(options.admin_port);
   }
 
-  serve::net::EpollServer server(service.sessions(), net);
+  serve::net::EpollServer server(sessions, net);
   server.start();
   if (collector != nullptr) collector->start();
   while (g_stop == 0) {
@@ -302,19 +302,19 @@ int serve_tcp(serve::CmarkovService& service, const DaemonOptions& options,
 /// Writes the --decision-log / --chrome-trace sinks once a batch mode
 /// (replay or stdin) has finished. Drains first so every queued event's
 /// record and spans are included.
-void flush_trace_sinks(serve::CmarkovService& service,
+void flush_trace_sinks(serve::SessionManager& sessions,
                        const DaemonOptions& options) {
   if (options.decision_log_path.empty() && options.chrome_trace_path.empty()) {
     return;
   }
-  service.sessions().drain();
+  sessions.drain();
   if (!options.decision_log_path.empty()) {
     std::ofstream out(options.decision_log_path);
     if (!out) {
       throw std::runtime_error("cannot write decision log to " +
                                options.decision_log_path);
     }
-    const auto& log = service.sessions().decision_log();
+    const auto& log = sessions.decision_log();
     out << log.to_jsonl();
     log_info() << "cmarkovd: " << log.appended() << " decision record(s) ("
                << log.dropped() << " dropped) -> "
@@ -326,7 +326,7 @@ void flush_trace_sinks(serve::CmarkovService& service,
       throw std::runtime_error("cannot write chrome trace to " +
                                options.chrome_trace_path);
     }
-    const auto spans = service.sessions().tracer().snapshot();
+    const auto spans = sessions.tracer().snapshot();
     out << obs::chrome_trace_json(spans);
     log_info() << "cmarkovd: " << spans.size() << " span(s) -> "
                << options.chrome_trace_path;
@@ -345,34 +345,35 @@ int main(int argc, char** argv) {
       log_info() << "cmarkovd: " << armed
                  << " failpoint(s) armed from CMARKOV_FAILPOINTS";
     }
-    serve::CmarkovService service(options.service);
+    serve::ModelRegistry registry;
+    serve::SessionManager sessions(registry, options.service);
     for (const auto& [name, path] : options.models) {
-      service.registry().load_file(name, path);
+      registry.load_file(name, path);
     }
     if (!options.models_dir.empty()) {
-      service.registry().load_directory(options.models_dir);
+      registry.load_directory(options.models_dir);
     }
-    if (service.registry().size() == 0) {
+    if (registry.size() == 0) {
       std::cerr << "cmarkovd: no models loaded (use --model/--models-dir)\n";
       return usage();
     }
-    log_info() << "cmarkovd: " << service.registry().size() << " model(s), "
+    log_info() << "cmarkovd: " << registry.size() << " model(s), "
                << options.service.num_workers << " worker(s), policy="
                << serve::backpressure_policy_name(options.service.policy);
     if (!options.service.snapshot_dir.empty()) {
       // Sessions evicted by a previous run resume transparently.
-      service.sessions().snapshot_store().load_directory();
+      sessions.snapshot_store().load_directory();
     }
 
     std::unique_ptr<serve::DriftRefresher> refresher;
     if (!options.drift_model.empty()) {
-      service.registry().require(options.drift_model);  // fail fast
+      registry.require(options.drift_model);  // fail fast
       hmm::TrainerState state =
           core::load_trainer_state_file(options.drift_state_path);
       refresher = std::make_unique<serve::DriftRefresher>(
-          service.sessions(), service.registry(), options.drift_model,
+          sessions, registry, options.drift_model,
           hmm::Trainer(std::move(state)), options.drift);
-      service.sessions().set_drift_monitor(&refresher->monitor(),
+      sessions.set_drift_monitor(&refresher->monitor(),
                                            options.drift_model);
       log_info() << "cmarkovd: drift refresh armed for model '"
                  << options.drift_model << "' (ks>"
@@ -380,41 +381,41 @@ int main(int argc, char** argv) {
                  << options.drift.consecutive_epochs << " epochs)";
     }
     // Workers must stop feeding the monitor before the refresher dies
-    // (the service outlives it in this scope).
+    // (the manager outlives it in this scope).
     const auto detach_drift = [&] {
       if (refresher != nullptr) {
-        service.sessions().set_drift_monitor(nullptr, {});
-        service.sessions().drain();
+        sessions.set_drift_monitor(nullptr, {});
+        sessions.drain();
       }
     };
 
     if (!options.replays.empty()) {
       for (const auto& [model, path] : options.replays) {
-        replay_trace(service, model, path);
+        replay_trace(sessions, model, path);
       }
       if (refresher != nullptr) {
-        service.sessions().drain();
+        sessions.drain();
         refresher->poll();
       }
-      std::cout << "METRICS " << obs::to_kv_line(service.metrics_registry())
+      std::cout << "METRICS " << obs::to_kv_line(sessions.metrics_registry())
                 << "\n";
-      flush_trace_sinks(service, options);
+      flush_trace_sinks(sessions, options);
       detach_drift();
       return 0;
     }
     if (options.tcp_port > 0) {
       ::signal(SIGPIPE, SIG_IGN);
-      const int status = serve_tcp(service, options, refresher.get());
-      flush_trace_sinks(service, options);
+      const int status = serve_tcp(sessions, options, refresher.get());
+      flush_trace_sinks(sessions, options);
       detach_drift();
       return status;
     }
-    service.serve_stream(std::cin, std::cout);
+    serve::serve_stream(sessions, std::cin, std::cout);
     if (refresher != nullptr) {
-      service.sessions().drain();
+      sessions.drain();
       refresher->poll();
     }
-    flush_trace_sinks(service, options);
+    flush_trace_sinks(sessions, options);
     detach_drift();
     return 0;
   } catch (const std::exception& e) {

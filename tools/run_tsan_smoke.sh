@@ -3,8 +3,11 @@
 # CMARKOV_SANITIZE=<sanitizer> and runs the concurrency-sensitive tests — the
 # cmarkovd serving layer (serve_test's LiveReloadSwapsSharedKernelUnderTraffic
 # drives concurrent shard workers scoring through one shared ScoringKernel
-# image while RELOAD hot-swaps model + kernel under the epoch-reclamation
-# scheme, CloseAndEvictRacingAProducerLoseNoAcceptedEvent retires a
+# image while RELOAD hot-swaps model + kernel, each version kept alive by
+# the shared_ptrs of the sessions, monitors and decision records that read
+# it (DecisionLabelsOutliveAReload renders records across a reload that
+# frees their model's last other reference),
+# CloseAndEvictRacingAProducerLoseNoAcceptedEvent retires a
 # session through close and evict while its producer keeps submitting,
 # SaturatingNeighbourCannotStallSessionVerbs settles one session's shard
 # while producers that never stop keep it full, and
