@@ -274,21 +274,42 @@ std::vector<std::string> Detector::explain_segment(
   return out;
 }
 
+std::vector<SegmentVerdict> Detector::score_trace_segments(
+    const trace::Trace& trace) const {
+  const Matrix emission_t = hmm_.emission.transposed();
+  const hmm::ForwardTables tables = hmm::forward_tables(hmm_, emission_t);
+  std::vector<double> rows(2 * hmm_.num_states());
+  std::vector<SegmentVerdict> verdicts;
+  for (const auto& segment :
+       trace::segment_sequence(encode(trace), config_.segments)) {
+    SegmentVerdict& verdict = verdicts.emplace_back();
+    if (!segment.empty() && std::ranges::max(segment) >= hmm_.num_symbols()) {
+      // score_segment's contract: an unknown observation is impossible,
+      // and no recursion runs.
+      verdict.unknown_symbol = true;
+      verdict.log_likelihood = -std::numeric_limits<double>::infinity();
+      verdict.flagged = true;
+      continue;
+    }
+    verdict.log_likelihood =
+        hmm::forward_pass(tables, segment, {.alpha = rows.data()});
+    verdict.flagged = verdict.log_likelihood < threshold_;
+  }
+  return verdicts;
+}
+
 TraceVerdict Detector::classify(const trace::Trace& trace) const {
   if (!trained_) {
     throw std::logic_error("Detector::classify: train the detector first");
   }
   TraceVerdict verdict;
+  verdict.segments = score_trace_segments(trace);
+  verdict.total_segments = verdict.segments.size();
   verdict.min_log_likelihood = std::numeric_limits<double>::infinity();
-  const auto encoded = encode(trace);
-  for (const auto& segment :
-       trace::segment_sequence(encoded, config_.segments)) {
-    SegmentVerdict sv = score_segment(segment);
-    verdict.total_segments += 1;
+  for (const SegmentVerdict& sv : verdict.segments) {
     if (sv.flagged) verdict.flagged_segments += 1;
     verdict.min_log_likelihood =
         std::min(verdict.min_log_likelihood, sv.log_likelihood);
-    verdict.segments.push_back(sv);
   }
   if (verdict.total_segments == 0) {
     verdict.min_log_likelihood = 0.0;
@@ -298,15 +319,12 @@ TraceVerdict Detector::classify(const trace::Trace& trace) const {
 }
 
 double Detector::score(const trace::Trace& trace) const {
+  const std::vector<SegmentVerdict> verdicts = score_trace_segments(trace);
   double min_ll = std::numeric_limits<double>::infinity();
-  const auto encoded = encode(trace);
-  bool any = false;
-  for (const auto& segment :
-       trace::segment_sequence(encoded, config_.segments)) {
-    any = true;
-    min_ll = std::min(min_ll, score_segment(segment).log_likelihood);
+  for (const SegmentVerdict& sv : verdicts) {
+    min_ll = std::min(min_ll, sv.log_likelihood);
   }
-  return any ? min_ll : 0.0;
+  return verdicts.empty() ? 0.0 : min_ll;
 }
 
 }  // namespace cmarkov::core

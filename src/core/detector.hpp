@@ -171,6 +171,11 @@ class Detector {
   Detector() = default;
 
   hmm::ObservationSeq encode(const trace::Trace& trace) const;
+  /// Verdicts of a trace's segments, in order, from hmm::forward_pass on
+  /// two ping-pong rows over one forward_tables: bit-identical to
+  /// score_segment's reference recursion, without its T x N matrix.
+  std::vector<SegmentVerdict> score_trace_segments(
+      const trace::Trace& trace) const;
 
   DetectorConfig config_;
   hmm::Hmm hmm_;

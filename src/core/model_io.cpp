@@ -32,6 +32,20 @@ void write_matrix(std::ostream& out, const char* tag, const Matrix& m) {
   }
 }
 
+/// The rows x cols matrix a `tag` header declares. A shape whose element
+/// count overflows is a malformed file: rethrown naming the tag.
+Matrix sized_matrix(std::size_t rows, std::size_t cols,
+                    const std::string& tag) {
+  try {
+    return Matrix(rows, cols);
+  } catch (const std::length_error& error) {
+    throw std::runtime_error("model_io: '" + tag + "' matrix of " +
+                             std::to_string(rows) + " x " +
+                             std::to_string(cols) + " does not fit: " +
+                             error.what());
+  }
+}
+
 Matrix read_matrix(std::istream& in, const std::string& expected_tag) {
   std::string tag;
   std::size_t rows = 0;
@@ -40,7 +54,7 @@ Matrix read_matrix(std::istream& in, const std::string& expected_tag) {
     throw std::runtime_error("model_io: expected matrix tag '" +
                              expected_tag + "'");
   }
-  Matrix m(rows, cols);
+  Matrix m = sized_matrix(rows, cols, expected_tag);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       if (!(in >> m(r, c))) {
@@ -255,7 +269,7 @@ Matrix read_hex_matrix(std::istream& in, const std::string& expected_tag) {
     throw std::runtime_error("model_io: expected matrix tag '" +
                              expected_tag + "'");
   }
-  Matrix m(rows, cols);
+  Matrix m = sized_matrix(rows, cols, expected_tag);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       m(r, c) = read_hex_double(in, expected_tag.c_str());

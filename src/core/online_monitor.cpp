@@ -79,13 +79,15 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
     at += 1;
     if (at == length) at = 0;
   }
-  // With tracing on, the pass keeps its alpha rows and scales: a flagged
+  // With tracing on, a pass keeps its alpha rows and scales: a flagged
   // window's record needs them, and whether the window flags is only known
-  // once the pass has run.
+  // once the pass has run. A memo hit runs no pass and keeps nothing.
   const bool tracing =
       options_.decisions.enabled && options_.decisions.ring_capacity > 0;
-  const SegmentVerdict verdict =
-      kernel_->score_window(segment_, scratch_, tracing ? &audit_ : nullptr);
+  const WindowScore scored =
+      kernel_->score(segment_, scratch_, tracing ? &audit_ : nullptr);
+  const SegmentVerdict& verdict = scored.verdict;
+  update.memo_hit = scored.memo_hit;
   update.log_likelihood = verdict.log_likelihood;
   update.flagged = verdict.flagged;
   update.unknown_symbol = verdict.unknown_symbol;
@@ -112,6 +114,8 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
     const bool forced = options_.decisions.always_on_flagged &&
                         (verdict.flagged || update.alarm);
     if (sampled || forced) {
+      // The one pass a hit skipped, run now that its record needs the rows.
+      if (scored.memo_hit) kernel_->score_window(segment_, scratch_, &audit_);
       obs::DecisionRecord record = detector_->make_decision_record(
           segment_, verdict, audit_.scales, audit_.alpha);
       record.window_index = stats_.windows_scored;

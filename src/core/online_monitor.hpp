@@ -38,15 +38,19 @@ namespace cmarkov::core {
 ///     periodic sample);
 ///   - flagged windows and alarms are always recorded when
 ///     `always_on_flagged` is set, regardless of the period.
-/// Every window scores through the compiled kernel. With tracing enabled
-/// its one pass keeps its T alpha rows and scales (WindowAudit) instead of
-/// ping-ponging two rows, which costs the same stores; the argmax states
-/// are then derived for admitted windows only. So the steady-state
-/// overhead is the sampling branch plus record assembly for admitted
-/// windows. Re-scoring admitted windows instead would cost a second pass
-/// per flagged window, and writing argmax states on every pass ~12% of
-/// it; under a flag-heavy feed either exceeds the 3% tracing budget
-/// (BENCH_obs.json).
+/// Every window scores through the compiled kernel's memo
+/// (ScoringKernel::score), and no window runs more than one forward pass:
+///   - a window the memo misses runs its one pass, and with tracing
+///     enabled that pass keeps its T alpha rows and scales (WindowAudit)
+///     instead of ping-ponging two rows, which costs the same stores;
+///   - a memo hit the guard admits runs its one pass then, audited,
+///     before the record is built;
+///   - any other hit runs no pass.
+/// The argmax states are derived for admitted windows only. So tracing
+/// costs the sampling branch, record assembly for admitted windows, and a
+/// pass for admitted hits, which a flag-heavy feed would otherwise have
+/// run anyway. Writing argmax states on every pass would cost ~12% of it,
+/// over the 3% tracing budget (BENCH_obs.json).
 struct DecisionTraceOptions {
   bool enabled = false;
   /// Record every Nth scored window (1 = all, 0 = only flagged/alarms).
@@ -115,6 +119,9 @@ struct MonitorUpdate {
   bool unknown_symbol = false;
   /// Alarm fired on this event (hysteresis + cooldown applied).
   bool alarm = false;
+  /// The window's verdict came from the kernel's window memo
+  /// (ScoringKernel::score) instead of a forward pass.
+  bool memo_hit = false;
   /// Audit record for this window when decision tracing admitted it; null
   /// otherwise. Points into the monitor's ring — valid until the next
   /// on_event / reset_window call on the same monitor.

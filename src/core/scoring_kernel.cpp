@@ -1,7 +1,10 @@
 #include "src/core/scoring_kernel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstring>
+#include <new>
 #include <limits>
 #include <stdexcept>
 
@@ -36,6 +39,35 @@ std::size_t carve(std::size_t& cursor, std::size_t bytes) {
   const std::size_t at = cursor;
   cursor += (bytes + 7) & ~std::size_t{7};
   return at;
+}
+
+constexpr std::size_t kMemoSetBits = 11;  // 2048 sets of two entries
+static_assert(ScoringKernel::kMemoEntries == 2u << kMemoSetBits);
+
+/// The one way any memo word is accessed.
+inline std::atomic_ref<std::uint64_t> word(std::uint64_t* at) {
+  return std::atomic_ref<std::uint64_t>(*at);
+}
+
+/// Calls emit(word) for each 64-bit word of the memo key: the window's ids
+/// packed `bits` apiece, lowest bits first, ceil(T * bits / 64) words. Ids
+/// are below 2^bits, so distinct windows of one length get distinct keys.
+template <typename Emit>
+inline void pack_key(std::span<const std::size_t> window, unsigned bits,
+                     Emit&& emit) {
+  std::uint64_t word = 0;
+  unsigned filled = 0;
+  for (const std::size_t id : window) {
+    word |= static_cast<std::uint64_t>(id) << filled;
+    filled += bits;
+    if (filled >= 64) {
+      emit(word);
+      filled -= 64;
+      word = filled == 0 ? 0
+                         : static_cast<std::uint64_t>(id) >> (bits - filled);
+    }
+  }
+  if (filled > 0) emit(word);
 }
 
 }  // namespace
@@ -114,6 +146,20 @@ std::shared_ptr<const ScoringKernel> ScoringKernel::compile(
   kernel->slots_ = slots;
   kernel->slot_mask_ = mask;
   kernel->blob_ = blob;
+
+  // Ids of known windows are < m, so bit_width(m - 1) bits hold each one.
+  kernel->window_length_ = detector.config().segments.length;
+  kernel->key_bits_ = static_cast<unsigned>(std::bit_width(m - 1));
+  const std::size_t key_words =
+      (kernel->window_length_ * kernel->key_bits_ + 63) / 64;
+  kernel->memo_stride_ = 2 + key_words;
+  // Seven spare words let the first set start on a 64-byte line.
+  kernel->memo_words_ = kMemoEntries * kernel->memo_stride_ + 7;
+  kernel->memo_.reset(static_cast<std::uint64_t*>(
+      std::calloc(kernel->memo_words_, sizeof(std::uint64_t))));
+  if (kernel->memo_ == nullptr) throw std::bad_alloc();
+  const auto address = reinterpret_cast<std::uintptr_t>(kernel->memo_.get());
+  kernel->memo_sets_ = kernel->memo_.get() + ((64 - address % 64) % 64) / 8;
   kernel->build_micros_ = watch.micros();
   return kernel;
 }
@@ -158,6 +204,11 @@ std::size_t ScoringKernel::find_symbol(std::string_view observation) const {
   return probe(fnv1a(kFnvOffset, observation), observation, false, {});
 }
 
+bool ScoringKernel::has_unknown(std::span<const std::size_t> window) const {
+  return std::ranges::any_of(
+      window, [this](std::size_t id) { return id >= num_symbols_; });
+}
+
 SegmentVerdict ScoringKernel::score_window(std::span<const std::size_t> window,
                                            KernelScratch& scratch,
                                            WindowAudit* audit) const {
@@ -172,19 +223,88 @@ SegmentVerdict ScoringKernel::score_window(std::span<const std::size_t> window,
   } else {
     out.alpha = scratch.ensure(num_states_);
   }
-  for (const std::size_t id : window) {
-    if (id >= num_symbols_) {
-      // Same contract as Detector::score_segment: out-of-vocabulary means
-      // impossible, no recursion runs.
-      verdict.unknown_symbol = true;
-      verdict.log_likelihood = -std::numeric_limits<double>::infinity();
-      verdict.flagged = true;
-      return verdict;
-    }
+  if (has_unknown(window)) {
+    // Same contract as Detector::score_segment: out-of-vocabulary means
+    // impossible, no recursion runs.
+    verdict.unknown_symbol = true;
+    verdict.log_likelihood = -std::numeric_limits<double>::infinity();
+    verdict.flagged = true;
+    return verdict;
   }
   verdict.log_likelihood = hmm::forward_pass(tables_, window, out);
   verdict.flagged = verdict.log_likelihood < threshold_;
   return verdict;
+}
+
+WindowScore ScoringKernel::score(std::span<const std::size_t> window,
+                                 KernelScratch& scratch,
+                                 WindowAudit* audit) const {
+  if (window.size() != window_length_) {
+    throw std::invalid_argument(
+        "ScoringKernel::score: window of " + std::to_string(window.size()) +
+        " ids, the image memoizes windows of " +
+        std::to_string(window_length_));
+  }
+  WindowScore result;
+  if (has_unknown(window)) {
+    result.verdict = score_window(window, scratch, audit);
+    return result;
+  }
+  std::uint64_t hash = 0;
+  pack_key(window, key_bits_, [&hash](std::uint64_t word) {
+    hash = (hash ^ word) * 0x9e3779b97f4a7c15ull;
+  });
+  std::uint64_t* const set =
+      memo_sets_ + (hash >> (64 - kMemoSetBits)) * 2 * memo_stride_;
+  std::uint64_t* const way[2] = {set, set + memo_stride_};
+
+  // Seqlock read of both ways: the sequence word, then key and value with
+  // acquire loads, then the sequence again. A write that overlapped the
+  // read changed the sequence, and an odd one is in progress: both miss.
+  const std::uint64_t seq[2] = {word(way[0]).load(std::memory_order_acquire),
+                                word(way[1]).load(std::memory_order_acquire)};
+  bool match[2] = {seq[0] != 0 && seq[0] % 2 == 0,
+                   seq[1] != 0 && seq[1] % 2 == 0};
+  std::size_t at = 2;
+  pack_key(window, key_bits_, [&](std::uint64_t key) {
+    match[0] = match[0] &&
+               word(way[0] + at).load(std::memory_order_acquire) == key;
+    match[1] = match[1] &&
+               word(way[1] + at).load(std::memory_order_acquire) == key;
+    ++at;
+  });
+  for (std::size_t w = 0; w < 2; ++w) {
+    if (!match[w]) continue;
+    const std::uint64_t bits = word(way[w] + 1).load(std::memory_order_acquire);
+    if (word(way[w]).load(std::memory_order_acquire) != seq[w]) continue;
+    result.verdict.log_likelihood = std::bit_cast<double>(bits);
+    result.verdict.flagged = result.verdict.log_likelihood < threshold_;
+    result.memo_hit = true;
+    return result;
+  }
+
+  result.verdict = score_window(window, scratch, audit);
+  // Round-robin victim: the parity of the set's completed writes. A
+  // writer claims it with one even -> odd CAS and releases it at the next
+  // even value; losing the claim, or finding it held, skips the insert.
+  const std::size_t victim = ((seq[0] / 2) + (seq[1] / 2)) % 2;
+  std::uint64_t claimed = seq[victim];
+  if (claimed % 2 != 0 ||
+      !word(way[victim]).compare_exchange_strong(claimed, claimed + 1,
+                                                 std::memory_order_acquire,
+                                                 std::memory_order_relaxed)) {
+    return result;
+  }
+  std::uint64_t* const entry = way[victim];
+  word(entry + 1).store(
+      std::bit_cast<std::uint64_t>(result.verdict.log_likelihood),
+      std::memory_order_release);
+  at = 2;
+  pack_key(window, key_bits_, [&](std::uint64_t key) {
+    word(entry + at++).store(key, std::memory_order_release);
+  });
+  word(entry).store(claimed + 2, std::memory_order_release);
+  return result;
 }
 
 }  // namespace cmarkov::core

@@ -3,14 +3,14 @@
 // A trained Detector keeps its parameters in the generic representation the
 // training engine wants (row-major Matrix A/B, a std::string-keyed alphabet
 // map). The online scoring path has very different needs: every live
-// session scores one 15-call window per event against the SAME immutable
-// parameters, so the serve tier compiles the model once into a flat,
-// pointer-free, cache-resident image and shares it read-only across every
-// OnlineMonitor bound to that model version (each holds a shared_ptr to
-// it; hot reload swaps in a freshly compiled image, and the old one lives
-// until its last monitor lets go).
+// session scores one 15-call window per event against the SAME parameters,
+// so the serve tier compiles the model once into a flat, pointer-free,
+// cache-resident image and shares it across every OnlineMonitor bound to
+// that model version (each holds a shared_ptr to it; hot reload swaps in a
+// freshly compiled image, and the old one lives until its last monitor
+// lets go).
 //
-// One contiguous arena allocation holds, in order:
+// The image is immutable. One contiguous arena allocation holds, in order:
 //   - pi, A, B^T : the hmm::ForwardTables layout (N, N x N source-major,
 //              M x N doubles) that hmm::forward_pass reads — the same
 //              recursion the Trainer runs over its model;
@@ -21,16 +21,35 @@
 //              node-based map;
 //   - blob   : the interned string bytes the slots point into.
 //
+// Its one mutable, concurrent part is the window memo: a fixed table of
+// kMemoEntries exact (window -> log-likelihood) entries in 2-way sets that
+// score() consults before running a pass. Normal behaviour is a small set
+// of short call sequences that keep recurring, so most windows a monitor
+// completes were already scored, by it or by another session on another
+// shard. The key is the window's ids packed at bit_width(M - 1) bits each
+// and stored whole, never only its hash. Every entry is a seqlock of
+// uint64_t words that are only ever read and written through
+// std::atomic_ref (the words come from calloc, so the OS zero-fills their
+// pages on first touch instead of compile() writing 128 KiB of zeros into
+// every image at daemon start): a reader that sees an odd or changed
+// sequence word counts a miss, and a writer that loses the claim on an
+// entry skips its insert, so no scorer ever waits on another. The memo
+// belongs to its image: a reload's new image starts empty, and the old
+// memo is freed with the old image.
+//
 // Scoring runs against a flat two-row scratch buffer (KernelScratch, owned
 // per monitor and recycled through the serve StatePool) — no ForwardResult
 // matrix, no per-window allocation. hmm::forward_pass performs the same
 // floating-point operations in the same order as hmm::forward_scaled, so
 // window log-likelihoods are BIT-IDENTICAL to the reference path (asserted
-// by detector_test / online_monitor_test golden tests).
+// by detector_test / online_monitor_test golden tests). A memo hit returns
+// the bits an earlier pass of the same image over the same ids produced,
+// so it is bit-identical too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -67,8 +86,20 @@ struct WindowAudit {
   std::vector<double> scales;
 };
 
+/// One window's verdict from ScoringKernel::score.
+struct WindowScore {
+  SegmentVerdict verdict;
+  /// The verdict came from the window memo: no forward pass ran, and a
+  /// WindowAudit passed to score() was left as it was.
+  bool memo_hit = false;
+};
+
 class ScoringKernel {
  public:
+  /// Entries in every kernel's window memo, two per set. At the serve
+  /// models' 90-bit keys (15 ids of 6 bits) that is 128 KiB per image.
+  static constexpr std::size_t kMemoEntries = 4096;
+
   /// Compiles the immutable image from a trained detector. Throws
   /// std::invalid_argument for untrained detectors (the serve tier never
   /// scores against one).
@@ -100,15 +131,33 @@ class ScoringKernel {
                               KernelScratch& scratch,
                               WindowAudit* audit = nullptr) const;
 
+  /// The monitor's scoring call: score_window through the window memo.
+  /// A window this image already scored returns the stored bits and runs
+  /// no pass (memo_hit; `audit` is not written). Otherwise it runs
+  /// score_window with `scratch` and `audit` and stores the result. A
+  /// window holding an unknown id returns before the memo, as from
+  /// score_window. `window` must hold window_length() ids; throws
+  /// std::invalid_argument otherwise. Safe to call from many threads at
+  /// once.
+  WindowScore score(std::span<const std::size_t> window,
+                    KernelScratch& scratch,
+                    WindowAudit* audit = nullptr) const;
+
   std::size_t num_states() const { return num_states_; }
   std::size_t num_symbols() const { return num_symbols_; }
   std::size_t alphabet_size() const { return alphabet_size_; }
   double threshold() const { return threshold_; }
   bool context_sensitive() const { return context_sensitive_; }
+  /// The detector's segment length: the window size score() memoizes.
+  std::size_t window_length() const { return window_length_; }
 
-  /// Arena footprint of the compiled image (the shared, per-model-version
-  /// memory bill — deliberately NOT part of any per-session state_bytes).
-  std::size_t image_bytes() const { return arena_.size() + sizeof(*this); }
+  /// Footprint of the compiled image, arena plus window memo (the shared,
+  /// per-model-version memory bill — deliberately NOT part of any
+  /// per-session state_bytes).
+  std::size_t image_bytes() const {
+    return arena_.size() + memo_words_ * sizeof(std::uint64_t) +
+           sizeof(*this);
+  }
   /// Wall-clock cost of compile() (feeds cmarkov_serve_kernel_build_micros).
   double build_micros() const { return build_micros_; }
 
@@ -128,6 +177,8 @@ class ScoringKernel {
   std::size_t probe(std::uint64_t hash, std::string_view name, bool joined,
                     std::string_view caller) const;
 
+  bool has_unknown(std::span<const std::size_t> window) const;
+
   std::size_t num_states_ = 0;
   std::size_t num_symbols_ = 0;
   std::size_t alphabet_size_ = 0;
@@ -141,6 +192,21 @@ class ScoringKernel {
   const Slot* slots_ = nullptr;
   std::size_t slot_mask_ = 0;
   const char* blob_ = nullptr;
+
+  struct FreeMemo {
+    void operator()(std::uint64_t* words) const { std::free(words); }
+  };
+
+  /// Window memo: kMemoEntries entries of memo_stride_ words, {sequence,
+  /// log-likelihood bits, key words}, two per set, the first set at
+  /// memo_sets_ (64-byte aligned inside memo_). Sequence 0 is an empty
+  /// entry, odd is one being written.
+  std::size_t window_length_ = 0;
+  unsigned key_bits_ = 0;
+  std::size_t memo_stride_ = 0;
+  std::size_t memo_words_ = 0;
+  std::unique_ptr<std::uint64_t[], FreeMemo> memo_;
+  std::uint64_t* memo_sets_ = nullptr;
 };
 
 }  // namespace cmarkov::core

@@ -2,12 +2,28 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cmarkov {
 
+namespace {
+
+/// rows * cols; std::length_error when the product overflows a size_t
+/// (it would wrap to a small allocation that indexing then overruns).
+std::size_t element_count(std::size_t rows, std::size_t cols) {
+  if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+    throw std::length_error("Matrix: " + std::to_string(rows) + " x " +
+                            std::to_string(cols) + " elements overflow");
+  }
+  return rows * cols;
+}
+
+}  // namespace
+
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+    : rows_(rows), cols_(cols), data_(element_count(rows, cols), fill) {}
 
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   if (rows.empty()) return Matrix();

@@ -15,7 +15,8 @@ class Matrix {
  public:
   Matrix() = default;
 
-  /// rows x cols matrix filled with `fill`.
+  /// rows x cols matrix filled with `fill`. Throws std::length_error when
+  /// rows * cols overflows.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
   /// Builds from nested initializer data; all rows must have equal length.

@@ -151,6 +151,8 @@ SessionManager::SessionManager(ModelRegistry& registry, ServiceConfig config)
   windows_total_ = &metrics_.counter("cmarkov_serve_windows_total");
   kernel_windows_total_ =
       &metrics_.counter("cmarkov_serve_kernel_windows_total");
+  window_memo_hits_total_ =
+      &metrics_.counter("cmarkov_serve_window_memo_hits_total");
   alarms_total_ = &metrics_.counter("cmarkov_serve_alarms_total");
   sessions_evicted_total_ =
       &metrics_.counter("cmarkov_serve_sessions_evicted_total");
@@ -884,6 +886,7 @@ void SessionManager::process_item(Item& item, BatchCounters& batch) {
   item.session->processed.fetch_add(1, std::memory_order_relaxed);
   batch.processed += 1;
   if (update.window_complete) batch.windows += 1;
+  if (update.memo_hit) batch.memo_hits += 1;
   if (update.alarm) {
     alarms_total_->add(1);
     log_debug() << "alarm session=" << item.session->id
@@ -932,6 +935,7 @@ void SessionManager::flush_batch(std::size_t shard,
     windows_total_->add(batch.windows);
     kernel_windows_total_->add(batch.windows);
   }
+  if (batch.memo_hits > 0) window_memo_hits_total_->add(batch.memo_hits);
 }
 
 void SessionManager::record_span(obs::SpanRecord span) {

@@ -268,6 +268,7 @@ class SessionManager {
   struct BatchCounters {
     std::uint64_t processed = 0;
     std::uint64_t windows = 0;
+    std::uint64_t memo_hits = 0;
   };
 
   std::shared_ptr<Session> find_session(const std::string& id) const;
@@ -375,6 +376,7 @@ class SessionManager {
   obs::Counter* rejected_total_;
   obs::Counter* windows_total_;
   obs::Counter* kernel_windows_total_;
+  obs::Counter* window_memo_hits_total_;
   obs::Counter* alarms_total_;
   obs::Counter* sessions_evicted_total_;
   obs::Counter* sessions_restored_total_;

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/attack/exploit_driver.hpp"
 #include "src/core/detector.hpp"
 #include "src/core/scoring_kernel.hpp"
 #include "src/hmm/forward_backward.hpp"
+#include "src/trace/segmenter.hpp"
 #include "src/workload/testcase_generator.hpp"
 
 namespace cmarkov::core {
@@ -295,6 +297,85 @@ TEST(DetectorTest, CalibrationPicksTheReferenceScoreQuantile) {
 
   segments.back().back() = model.num_symbols();
   EXPECT_THROW(calibrate_threshold(model, segments, 0.01), std::out_of_range);
+}
+
+/// classify's per-segment verdicts against score_segment's reference
+/// recursion, exact doubles.
+void expect_classify_matches_reference(const Detector& detector,
+                                       const trace::Trace& trace) {
+  const TraceVerdict verdict = detector.classify(trace);
+  const auto& config = detector.config();
+  const auto segments = trace::segment_sequence(
+      trace::encode_trace_frozen(
+          trace, config.pipeline.filter,
+          config.pipeline.context_sensitive
+              ? hmm::ObservationEncoding::kContextSensitive
+              : hmm::ObservationEncoding::kContextFree,
+          detector.alphabet(), detector.alphabet().size()),
+      config.segments);
+  ASSERT_EQ(verdict.segments.size(), segments.size());
+  ASSERT_EQ(verdict.total_segments, segments.size());
+  double min_ll = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const SegmentVerdict ref = detector.score_segment(segments[i]);
+    EXPECT_EQ(verdict.segments[i].log_likelihood, ref.log_likelihood) << i;
+    EXPECT_EQ(verdict.segments[i].flagged, ref.flagged) << i;
+    EXPECT_EQ(verdict.segments[i].unknown_symbol, ref.unknown_symbol) << i;
+    min_ll = std::min(min_ll, ref.log_likelihood);
+  }
+  if (!segments.empty()) {
+    EXPECT_EQ(verdict.min_log_likelihood, min_ll);
+    EXPECT_EQ(detector.score(trace), min_ll);
+  }
+}
+
+TEST(DetectorTest, ClassifyMatchesTheReferenceRecursion) {
+  // classify and score run forward_pass on two rows; every segment verdict
+  // must be score_segment's, bit for bit, on normal and attack traces.
+  Detector detector =
+      Detector::build(fixture().suite.module(), quick_config());
+  detector.train(fixture().collection.traces);
+  for (const auto& trace :
+       workload::collect_traces(fixture().suite, 4, 808).traces) {
+    expect_classify_matches_reference(detector, trace);
+  }
+  for (const auto& attack : attack::build_attack_traces(
+           fixture().suite, attack::gzip_payloads(), 1234)) {
+    expect_classify_matches_reference(detector, attack.trace);
+  }
+}
+
+TEST(DetectorTest, ClassifyMatchesTheReferenceOnUnknownAndImpossible) {
+  // Two states that each emit one symbol and never leave: "a" after "b"
+  // has probability 0 (an impossible window, LL -infinity without an
+  // unknown symbol), and "c" is outside the alphabet (unknown).
+  DetectorConfig config = quick_config();
+  config.segments.length = 3;
+  hmm::Hmm model;
+  model.initial = {0.5, 0.5};
+  model.transition = Matrix::identity(2);
+  model.emission = Matrix::identity(2);
+  hmm::Alphabet alphabet;
+  alphabet.intern("a@main");
+  alphabet.intern("b@main");
+  const Detector detector =
+      Detector::from_parts(config, model, alphabet, -3.0, true);
+  trace::Trace trace;
+  for (const char* name : {"a", "a", "a", "a", "b", "b", "b", "c", "b"}) {
+    trace::CallEvent event;
+    event.kind = ir::CallKind::kSyscall;
+    event.name = name;
+    event.caller = "main";
+    trace.events.push_back(event);
+  }
+  const TraceVerdict verdict = detector.classify(trace);
+  ASSERT_EQ(verdict.segments.size(), 7u);
+  EXPECT_FALSE(verdict.segments[0].flagged);  // a a a
+  EXPECT_EQ(verdict.segments[2].log_likelihood,  // a a b
+            -std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(verdict.segments[2].unknown_symbol);
+  EXPECT_TRUE(verdict.segments[5].unknown_symbol);  // b b c
+  expect_classify_matches_reference(detector, trace);
 }
 
 TEST(DetectorTest, DynamicOnlySymbolsExtendEmission) {

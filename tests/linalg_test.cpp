@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "src/linalg/eigen.hpp"
 #include "src/linalg/matrix.hpp"
@@ -18,6 +20,14 @@ TEST(MatrixTest, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m.at(0, 0), 7.0);
   EXPECT_THROW(m.at(2, 0), std::out_of_range);
   EXPECT_THROW(m.at(0, 3), std::out_of_range);
+}
+
+TEST(MatrixTest, RejectsOverflowingShape) {
+  const std::size_t half = std::size_t{1} << 32;
+  EXPECT_THROW(Matrix(half, half), std::length_error);
+  EXPECT_THROW(Matrix(std::numeric_limits<std::size_t>::max(), 2),
+               std::length_error);
+  EXPECT_EQ(Matrix(half, 0).rows(), half);
 }
 
 TEST(MatrixTest, FromRowsRejectsRagged) {

@@ -168,6 +168,16 @@ TEST(ModelIoTest, MalformedNumericKeysNameTheKey) {
                     "alphabet");
 }
 
+TEST(ModelIoTest, OverflowingMatrixShapeNamesTheTag) {
+  // 2^32 x 2^32 wraps rows * cols to 0: the loader once allocated nothing
+  // and wrote the body through it (SIGSEGV in `cmarkov scan`).
+  expect_load_error(
+      "cmarkov-detector 1\nfilter syscall\ncontext 1\nsegment_length 15\n"
+      "trained 1\nthreshold -5\nalphabet 1\nread@main\n"
+      "transition 4294967296 4294967296\n0.5 0.5 0.5\n",
+      "transition");
+}
+
 TEST(ModelIoTest, TruncatedInitialVectorNamesIt) {
   const std::string& text = saved_model_text();
   const std::size_t tag = text.find("\ninitial ");
@@ -303,6 +313,20 @@ TEST(ModelIoTest, TrainerStateRejectsInconsistentPrefix) {
   std::stringstream in(
       with_key_value(saved_trainer_text(), "cached_count", "99999"));
   EXPECT_THROW(load_trainer_state(in), std::invalid_argument);
+}
+
+TEST(ModelIoTest, TrainerStateOverflowingMatrixShapeNamesTheTag) {
+  std::stringstream in(with_key_value(saved_trainer_text(),
+                                      "model_transition",
+                                      "4294967296 4294967296"));
+  try {
+    load_trainer_state(in);
+    FAIL() << "expected rejection of an overflowing matrix shape";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("model_transition"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ModelIoTest, TrainerStateRejectsTruncation) {

@@ -1,8 +1,13 @@
 // Tests for the streaming OnlineMonitor.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/attack/exploit_driver.hpp"
 #include "src/core/online_monitor.hpp"
+#include "src/hmm/random_init.hpp"
+#include "src/util/rng.hpp"
 #include "src/workload/testcase_generator.hpp"
 #include "tests/reference_record.hpp"
 
@@ -466,6 +471,197 @@ TEST(OnlineMonitorTest, SnapshotRestoresIdenticallyWithAndWithoutAuditing) {
   }
   ASSERT_GT(plain_resumed.stats().windows_scored,
             frozen.stats.windows_scored);
+}
+
+/// `count` events drawn uniformly from the fixture model's alphabet: each
+/// window of them is, with overwhelming probability, one never seen.
+std::vector<trace::CallEvent> random_alphabet_events(std::size_t count,
+                                                     std::uint64_t seed) {
+  const auto& symbols = fixture().detector.alphabet().symbols();
+  Rng rng(seed);
+  std::vector<trace::CallEvent> events(count);
+  for (auto& event : events) {
+    const std::string& symbol = rng.pick(symbols);
+    const std::size_t at = symbol.find('@');
+    event.kind = ir::CallKind::kSyscall;
+    event.name = symbol.substr(0, at);
+    event.caller = at == std::string::npos ? "" : symbol.substr(at + 1);
+  }
+  return events;
+}
+
+/// A 64-symbol model, as wide as the serve models: its 15-id windows take
+/// two key words (6 bits per id), where the fixture's take one.
+const Detector& wide_detector() {
+  static const Detector wide = [] {
+    Rng rng(5);
+    hmm::Alphabet alphabet;
+    for (int k = 0; k < 64; ++k) alphabet.intern("call" + std::to_string(k));
+    return Detector::from_parts(fixture().detector.config(),
+                                hmm::randomly_initialized_hmm(6, 64, rng),
+                                alphabet, -40.0, true);
+  }();
+  return wide;
+}
+
+TEST(OnlineMonitorTest, MemoHitsReturnTheReferenceBits) {
+  // Recurring benign windows, then more distinct windows than the memo
+  // holds (evicting most of the first pass), then the benign feed again.
+  // Hit or miss, every window's verdict is the reference recursion's.
+  std::vector<trace::CallEvent> events = mixed_stream();
+  const auto distinct =
+      random_alphabet_events(ScoringKernel::kMemoEntries + 2000, 7);
+  events.insert(events.end(), distinct.begin(), distinct.end());
+  const auto again = mixed_stream();
+  events.insert(events.end(), again.begin(), again.end());
+
+  OnlineMonitor monitor(fixture().detector);
+  std::size_t windows = 0;
+  std::size_t hits = 0;
+  for (const auto& event : events) {
+    const MonitorUpdate update = monitor.on_event(event);
+    if (!update.window_complete) continue;
+    ++windows;
+    hits += update.memo_hit;
+    const SegmentVerdict ref = fixture().detector.score_segment(*update.window);
+    EXPECT_EQ(update.log_likelihood, ref.log_likelihood);  // exact bits
+    EXPECT_EQ(update.flagged, ref.flagged);
+    EXPECT_EQ(update.unknown_symbol, ref.unknown_symbol);
+    EXPECT_FALSE(update.memo_hit && update.unknown_symbol);
+  }
+  ASSERT_GT(windows, ScoringKernel::kMemoEntries + 2000);
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, windows - ScoringKernel::kMemoEntries);
+
+  // Windows of wide_detector() that differ only in their last two ids
+  // share the first key word and often a set: only the whole key tells
+  // them apart.
+  const Detector& wide = wide_detector();
+  const auto kernel = ScoringKernel::compile(wide);
+  KernelScratch scratch;
+  hmm::ObservationSeq window(kernel->window_length(), 1);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t a = 0; a < 64; ++a) {
+      for (std::size_t b = 0; b < 64; ++b) {
+        window[window.size() - 2] = a;
+        window[window.size() - 1] = b;
+        EXPECT_EQ(kernel->score(window, scratch).verdict.log_likelihood,
+                  wide.score_segment(window).log_likelihood);
+      }
+    }
+  }
+}
+
+TEST(OnlineMonitorTest, SharedKernelMemoIsExactUnderConcurrentScoring) {
+  // Four threads score overlapping random picks from one pool of windows
+  // through one kernel, racing on the same memo entries (the pool is
+  // larger than the memo, so inserts also evict). Every verdict must be
+  // the reference recursion's.
+  const Detector& detector = wide_detector();
+  const auto kernel = ScoringKernel::compile(detector);
+  const std::size_t length = kernel->window_length();
+  Rng rng(11);
+  std::vector<hmm::ObservationSeq> pool(6000, hmm::ObservationSeq(length));
+  for (auto& window : pool) {
+    for (auto& id : window) id = rng.index(kernel->num_symbols());
+  }
+  std::vector<double> reference;
+  for (const auto& window : pool) {
+    reference.push_back(detector.score_segment(window).log_likelihood);
+  }
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> hits{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng picks(100 + t);
+      KernelScratch scratch;
+      for (std::size_t i = 0; i < 4000; ++i) {
+        // Half the picks come from a hot 64-window prefix of the pool.
+        const std::size_t at =
+            picks.index(2) == 0 ? picks.index(64) : picks.index(pool.size());
+        const WindowScore scored = kernel->score(pool[at], scratch);
+        if (scored.verdict.log_likelihood != reference[at]) ++mismatches;
+        if (scored.memo_hit) ++hits;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+}
+
+TEST(OnlineMonitorTest, MemoHitRecordsMatchReferenceRecords) {
+  // A sampled or flagged window that hits the memo runs its one pass for
+  // the record; its record must equal the reference recursion's.
+  MonitorOptions audited;
+  audited.decisions.enabled = true;
+  audited.decisions.sample_every = 3;
+  audited.decisions.always_on_flagged = true;
+  audited.decisions.ring_capacity = 1;
+  OnlineMonitor monitor(fixture().detector, nullptr, audited);
+  std::vector<trace::CallEvent> events = mixed_stream();
+  const auto again = mixed_stream();
+  events.insert(events.end(), again.begin(), again.end());
+  std::size_t hit_records = 0;
+  std::size_t flagged_hit_records = 0;
+  for (const auto& event : events) {
+    const MonitorUpdate update = monitor.on_event(event);
+    if (update.decision == nullptr) continue;
+    test_support::expect_same_record(
+        *update.decision,
+        test_support::reference_record(fixture().detector, *update.window));
+    hit_records += update.memo_hit;
+    flagged_hit_records += update.memo_hit && update.flagged;
+  }
+  EXPECT_GT(hit_records, 0u);
+  EXPECT_GT(flagged_hit_records, 0u);
+}
+
+TEST(OnlineMonitorTest, EachKernelMemoizesItsOwnModel) {
+  // Two versions of one model see the same id windows: each kernel must
+  // return its own model's bits, so a monitor rebound to a new version
+  // never reads the old version's memo.
+  const Detector& old_version = fixture().detector;
+  DetectorConfig config = old_version.config();
+  config.training.max_iterations = 3;
+  Detector new_version = Detector::build(fixture().suite.module(), config);
+  new_version.train(workload::collect_traces(fixture().suite, 40, 92).traces);
+  const auto old_kernel = ScoringKernel::compile(old_version);
+  const auto new_kernel = ScoringKernel::compile(new_version);
+
+  const auto events = benign_events(31);
+  OnlineMonitor monitor(old_version, nullptr, {}, {}, old_kernel);
+  for (const auto& event : events) monitor.on_event(event);
+  for (const auto& event : events) monitor.on_event(event);  // all hits now
+  monitor.rebind(new_version, new_kernel);
+  std::size_t windows = 0;
+  std::size_t differing = 0;
+  for (const auto& event : events) {
+    const MonitorUpdate update = monitor.on_event(event);
+    if (!update.window_complete) continue;
+    ++windows;
+    const double ref =
+        new_version.score_segment(*update.window).log_likelihood;
+    EXPECT_EQ(update.log_likelihood, ref);
+    differing +=
+        ref != old_version.score_segment(*update.window).log_likelihood;
+  }
+  ASSERT_GT(windows, 0u);
+  EXPECT_GT(differing, 0u);
+
+  // And directly on the two kernels, in either order.
+  const hmm::ObservationSeq window(old_kernel->window_length(), 0);
+  KernelScratch scratch;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(old_kernel->score(window, scratch).verdict.log_likelihood,
+              old_version.score_segment(window).log_likelihood);
+    EXPECT_EQ(new_kernel->score(window, scratch).verdict.log_likelihood,
+              new_version.score_segment(window).log_likelihood);
+  }
+  EXPECT_TRUE(old_kernel->score(window, scratch).memo_hit);
+  EXPECT_THROW(old_kernel->score(hmm::ObservationSeq(3, 0), scratch),
+               std::invalid_argument);
 }
 
 }  // namespace

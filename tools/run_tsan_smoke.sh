@@ -30,7 +30,11 @@
 # HMM loops (forward_backward_test, parallel_training_test, detector_test
 # and online_monitor_test run the block and remainder index arithmetic of
 # forward_pass, backward_pass and accumulate_expected_transitions, which
-# src/CMakeLists builds without its -O3 under a sanitizer).
+# src/CMakeLists builds without its -O3 under a sanitizer), and the
+# kernel's lock-free window memo (online_monitor_test's
+# SharedKernelMemoIsExactUnderConcurrentScoring has four threads race
+# inserts, evictions and seqlocked reads on one shared ScoringKernel and
+# checks every verdict against the reference recursion).
 #
 # CMARKOV_SANITIZE picks the sanitizer: thread (default; data races),
 # address (heap/stack misuse, leaks) or undefined (UB). The first report
