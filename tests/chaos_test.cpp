@@ -392,6 +392,41 @@ TEST_F(ChaosTest, EveryByteOffsetCorruptionIsQuarantinedWithoutLosingSiblings) {
   std::filesystem::remove_all(dir);
 }
 
+/// The `cmarkov-session 1` bytes as SnapshotStore writes them, body plus
+/// CRC footer, are pinned by tests/golden/session_v1.session: boot decodes
+/// the golden, and putting the decoded snapshot back rewrites it byte for
+/// byte.
+TEST_F(ChaosTest, GoldenSnapshotLoadsAndRewritesByteForByte) {
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  const std::string golden =
+      slurp(std::string(CMARKOV_TEST_GOLDEN_DIR) + "/session_v1.session");
+  ASSERT_FALSE(golden.empty());
+  const std::string dir = ::testing::TempDir() + "/cmarkov_chaos_golden";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir + "/golden-1.session", std::ios::binary);
+    out << golden;
+  }
+
+  SnapshotStore store(dir);
+  ASSERT_EQ(store.load_directory(), 1u);
+  const auto snapshot = store.take("golden-1");
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->model, "gzip libcall\nv2 ");
+  EXPECT_EQ(snapshot->model_fingerprint, 0xfeedbeefcafe1234u);
+  EXPECT_EQ(snapshot->monitor.window.size(), 14u);
+  EXPECT_EQ(snapshot->monitor.stats.alarms, 4u);
+  store.put(*snapshot);
+  EXPECT_EQ(slurp(dir + "/golden-1.session"), golden);
+  std::filesystem::remove_all(dir);
+}
+
 // -- Crash-and-restart loop --------------------------------------------------
 
 /// The tentpole's end-to-end guarantee: a daemon that persists, "crashes"

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -333,6 +334,24 @@ TEST(ModelIoTest, TrainerStateRejectsTruncation) {
   const std::string& full = saved_trainer_text();
   std::stringstream truncated(full.substr(0, full.size() / 3));
   EXPECT_THROW(load_trainer_state(truncated), std::runtime_error);
+}
+
+// tests/golden/trainer_state_v1.txt pins the writer's bytes: the golden
+// loads, and saving what it decodes to reproduces it byte for byte.
+TEST(ModelIoTest, TrainerStateGoldenRewritesByteForByte) {
+  const std::string path =
+      std::string(CMARKOV_TEST_GOLDEN_DIR) + "/trainer_state_v1.txt";
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  ASSERT_FALSE(golden.str().empty());
+
+  const hmm::TrainerState loaded = load_trainer_state_file(path);
+  EXPECT_EQ(loaded.train.size(), 10u);
+  EXPECT_EQ(loaded.slot_prefix.size(), hmm::kTrainerMergeSlots);
+  std::stringstream rewritten;
+  save_trainer_state(rewritten, loaded);
+  EXPECT_EQ(rewritten.str(), golden.str());
 }
 
 TEST(ModelIoTest, FromPartsValidatesShape) {
