@@ -8,6 +8,13 @@
 // of the state is to continue a floating-point fold bit-identically, and
 // decimal round trips are exact only with care — the bit pattern is exact
 // by construction.
+//
+// Both formats are decoded by util::RecordReader, the one reader of
+// persisted state (tools/check_record_reader.sh): every count and matrix
+// shape must fit the bytes that remain, so a lying header is refused
+// before it is allocated for, and a sign or "0x" on an unsigned or hex
+// field is malformed rather than wrapped. The *_file loaders read only a
+// regular file, by its size; /dev/zero or a FIFO is refused.
 #pragma once
 
 #include <iosfwd>
@@ -22,9 +29,10 @@ namespace cmarkov::core {
 void save_detector(std::ostream& out, const Detector& detector);
 void save_detector_file(const std::string& path, const Detector& detector);
 
-/// Loads a detector. Throws std::runtime_error on malformed input or
-/// version mismatch; messages name the offending key, matrix tag, or
-/// value (a serving registry must reject bad model files loudly).
+/// Loads a detector. Throws std::runtime_error on malformed input, a
+/// lying count, a zero segment_length or a version mismatch; messages name
+/// the offending key, matrix tag, or value (a serving registry must reject
+/// bad model files loudly).
 Detector load_detector(std::istream& in);
 Detector load_detector_file(const std::string& path);
 

@@ -5,9 +5,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,60 +18,16 @@
 #include "src/util/crc32.hpp"
 #include "src/util/failpoint.hpp"
 #include "src/util/logging.hpp"
+#include "src/util/record_reader.hpp"
 
 namespace cmarkov::serve {
 
 namespace {
 
 constexpr const char* kMagic = "cmarkov-session";
-constexpr int kVersion = 1;
-/// Sanity bound for the length-prefixed string fields (id/model). Far
-/// above anything the wire protocol admits; guards the decoder against
-/// allocating ahead of a lying length in a corrupted file.
-constexpr std::uint64_t kMaxStringField = 1 << 20;
+constexpr std::uint64_t kVersion = 1;
 /// On-disk integrity footer: "crc32 " + 8 hex digits + "\n".
 constexpr std::size_t kFooterLength = 15;
-
-std::uint64_t read_u64(std::istream& in, const char* key) {
-  std::uint64_t value = 0;
-  if (!(in >> value)) {
-    throw std::runtime_error(std::string("session_snapshot: malformed '") +
-                             key + "' value");
-  }
-  return value;
-}
-
-void expect_key(std::istream& in, const char* key) {
-  std::string seen;
-  if (!(in >> seen) || seen != key) {
-    throw std::runtime_error(
-        std::string("session_snapshot: expected key '") + key + "'");
-  }
-}
-
-/// Reads a length-prefixed string field: "<len> <len bytes>". The CMKB
-/// HELLO admits arbitrary bytes in session/model names (spaces, newlines),
-/// so these fields cannot be whitespace-tokenized.
-std::string read_sized_string(std::istream& in, const char* key) {
-  const std::uint64_t length = read_u64(in, key);
-  if (length > kMaxStringField) {
-    throw std::runtime_error(std::string("session_snapshot: '") + key +
-                             "' length " + std::to_string(length) +
-                             " exceeds the " +
-                             std::to_string(kMaxStringField) + " byte cap");
-  }
-  if (in.get() != ' ') {
-    throw std::runtime_error(std::string("session_snapshot: malformed '") +
-                             key + "' value");
-  }
-  std::string value(static_cast<std::size_t>(length), '\0');
-  if (length > 0 &&
-      !in.read(value.data(), static_cast<std::streamsize>(length))) {
-    throw std::runtime_error(std::string("session_snapshot: truncated '") +
-                             key + "' value");
-  }
-  return value;
-}
 
 /// Session ids come from the wire; keep the on-disk name filesystem-safe.
 std::string sanitize_for_filename(const std::string& id) {
@@ -111,8 +67,8 @@ std::string verify_and_strip_footer(const std::string& contents) {
   if (hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
     throw std::runtime_error("session_snapshot: malformed crc32 footer");
   }
-  const auto stored =
-      static_cast<std::uint32_t>(std::strtoul(hex.c_str(), nullptr, 16));
+  std::uint32_t stored = 0;
+  std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
   std::string body = contents.substr(0, contents.size() - kFooterLength);
   const std::uint32_t actual = util::crc32(body);
   if (actual != stored) {
@@ -184,75 +140,33 @@ std::string encode_session_snapshot(const SessionSnapshot& snapshot) {
 }
 
 SessionSnapshot decode_session_snapshot(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic;
-  if (!(in >> magic) || magic != kMagic) {
-    throw std::runtime_error(
-        "session_snapshot: not a cmarkov session snapshot");
-  }
-  int version = 0;
-  if (!(in >> version)) {
-    throw std::runtime_error("session_snapshot: malformed version");
-  }
-  if (version != kVersion) {
-    throw std::runtime_error("session_snapshot: unsupported version " +
-                             std::to_string(version));
-  }
+  util::RecordReader in(text, "session_snapshot");
+  in.header(kMagic, kVersion);
   SessionSnapshot snapshot;
-  expect_key(in, "id");
-  snapshot.id = read_sized_string(in, "id");
-  expect_key(in, "model");
-  snapshot.model = read_sized_string(in, "model");
-  expect_key(in, "model_version");
-  snapshot.model_version = read_u64(in, "model_version");
-  expect_key(in, "model_fingerprint");
-  snapshot.model_fingerprint = read_u64(in, "model_fingerprint");
-  expect_key(in, "enqueued");
-  snapshot.enqueued = read_u64(in, "enqueued");
-  expect_key(in, "processed");
-  snapshot.processed = read_u64(in, "processed");
-  expect_key(in, "dropped");
-  snapshot.dropped = read_u64(in, "dropped");
-  expect_key(in, "rejected");
-  snapshot.rejected = read_u64(in, "rejected");
-  expect_key(in, "evicted_dropped");
-  snapshot.evicted_dropped = read_u64(in, "evicted_dropped");
-  expect_key(in, "windows_to_alarm");
-  snapshot.windows_to_alarm = read_u64(in, "windows_to_alarm");
-  expect_key(in, "cooldown_events");
-  snapshot.cooldown_events = read_u64(in, "cooldown_events");
-  expect_key(in, "consecutive_flagged");
-  snapshot.monitor.consecutive_flagged =
-      static_cast<std::size_t>(read_u64(in, "consecutive_flagged"));
-  expect_key(in, "cooldown_remaining");
-  snapshot.monitor.cooldown_remaining =
-      static_cast<std::size_t>(read_u64(in, "cooldown_remaining"));
-  expect_key(in, "events_seen");
-  snapshot.monitor.stats.events_seen =
-      static_cast<std::size_t>(read_u64(in, "events_seen"));
-  expect_key(in, "events_observed");
-  snapshot.monitor.stats.events_observed =
-      static_cast<std::size_t>(read_u64(in, "events_observed"));
-  expect_key(in, "windows_scored");
-  snapshot.monitor.stats.windows_scored =
-      static_cast<std::size_t>(read_u64(in, "windows_scored"));
-  expect_key(in, "windows_flagged");
-  snapshot.monitor.stats.windows_flagged =
-      static_cast<std::size_t>(read_u64(in, "windows_flagged"));
-  expect_key(in, "alarms");
-  snapshot.monitor.stats.alarms =
-      static_cast<std::size_t>(read_u64(in, "alarms"));
-  expect_key(in, "window");
-  const std::uint64_t count = read_u64(in, "window");
-  snapshot.monitor.window.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::size_t id = 0;
-    if (!(in >> id)) {
-      throw std::runtime_error(
-          "session_snapshot: truncated window at entry " + std::to_string(i));
-    }
-    snapshot.monitor.window.push_back(id);
-  }
+  in.expect("id");
+  snapshot.id = in.sized_string("id");
+  in.expect("model");
+  snapshot.model = in.sized_string("model");
+  snapshot.model_version = in.u64_field("model_version");
+  snapshot.model_fingerprint = in.u64_field("model_fingerprint");
+  snapshot.enqueued = in.u64_field("enqueued");
+  snapshot.processed = in.u64_field("processed");
+  snapshot.dropped = in.u64_field("dropped");
+  snapshot.rejected = in.u64_field("rejected");
+  snapshot.evicted_dropped = in.u64_field("evicted_dropped");
+  snapshot.windows_to_alarm = in.u64_field("windows_to_alarm");
+  snapshot.cooldown_events = in.u64_field("cooldown_events");
+  core::MonitorSnapshot& monitor = snapshot.monitor;
+  monitor.consecutive_flagged = in.u64_field("consecutive_flagged");
+  monitor.cooldown_remaining = in.u64_field("cooldown_remaining");
+  monitor.stats.events_seen = in.u64_field("events_seen");
+  monitor.stats.events_observed = in.u64_field("events_observed");
+  monitor.stats.windows_scored = in.u64_field("windows_scored");
+  monitor.stats.windows_flagged = in.u64_field("windows_flagged");
+  monitor.stats.alarms = in.u64_field("alarms");
+  in.expect("window");
+  monitor.window.resize(in.count("window", 2));
+  for (std::size_t& id : monitor.window) id = in.u64("window");
   return snapshot;
 }
 
@@ -503,11 +417,9 @@ std::size_t SnapshotStore::load_directory() {
   }
   std::size_t loaded = 0;
   for (const fs::path& path : files) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     try {
-      const std::string body = verify_and_strip_footer(buffer.str());
+      const std::string body = verify_and_strip_footer(
+          util::read_regular_file(path.string(), "session_snapshot"));
       SessionSnapshot snapshot = decode_session_snapshot(body);
       const std::lock_guard lock(mu_);
       snapshots_[snapshot.id] = std::move(snapshot);

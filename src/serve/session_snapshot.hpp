@@ -17,7 +17,10 @@
 // load_directory verifies every file's CRC and QUARANTINES anything torn,
 // truncated, or bit-rotted into "<dir>/quarantine/" (visible for forensics,
 // counted on cmarkov_snapshot_quarantined_total) instead of silently
-// skipping it; healthy siblings always load.
+// skipping it; healthy siblings always load. The CRC only proves the bytes
+// are the ones written: a body whose counts lie is sealed just as well, so
+// the decoder bounds every count by the bytes that remain, and such a file
+// is quarantined too.
 //
 // A failed disk write no longer degrades that snapshot to memory-only
 // forever: the id is marked dirty and re-attempted with capped exponential
@@ -68,8 +71,10 @@ struct SessionSnapshot {
 /// on-disk CRC footer is the store's concern, not the codec's.
 std::string encode_session_snapshot(const SessionSnapshot& snapshot);
 
-/// Parses the text form. Throws std::runtime_error naming the offending
-/// key or value on malformed input (model_io error style).
+/// Parses the text form through util::RecordReader, like model_io. Throws
+/// std::runtime_error naming the offending key or value on malformed
+/// input; a `window` count or an id/model length that needs more bytes
+/// than remain is refused before anything is allocated for it.
 SessionSnapshot decode_session_snapshot(const std::string& text);
 
 /// Thread-safe id-keyed snapshot store. With an empty directory snapshots

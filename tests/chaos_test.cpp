@@ -6,9 +6,11 @@
 // drops, one-rung-at-a-time recovery), and the FAILPOINT admin verb.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,8 +21,10 @@
 #include "src/serve/protocol.hpp"
 #include "src/serve/session_manager.hpp"
 #include "src/serve/session_snapshot.hpp"
+#include "src/util/crc32.hpp"
 #include "src/util/failpoint.hpp"
 #include "src/workload/testcase_generator.hpp"
+#include "tests/allocation_probe.hpp"
 
 namespace cmarkov::serve {
 namespace {
@@ -424,6 +428,85 @@ TEST_F(ChaosTest, GoldenSnapshotLoadsAndRewritesByteForByte) {
   EXPECT_EQ(snapshot->monitor.stats.alarms, 4u);
   store.put(*snapshot);
   EXPECT_EQ(slurp(dir + "/golden-1.session"), golden);
+  std::filesystem::remove_all(dir);
+}
+
+/// Replaces the "key …" line of an encoded snapshot body.
+std::string with_line(const std::string& body, const std::string& key,
+                      const std::string& line) {
+  const std::size_t start = body.find("\n" + key + " ") + 1;
+  EXPECT_NE(start, 0u) << key;
+  std::string mutated = body;
+  mutated.replace(start, body.find('\n', start) - start, line);
+  return mutated;
+}
+
+/// A lying count that the CRC cannot catch (it seals whatever it is given)
+/// must be refused by the decoder: naming its key, before allocating more
+/// than the body holds.
+TEST_F(ChaosTest, LyingSnapshotCountsAreRefusedBeforeAllocating) {
+  const std::string body = encode_session_snapshot(sample_snapshot("liar"));
+  const std::pair<const char*, const char*> lies[] = {
+      {"window", "window 100000000 3 1 4"},
+      {"window", "window 18446744073709551615 3"},
+      {"id", "id 100000000 liar"},
+      {"model", "model 100000000 gzip"},
+  };
+  for (const auto& [key, line] : lies) {
+    const std::string mutant = with_line(body, key, line);
+    std::string message;
+    std::size_t largest = 0;
+    {
+      const test_support::AllocationProbe probe;
+      try {
+        decode_session_snapshot(mutant);
+      } catch (const std::runtime_error& e) {
+        message = e.what();
+      }
+      largest = probe.largest();
+    }
+    EXPECT_NE(message.find(std::string("'") + key + "'"), std::string::npos)
+        << line << ": '" << message << "'";
+    EXPECT_LE(largest, mutant.size()) << line;
+  }
+}
+
+TEST_F(ChaosTest, SignedSnapshotCountersAreRefused) {
+  // operator>> once wrapped "-1" into 2^64 - 1 here.
+  const std::string body = encode_session_snapshot(sample_snapshot("signed"));
+  EXPECT_THROW(decode_session_snapshot(with_line(body, "enqueued",
+                                                 "enqueued -1")),
+               std::runtime_error);
+  EXPECT_THROW(decode_session_snapshot(with_line(body, "window",
+                                                 "window 2 -3 1")),
+               std::runtime_error);
+}
+
+TEST_F(ChaosTest, LyingWindowCountBehindAValidCrcIsQuarantined) {
+  const std::string dir = ::testing::TempDir() + "/cmarkov_chaos_liar";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string body = with_line(
+      encode_session_snapshot(sample_snapshot("liar")), "window",
+      "window 100000000 3 1 4 1 5 9 2 6");
+  char footer[32];
+  std::snprintf(footer, sizeof(footer), "crc32 %08x\n", util::crc32(body));
+  {
+    std::ofstream out(dir + "/liar.session", std::ios::binary);
+    out << body << footer;
+  }
+
+  std::ostringstream log;
+  std::streambuf* const stderr_buffer = std::cerr.rdbuf(log.rdbuf());
+  SnapshotStore store(dir);
+  const std::size_t loaded = store.load_directory();
+  std::cerr.rdbuf(stderr_buffer);
+
+  EXPECT_EQ(loaded, 0u);
+  EXPECT_EQ(store.quarantined_count(), 1u);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/quarantine/liar.session"));
+  EXPECT_NE(log.str().find("'window' count 100000000"), std::string::npos)
+      << log.str();
   std::filesystem::remove_all(dir);
 }
 

@@ -1,5 +1,6 @@
-// Tests for detector persistence: save/load round trips and malformed-input
-// rejection.
+// Tests for detector and trainer-state persistence: save/load round trips,
+// malformed-input rejection, lying counts refused before any allocation
+// they ask for, and an every-byte mutation sweep of both formats.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,6 +11,7 @@
 #include <sstream>
 
 #include "src/core/model_io.hpp"
+#include "tests/allocation_probe.hpp"
 #include "src/hmm/random_init.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/testcase_generator.hpp"
@@ -162,21 +164,15 @@ TEST(ModelIoTest, TruncatedMatrixNamesTheTag) {
 }
 
 TEST(ModelIoTest, MalformedNumericKeysNameTheKey) {
-  expect_load_error(
-      with_key_value(saved_model_text(), "segment_length", "banana"),
-      "segment_length");
+  // "-1" once loaded as SIZE_MAX: `cmarkov scan` accepted the model and
+  // `cmarkov monitor` died allocating a window of that length.
+  for (const char* bad : {"banana", "-1", "+15"}) {
+    expect_load_error(
+        with_key_value(saved_model_text(), "segment_length", bad),
+        "segment_length");
+  }
   expect_load_error(with_key_value(saved_model_text(), "alphabet", "-"),
                     "alphabet");
-}
-
-TEST(ModelIoTest, OverflowingMatrixShapeNamesTheTag) {
-  // 2^32 x 2^32 wraps rows * cols to 0: the loader once allocated nothing
-  // and wrote the body through it (SIGSEGV in `cmarkov scan`).
-  expect_load_error(
-      "cmarkov-detector 1\nfilter syscall\ncontext 1\nsegment_length 15\n"
-      "trained 1\nthreshold -5\nalphabet 1\nread@main\n"
-      "transition 4294967296 4294967296\n0.5 0.5 0.5\n",
-      "transition");
 }
 
 TEST(ModelIoTest, TruncatedInitialVectorNamesIt) {
@@ -297,14 +293,19 @@ TEST(ModelIoTest, TrainerStateRejectsBadSlotCount) {
 }
 
 TEST(ModelIoTest, TrainerStateRejectsMalformedHexDouble) {
-  std::stringstream in(
-      with_key_value(saved_trainer_text(), "ll_sum_prefix", "zznothex"));
-  try {
-    load_trainer_state(in);
-    FAIL() << "expected rejection of a malformed hex double";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("ll_sum_prefix"), std::string::npos)
-        << e.what();
+  // strtoull once accepted a sign and a "0x" prefix here.
+  for (const char* bad : {"zznothex", "-1", "0x3ff0000000000000",
+                          "+3ff0000000000000"}) {
+    std::stringstream in(
+        with_key_value(saved_trainer_text(), "ll_sum_prefix", bad));
+    try {
+      load_trainer_state(in);
+      ADD_FAILURE() << "accepted hex double '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("ll_sum_prefix"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -314,20 +315,6 @@ TEST(ModelIoTest, TrainerStateRejectsInconsistentPrefix) {
   std::stringstream in(
       with_key_value(saved_trainer_text(), "cached_count", "99999"));
   EXPECT_THROW(load_trainer_state(in), std::invalid_argument);
-}
-
-TEST(ModelIoTest, TrainerStateOverflowingMatrixShapeNamesTheTag) {
-  std::stringstream in(with_key_value(saved_trainer_text(),
-                                      "model_transition",
-                                      "4294967296 4294967296"));
-  try {
-    load_trainer_state(in);
-    FAIL() << "expected rejection of an overflowing matrix shape";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("model_transition"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(ModelIoTest, TrainerStateRejectsTruncation) {
@@ -352,6 +339,151 @@ TEST(ModelIoTest, TrainerStateGoldenRewritesByteForByte) {
   std::stringstream rewritten;
   save_trainer_state(rewritten, loaded);
   EXPECT_EQ(rewritten.str(), golden.str());
+}
+
+TEST(ModelIoTest, NonRegularPathsAreRefused) {
+  EXPECT_THROW(load_detector_file("/dev/zero"), std::runtime_error);
+  EXPECT_THROW(load_trainer_state_file("/dev/zero"), std::runtime_error);
+  EXPECT_THROW(load_detector_file(::testing::TempDir()), std::runtime_error);
+}
+
+// ---- signed and prefixed spellings never wrap into unsigned fields ----
+
+TEST(ModelIoTest, ZeroSegmentLengthIsRefusedAtLoad) {
+  // Once accepted here and refused only when OnlineMonitor was built.
+  expect_load_error(with_key_value(saved_model_text(), "segment_length", "0"),
+                    "segment_length");
+}
+
+// ---- lying counts: refused before anything is allocated for them ----
+
+/// Saves `text` as a file, loads it with `load` and asserts a
+/// std::runtime_error naming `key`, where no single allocation before the
+/// throw was larger than the file (plus its string terminator).
+template <typename Load>
+void expect_bounded_rejection(const std::string& text, const std::string& key,
+                              Load load) {
+  const std::string path = ::testing::TempDir() + "/cmarkov_lying_count.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  std::string message;
+  std::size_t largest = 0;
+  {
+    const test_support::AllocationProbe probe;
+    try {
+      load(path);
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    largest = probe.largest();
+  }
+  EXPECT_NE(message.find("'" + key + "'"), std::string::npos)
+      << "key '" << key << "', message '" << message << "'";
+  EXPECT_LE(largest, text.size() + 1) << "key '" << key << "'";
+}
+
+void expect_model_rejection(const std::string& text, const std::string& key) {
+  expect_bounded_rejection(text, key, load_detector_file);
+}
+
+void expect_trainer_rejection(const std::string& text,
+                              const std::string& key) {
+  expect_bounded_rejection(text, key, load_trainer_state_file);
+}
+
+TEST(ModelIoTest, LyingModelCountsAreRefusedBeforeAllocating) {
+  const std::string& text = saved_model_text();
+  expect_model_rejection(
+      with_key_value(text, "transition", "4294967296 4294967296"),
+      "transition");
+  expect_model_rejection(with_key_value(text, "emission", "100000 100000"),
+                         "emission");
+  expect_model_rejection(with_key_value(text, "initial", "100000000"),
+                         "initial");
+  expect_model_rejection(with_key_value(text, "initial", "100000000000"),
+                         "initial");
+  expect_model_rejection(with_key_value(text, "alphabet", "100000000"),
+                         "alphabet");
+  // 2^32 x 2^32 wraps rows * cols to 0: the loader once allocated nothing
+  // and wrote the body through it (SIGSEGV in `cmarkov scan`).
+  expect_model_rejection(
+      "cmarkov-detector 1\nfilter syscall\ncontext 1\nsegment_length 15\n"
+      "trained 1\nthreshold -5\nalphabet 1\nread@main\n"
+      "transition 4294967296 4294967296\n0.5 0.5 0.5\n",
+      "transition");
+}
+
+TEST(ModelIoTest, LyingTrainerStateCountsAreRefusedBeforeAllocating) {
+  const std::string& text = saved_trainer_text();
+  for (const char* shape : {"model_transition", "model_emission",
+                            "transition_num", "emission_num"}) {
+    expect_trainer_rejection(
+        with_key_value(text, shape, "4294967296 4294967296"), shape);
+    expect_trainer_rejection(with_key_value(text, shape, "100000 100000"),
+                             shape);
+  }
+  for (const char* count : {"model_initial", "train", "holdout", "batches",
+                            "transition_den", "emission_den", "initial"}) {
+    expect_trainer_rejection(with_key_value(text, count, "100000000"), count);
+  }
+  // A sequence's own length: the first line of the "train" block.
+  const std::size_t block = text.find("\ntrain ");
+  ASSERT_NE(block, std::string::npos);
+  const std::size_t first = text.find('\n', block + 1) + 1;
+  std::string lying = text;
+  lying.replace(first, text.find(' ', first) - first, "100000000");
+  expect_trainer_rejection(lying, "train");
+}
+
+// ---- every-byte mutation sweep (chaos_test sweeps snapshot files) ----
+
+/// Loads every truncation and every ^0x20 byte flip of `text`. Each mutant
+/// must load or throw std::runtime_error / std::invalid_argument; a crash,
+/// std::bad_alloc or std::length_error fails the sweep.
+template <typename Load>
+void sweep_mutants(const std::string& text, Load load) {
+  const auto survives = [&](const std::string& mutant, const char* kind,
+                            std::size_t at) {
+    std::stringstream in(mutant);
+    try {
+      load(in);
+    } catch (const std::runtime_error&) {
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << kind << " at " << at << " escaped: " << e.what();
+    }
+  };
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    survives(text.substr(0, cut), "truncation", cut);
+  }
+  for (std::size_t pos = 0; pos < text.size(); ++pos) {
+    std::string flipped = text;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x20);
+    survives(flipped, "flip", pos);
+  }
+}
+
+TEST(ModelIoTest, EveryModelMutantLoadsOrThrowsCleanly) {
+  // Three states over four symbols: every field of the format in under a
+  // kilobyte.
+  Rng rng(5);
+  hmm::Alphabet alphabet;
+  for (const char* symbol : {"read@main", "write@main", "open@init", "brk"}) {
+    alphabet.intern(symbol);
+  }
+  DetectorConfig config;
+  config.pipeline.filter = analysis::CallFilter::kLibcalls;
+  std::stringstream small;
+  save_detector(small, Detector::from_parts(
+                           config, hmm::randomly_initialized_hmm(3, 4, rng),
+                           std::move(alphabet), -12.5, true));
+  sweep_mutants(small.str(), load_detector);
+}
+
+TEST(ModelIoTest, EveryTrainerStateMutantLoadsOrThrowsCleanly) {
+  sweep_mutants(saved_trainer_text(), load_trainer_state);
 }
 
 TEST(ModelIoTest, FromPartsValidatesShape) {

@@ -1,10 +1,19 @@
 // Unit tests for src/util: rng determinism and distributions, stopwatch,
-// strings, table printer.
+// strings, table printer, and the bounded RecordReader under persisted
+// state.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
+#include "src/util/record_reader.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stopwatch.hpp"
 #include "src/util/strings.hpp"
@@ -200,6 +209,124 @@ TEST(TablePrinterTest, PadsMissingCellsAndRejectsWideRows) {
   EXPECT_EQ(table.row_count(), 1u);
   EXPECT_THROW(table.add_row({"1", "2", "3", "4"}), std::invalid_argument);
   EXPECT_THROW(TablePrinter({}), std::invalid_argument);
+}
+
+/// Asserts `read` throws std::runtime_error "test: …" naming `key`.
+template <typename Read>
+void expect_refused(Read read, const std::string& key) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted a value for '" << key << "'";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind("test: ", 0), 0u) << message;
+    EXPECT_NE(message.find("'" + key + "'"), std::string::npos) << message;
+  }
+}
+
+TEST(RecordReaderTest, UnsignedIntegersRejectSignsAndOverflow) {
+  util::RecordReader in("n 18446744073709551615\n  7", "test");
+  EXPECT_EQ(in.u64_field("n"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(in.u64("m"), 7u);
+  for (const char* bad : {"-1", "+1", "18446744073709551616", "1.0", "0x1"}) {
+    util::RecordReader reader(bad, "test");
+    expect_refused([&] { reader.u64("n"); }, "n");
+  }
+  util::RecordReader empty("  \n", "test");
+  expect_refused([&] { empty.u64("n"); }, "n");
+}
+
+TEST(RecordReaderTest, DecimalDoublesMustBeFinite) {
+  util::RecordReader in("0.5 -0 4.9406564584124654e-324", "test");
+  EXPECT_EQ(in.finite_double("x"), 0.5);
+  EXPECT_TRUE(std::signbit(in.finite_double("x")));
+  EXPECT_EQ(in.finite_double("x"),
+            std::numeric_limits<double>::denorm_min());
+  for (const char* bad : {"nan", "inf", "-inf", "1e400", "+1", "0x1p3",
+                          "1.0.0"}) {
+    util::RecordReader reader(bad, "test");
+    expect_refused([&] { reader.finite_double("x"); }, "x");
+  }
+}
+
+TEST(RecordReaderTest, HexDoublesAreBareBitPatterns) {
+  util::RecordReader in("3ff0000000000000 8000000000000000 0", "test");
+  EXPECT_EQ(in.hex_double("h"), 1.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(in.hex_double("h")),
+            0x8000000000000000u);
+  EXPECT_EQ(in.hex_double("h"), 0.0);
+  for (const char* bad : {"-1", "+1", "0x3ff0000000000000",
+                          "10000000000000000", "xyz"}) {
+    util::RecordReader reader(bad, "test");
+    expect_refused([&] { reader.hex_double("h"); }, "h");
+  }
+}
+
+TEST(RecordReaderTest, KeysMustMatch) {
+  util::RecordReader in("alpha 1\nbeta", "test");
+  in.expect("alpha");
+  EXPECT_EQ(in.u64("alpha"), 1u);
+  expect_refused([&] { in.expect("gamma"); }, "gamma");
+  util::RecordReader header("cmarkov-x 2\n", "test");
+  EXPECT_THROW(header.header("cmarkov-x", 1), std::runtime_error);
+}
+
+TEST(RecordReaderTest, CountsMustFitTheBytesThatRemain) {
+  // Three items of two bytes each (" a", " b", " c") fit; four do not.
+  util::RecordReader fits("3 a b c", "test");
+  EXPECT_EQ(fits.count("items", 2), 3u);
+  util::RecordReader lies("4 a b c", "test");
+  expect_refused([&] { lies.count("items", 2); }, "items");
+
+  util::RecordReader shape("2 3 1 2 3 4 5 6", "test");
+  const auto [rows, cols] = shape.shape("m", 2);
+  EXPECT_EQ(rows, 2u);
+  EXPECT_EQ(cols, 3u);
+  // 2^32 x 2^32 wraps to 0 in 64 bits; the rule never forms the product.
+  util::RecordReader wraps("4294967296 4294967296 0.5", "test");
+  expect_refused([&] { wraps.shape("m", 2); }, "m");
+  util::RecordReader empty_rows("1000000000000 0\n", "test");
+  EXPECT_EQ(empty_rows.shape("m", 2).rows, 1000000000000u);
+}
+
+TEST(RecordReaderTest, SizedStringsKeepEveryByte) {
+  util::RecordReader in("5 a b\nc 0 \n", "test");
+  EXPECT_EQ(in.sized_string("id"), "a b\nc");
+  EXPECT_EQ(in.sized_string("id"), "");
+  for (const char* bad : {"9 abc", "3abc", "3", "-1 x"}) {
+    util::RecordReader reader(bad, "test");
+    expect_refused([&] { reader.sized_string("id"); }, "id");
+  }
+}
+
+TEST(RecordReaderTest, LinesSplitOnNewlinesOnly) {
+  util::RecordReader in("2\nread@main\nwith space", "test");
+  EXPECT_EQ(in.u64("n"), 2u);
+  EXPECT_EQ(in.line("symbol"), "");  // the rest of the count's line
+  EXPECT_EQ(in.line("symbol"), "read@main");
+  EXPECT_EQ(in.line("symbol"), "with space");
+  expect_refused([&] { in.line("symbol"); }, "symbol");
+}
+
+TEST(RecordReaderTest, ReadsOnlyRegularFiles) {
+  const std::string path = ::testing::TempDir() + "/cmarkov_record_reader";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "abc\n";
+  }
+  EXPECT_EQ(util::read_regular_file(path, "test"), "abc\n");
+  EXPECT_THROW(util::read_regular_file(path + ".missing", "test"),
+               std::runtime_error);
+  EXPECT_THROW(util::read_regular_file("/dev/zero", "test"),
+               std::runtime_error);
+  EXPECT_THROW(util::read_regular_file(::testing::TempDir(), "test"),
+               std::runtime_error);
+  // A FIFO with no writer: refused at once, not waited on.
+  const std::string fifo = ::testing::TempDir() + "/cmarkov_record_fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_THROW(util::read_regular_file(fifo, "test"), std::runtime_error);
+  std::remove(fifo.c_str());
 }
 
 }  // namespace

@@ -34,7 +34,10 @@
 # kernel's lock-free window memo (online_monitor_test's
 # SharedKernelMemoIsExactUnderConcurrentScoring has four threads race
 # inserts, evictions and seqlocked reads on one shared ScoringKernel and
-# checks every verdict against the reference recursion).
+# checks every verdict against the reference recursion), and the one
+# reader of persisted state (model_io_test and util_test feed
+# util::RecordReader lying counts and every truncation and byte flip of a
+# saved model and trainer state, which only ASan and UBSan can vouch for).
 #
 # CMARKOV_SANITIZE picks the sanitizer: thread (default; data races),
 # address (heap/stack misuse, leaks) or undefined (UB). The first report
@@ -56,7 +59,7 @@ case "$SANITIZER" in
     ;;
 esac
 BUILD_DIR="${BUILD_DIR:-build-$SANITIZER}"
-TESTS='^(serve_test|serve_net_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test|forward_backward_test|detector_test|online_monitor_test)$'
+TESTS='^(serve_test|serve_net_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test|forward_backward_test|detector_test|online_monitor_test|model_io_test|util_test)$'
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -64,7 +67,8 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target serve_test serve_net_test admin_test chaos_test logging_test \
   --target parallel_test parallel_training_test incremental_training_test \
-  --target obs_test forward_backward_test detector_test online_monitor_test
+  --target obs_test forward_backward_test detector_test online_monitor_test \
+  --target model_io_test util_test
 
 export TSAN_OPTIONS="halt_on_error=1 abort_on_error=1"
 export ASAN_OPTIONS="halt_on_error=1 abort_on_error=1"
