@@ -19,12 +19,13 @@
 namespace cmarkov::util {
 
 /// The whole regular file at `path`, read by its size. Throws
-/// std::runtime_error "<prefix>: cannot open '<path>'" when it cannot be
+/// std::runtime_error "<prefix>: cannot open '<path>' …" when it cannot be
 /// opened or is not a regular file: a FIFO or /dev/zero has no size to
 /// bound the read.
 std::string read_regular_file(const std::string& path,
                               const std::string& prefix);
 
+/// Reads `data`, which must outlive the reader; `prefix` opens each error.
 class RecordReader {
  public:
   RecordReader(std::string_view data, std::string prefix)

@@ -128,8 +128,9 @@ void expect_load_error(const std::string& text,
 /// Replaces the whole "key value" line with "key <replacement>".
 std::string with_key_value(const std::string& text, const std::string& key,
                            const std::string& replacement) {
-  const std::size_t key_pos = text.find("\n" + key + " ") + 1;
-  EXPECT_NE(key_pos, std::string::npos);
+  const std::size_t newline = text.find("\n" + key + " ");
+  EXPECT_NE(newline, std::string::npos) << key;
+  const std::size_t key_pos = newline + 1;
   const std::size_t line_end = text.find('\n', key_pos);
   std::string mutated = text;
   mutated.replace(key_pos, line_end - key_pos, key + " " + replacement);
