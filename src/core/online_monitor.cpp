@@ -34,25 +34,31 @@ OnlineMonitor::OnlineMonitor(const Detector& detector,
 }
 
 MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
+  if (event.caller.empty() && symbolizer_ != nullptr &&
+      analysis::filter_matches(detector_->config().pipeline.filter,
+                               event.kind)) {
+    event.caller = symbolizer_->resolve(event.site_address)
+                       .value_or(trace::kUnknownCaller);
+  }
+  return on_event(event.kind, event.caller, event.name);
+}
+
+MonitorUpdate OnlineMonitor::on_event(ir::CallKind kind, std::string_view site,
+                                      std::string_view callee) {
   MonitorUpdate update;
   stats_.events_seen += 1;
   if (cooldown_remaining_ > 0) --cooldown_remaining_;
 
   const auto& config = detector_->config();
-  if (!analysis::filter_matches(config.pipeline.filter, event.kind)) {
+  if (!analysis::filter_matches(config.pipeline.filter, kind)) {
     return update;
   }
   stats_.events_observed += 1;
 
-  if (event.caller.empty() && symbolizer_ != nullptr) {
-    event.caller = symbolizer_->resolve(event.site_address)
-                       .value_or(trace::kUnknownCaller);
-  }
-
   // Hot path: the kernel interns name[@caller] in place — same id and
   // unknown sentinel as Alphabet::find(encode_observation(...)), without
   // building the observation string or walking a node-based map.
-  const std::size_t id = kernel_->find_observation(event.name, event.caller);
+  const std::size_t id = kernel_->find_observation(callee, site);
   // Ring arithmetic via conditional subtraction: `length` is the segment
   // length (15 in the paper's setup), not a power of two, so a `%` here
   // would cost an integer division per event — and 15 more per window in
@@ -129,14 +135,6 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
     }
   }
   return update;
-}
-
-std::size_t OnlineMonitor::on_trace(const trace::Trace& trace) {
-  std::size_t alarms = 0;
-  for (const auto& event : trace.events) {
-    if (on_event(event).alarm) ++alarms;
-  }
-  return alarms;
 }
 
 void OnlineMonitor::reset_window() {

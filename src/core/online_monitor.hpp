@@ -8,6 +8,7 @@
 
 #include <deque>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/core/detector.hpp"
@@ -152,11 +153,15 @@ class OnlineMonitor {
 
   /// Feeds one event; returns what happened. Events outside the model's
   /// call stream (e.g. libcalls on a syscall model) are counted but
-  /// otherwise ignored.
-  MonitorUpdate on_event(trace::CallEvent event);
+  /// otherwise ignored. `site` is the calling context (CallEvent::caller),
+  /// `callee` the called function (CallEvent::name); neither is copied.
+  /// The serve tier feeds this entry straight from a queued frame's bytes.
+  MonitorUpdate on_event(ir::CallKind kind, std::string_view site,
+                         std::string_view callee);
 
-  /// Feeds a whole trace; returns the number of alarms raised.
-  std::size_t on_trace(const trace::Trace& trace);
+  /// on_event of an owned event. An unsymbolized event (empty caller) is
+  /// first resolved through the symbolizer, when the monitor has one.
+  MonitorUpdate on_event(trace::CallEvent event);
 
   const MonitorStats& stats() const { return stats_; }
 

@@ -73,29 +73,22 @@ std::string Conversation::serve(Events& batch, Reply& reply) {
   const std::string& id = bound();
   const std::string& tid = batch.tid.empty() ? trace_id_ : batch.tid;
   // A non-empty trace id bypasses sampling, so the submit outcome below is
-  // the only thing deciding whether a reply span exists for an event.
+  // the only thing deciding whether a reply span exists for an event. The
+  // reply spans of one frame share its submit interval.
   const bool traced = manager_.tracer().enabled() && !tid.empty();
-  for (trace::CallEvent& event : batch.events) {
-    const double start = traced ? manager_.now_micros() : 0.0;
-    std::uint64_t seq = 0;
-    switch (manager_.submit(id, std::move(event), tid, &seq)) {
-      case SubmitResult::kAccepted:
-        ++reply.accepted;
-        break;
-      case SubmitResult::kDroppedOldest:
-        ++reply.accepted;  // this event got in; an older one paid for it
-        ++reply.dropped;
-        break;
-      case SubmitResult::kRejected:
-        ++reply.rejected;
-        continue;
-      case SubmitResult::kUnknownSession:
-        return "ERR session vanished";
-    }
-    if (!traced) continue;
+  const double start = traced ? manager_.now_micros() : 0.0;
+  std::vector<std::uint64_t> seqs;
+  const SubmitTally tally = manager_.submit_batch(
+      id, std::move(batch.events), tid, traced ? &seqs : nullptr);
+  if (tally.unknown_session) return "ERR session vanished";
+  reply.accepted = tally.accepted;
+  reply.dropped = tally.dropped;
+  reply.rejected = tally.rejected;
+  const double duration = traced ? manager_.now_micros() - start : 0.0;
+  for (const std::uint64_t seq : seqs) {
     // Thread 0 is the transport side; worker spans use the shard id.
-    manager_.record_span({"reply", id, tid, seq, start,
-                          manager_.now_micros() - start, /*thread=*/0});
+    manager_.record_span({"reply", id, tid, seq, start, duration,
+                          /*thread=*/0});
   }
   return {};
 }

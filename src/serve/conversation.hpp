@@ -5,12 +5,12 @@
 // into a Request, hands it to Conversation::handle and encodes the Reply.
 // This is the only serve code that calls SessionManager for a conversation
 // (tools/check_conversation.sh), so the drains before a report, the submit
-// tally, the reply spans and the session's "ERR …" replies exist once.
+// tally, the reply spans and the session's "ERR …" replies exist once. An
+// Events request is one frame: one SessionManager::submit_batch.
 #pragma once
 
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "src/serve/session_manager.hpp"
 #include "src/util/failpoint.hpp"
@@ -22,9 +22,10 @@ namespace cmarkov::serve {
 struct Hello {
   std::string model, session, tid;
 };
-/// Events to submit in order; a non-empty `tid` overrides HELLO's.
+/// One frame of events to submit, in its wire bytes; a non-empty `tid`
+/// overrides HELLO's.
 struct Events {
-  std::vector<trace::CallEvent> events;
+  EventBatch events;
   std::string tid;
 };
 struct Stats {};
@@ -49,11 +50,10 @@ using Request = std::variant<Hello, Events, Stats, Metrics, Trace, Evict,
                              Reload, Failpoint, Bye>;
 
 struct Reply {
-  /// The reply line(s): "OK …", "STATS v=1 …", "ERR …". Empty when every
-  /// event of an Events request reached submit: the codec renders the tally.
+  /// The reply line(s): "OK …", "STATS v=1 …", "ERR …". Empty when an
+  /// Events request reached its session: the codec renders the tally.
   std::string text;
-  /// Events only. An accepted event that evicted an older one counts in
-  /// both `accepted` and `dropped`.
+  /// Events only: SubmitTally's counts.
   std::uint64_t accepted = 0, dropped = 0, rejected = 0;
 };
 

@@ -8,8 +8,9 @@ namespace cmarkov::serve::net {
 namespace {
 
 /// Decodes one frame; throws std::runtime_error ("frame: …") when it is
-/// malformed or carries an op a client may not send.
-Request decode(const Frame& frame) {
+/// malformed or carries an op a client may not send. An event batch is
+/// only checked: its payload bytes become the request.
+Request decode(Frame& frame) {
   switch (frame.op) {
     case FrameOp::kHello: {
       HelloRequest hello = decode_hello_payload(frame.payload);
@@ -17,7 +18,7 @@ Request decode(const Frame& frame) {
                    std::move(hello.trace_id)};
     }
     case FrameOp::kEventBatch:
-      return Events{decode_event_batch_payload(frame.payload), {}};
+      return Events{EventBatch::parse(std::move(frame.payload)), {}};
     case FrameOp::kStats:
       return Stats{};
     case FrameOp::kMetrics:
@@ -41,6 +42,10 @@ Request decode(const Frame& frame) {
 }  // namespace
 
 BinarySession::Output BinarySession::handle_frame(const Frame& frame) {
+  return handle_frame(Frame(frame));
+}
+
+BinarySession::Output BinarySession::handle_frame(Frame&& frame) {
   Request request;
   try {
     request = decode(frame);

@@ -32,6 +32,9 @@ class BinarySession {
 
   /// Dispatches one decoded frame. Never throws.
   Output handle_frame(const Frame& frame);
+  /// The same, taking the frame's payload: an event batch's bytes are
+  /// queued as they are, with no copy (the event loop's path).
+  Output handle_frame(Frame&& frame);
 
   /// Empty until HELLO succeeds.
   const std::string& session_id() const { return conversation_.session_id(); }

@@ -518,7 +518,8 @@ void EpollServer::process_frames(Loop& loop, Conn& conn) {
     frames_total_->add(1);
     loop_instruments_[loop.index].units->add(1);
     conn.handshake_done = true;
-    const BinarySession::Output out = conn.binary->handle_frame(*frame);
+    const BinarySession::Output out =
+        conn.binary->handle_frame(std::move(*frame));
     conn.outbuf += out.bytes;
     if (out.close) {
       conn.want_close = true;

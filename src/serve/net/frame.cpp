@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "src/serve/event_batch.hpp"
+
 namespace cmarkov::serve::net {
 
 namespace {
@@ -33,11 +35,6 @@ void put_str(std::string& out, std::string_view value) {
 class PayloadReader {
  public:
   explicit PayloadReader(std::string_view payload) : payload_(payload) {}
-
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return static_cast<std::uint8_t>(payload_[pos_++]);
-  }
 
   std::uint16_t u16(const char* what) {
     need(2, what);
@@ -117,14 +114,9 @@ std::string encode_hello_payload(std::string_view model,
 
 std::string encode_event_batch_payload(
     const std::vector<trace::CallEvent>& events) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(events.size()));
-  for (const trace::CallEvent& event : events) {
-    out.push_back(event.kind == ir::CallKind::kSyscall ? '\0' : '\1');
-    put_str(out, event.caller);
-    put_str(out, event.name);
-  }
-  return out;
+  EventBatch batch;
+  for (const trace::CallEvent& event : events) batch.append(event);
+  return batch.bytes();
 }
 
 std::string encode_trace_payload(std::uint32_t n) {
@@ -148,32 +140,7 @@ HelloRequest decode_hello_payload(std::string_view payload) {
 
 std::vector<trace::CallEvent> decode_event_batch_payload(
     std::string_view payload) {
-  PayloadReader reader(payload);
-  const std::uint32_t count = reader.u32("event count");
-  // A hostile count cannot make us allocate ahead of the data it lies
-  // about: each event needs at least 5 payload bytes (kind + two empty
-  // strings), so an impossible count fails before any big reserve.
-  if (count > payload.size() / 5) {
-    throw std::runtime_error(
-        "frame: event count " + std::to_string(count) +
-        " exceeds what the payload could hold");
-  }
-  std::vector<trace::CallEvent> events;
-  events.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    trace::CallEvent event;
-    const std::uint8_t kind = reader.u8("event kind");
-    if (kind > 1) {
-      throw std::runtime_error("frame: unknown event kind " +
-                               std::to_string(kind));
-    }
-    event.kind = kind == 0 ? ir::CallKind::kSyscall : ir::CallKind::kLibcall;
-    event.caller = reader.str("event site");
-    event.name = reader.str("event callee");
-    events.push_back(std::move(event));
-  }
-  reader.expect_end("event batch");
-  return events;
+  return to_call_events(payload);
 }
 
 std::uint32_t decode_trace_payload(std::string_view payload) {

@@ -22,6 +22,8 @@
 //     kEventBatch  u32 count, then per event:
 //                    u8 kind (0 = syscall, 1 = libcall), str site,
 //                    str callee
+//                  (serve::EventBatch: the server queues these bytes
+//                  as they are, src/serve/event_batch.hpp)
 //     kStats       (empty)
 //     kMetrics     (empty)
 //     kTrace       u32 n
@@ -108,6 +110,9 @@ struct HelloRequest {
 
 /// Throws std::runtime_error ("frame: ...") on malformed payloads.
 HelloRequest decode_hello_payload(std::string_view payload);
+/// The batch as owned CallEvents (serve::to_call_events). The server
+/// itself never decodes a batch into strings; it queues the checked
+/// payload (serve::EventBatch::parse).
 std::vector<trace::CallEvent> decode_event_batch_payload(
     std::string_view payload);
 std::uint32_t decode_trace_payload(std::string_view payload);

@@ -51,16 +51,18 @@ Request decode(std::vector<std::string> words) {
     constexpr char kUsage[] = "usage: EV <site> <callee> [sys|lib] [tid=<id>]";
     take_trace_id(words, tid, kUsage);
     if (words.size() < 3 || words.size() > 4) fail(kUsage);
-    Events batch{std::vector<trace::CallEvent>(1), tid};
-    trace::CallEvent& event = batch.events.front();
-    event.caller = words[1];
-    event.name = words[2];
-    if (words.size() == 4 && words[3] != "sys") {  // sys: the default
+    ir::CallKind kind = ir::CallKind::kSyscall;  // sys: the default
+    if (words.size() == 4 && words[3] != "sys") {
       if (words[3] != "lib") {
         fail("unknown call kind '" + words[3] + "' (sys|lib)");
       }
-      event.kind = ir::CallKind::kLibcall;
+      kind = ir::CallKind::kLibcall;
     }
+    if (words[1].size() > 0xffff || words[2].size() > 0xffff) {
+      fail("site and callee are limited to 65535 bytes");
+    }
+    Events batch{EventBatch(), tid};
+    batch.events.append(kind, words[1], words[2]);
     return batch;
   }
   if (command == "STATS") return Stats{};

@@ -17,8 +17,10 @@
 namespace cmarkov::serve {
 
 namespace {
-/// Items a worker moves out of its queue per lock acquisition.
+/// Frames a worker moves out of its queue per lock acquisition.
 constexpr std::size_t kBatchSize = 64;
+/// Item::seqs entry of an event not admitted for tracing.
+constexpr std::uint64_t kUntraced = ~std::uint64_t{0};
 /// Resident sessions probed per eviction round. Redis-style approximate
 /// LRU: with more residents than this we sample instead of scanning, and
 /// with at most this many the scan is exhaustive (exact LRU — what the
@@ -91,8 +93,8 @@ struct SessionManager::Session {
   std::atomic<std::size_t> state_bytes{0};
 
   /// Guards `monitor` and the model binding below: held by the owning
-  /// worker while scoring, by stats readers while snapshotting, and by
-  /// reload_model while rebinding (uncontended in steady state — one
+  /// worker while scoring one frame, by stats readers while snapshotting,
+  /// and by reload_model while rebinding (uncontended in steady state — one
   /// worker owns the session's shard).
   mutable std::mutex monitor_mu;
   /// Current binding; its shared_ptrs keep the detector and kernel the
@@ -101,31 +103,47 @@ struct SessionManager::Session {
   core::OnlineMonitor monitor;
 };
 
+/// One queued frame: its events stay in the bytes they arrived in.
 struct SessionManager::Item {
   std::shared_ptr<Session> session;
-  trace::CallEvent event;
+  EventBatch events;
+  /// The events still queued: `count` of them from byte `offset`, the
+  /// first being event `first` of the frame. Drop-oldest trims the front.
+  std::size_t offset = EventBatch::kHeaderSize;
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
   double enqueue_micros = 0.0;
   /// Protocol tid= value; stamped into any decision record produced.
   std::string trace_id;
-  /// Admitted by the tracer's sampling guard at submit time.
-  bool traced = false;
-  /// Correlates this event's queue/score/reply spans.
-  std::uint64_t seq = 0;
+  /// Per event of the frame, the sequence number correlating its
+  /// queue/score/reply spans (kUntraced when the tracer's sampling guard
+  /// did not admit it); empty when no event is traced.
+  std::vector<std::uint64_t> seqs;
   std::uint64_t ticket = 0;  // Worker::pushed at the push
+
+  /// Drops `n` < count events off the front.
+  void trim_front(std::uint32_t n) {
+    EventCursor cursor(events, offset);
+    cursor.skip(n);
+    offset = cursor.offset(events);
+    first += n;
+    count -= n;
+  }
 };
 
 struct SessionManager::Worker {
   /// This worker's shard index (set once at construction).
   std::size_t index = 0;
-  /// Mirror of queue.size(), updated alongside every queue mutation: the
-  /// gauge refresh and the governor read depths with one relaxed load
-  /// instead of taking every worker's mutex.
+  /// Events queued (the sum of the items' counts): what queue_capacity
+  /// bounds. Changed only under `mu`, where the producers' wait predicate
+  /// reads it; the gauge refresh and the governor read it with one relaxed
+  /// load instead of taking every worker's mutex.
   std::atomic<std::size_t> depth{0};
   mutable std::mutex mu;
   std::condition_variable cv_nonempty;  // producer -> worker
   std::condition_variable cv_space;     // worker -> blocked producers
   std::condition_variable cv_idle;      // worker -> settle(), retire
-  std::deque<Item> queue;  // in ticket order: pops and purges keep it
+  std::deque<Item> queue;  // frames in ticket order: pops and purges keep it
   std::uint64_t pushed = 0;     // tickets issued; the first is 1
   std::uint64_t in_flight = 0;  // first ticket of the running batch, or 0
   bool stop = false;
@@ -279,14 +297,52 @@ void SessionManager::open_session(const std::string& id,
 }
 
 SubmitResult SessionManager::submit(const std::string& id,
-                                    trace::CallEvent event,
+                                    const trace::CallEvent& event,
                                     const std::string& trace_id,
                                     std::uint64_t* seq_out) {
+  EventBatch batch;
+  batch.append(event);
+  std::vector<std::uint64_t> seqs;
+  const SubmitTally tally = submit_batch(id, std::move(batch), trace_id,
+                                         seq_out != nullptr ? &seqs : nullptr);
+  if (!seqs.empty()) *seq_out = seqs.front();
+  if (tally.unknown_session) return SubmitResult::kUnknownSession;
+  if (tally.rejected != 0) return SubmitResult::kRejected;
+  if (tally.dropped != 0) return SubmitResult::kDroppedOldest;
+  return SubmitResult::kAccepted;
+}
+
+std::vector<std::uint64_t> SessionManager::sample_frame(std::uint32_t n,
+                                                        bool forced) {
+  std::vector<std::uint64_t> seqs;
+  std::uint64_t shed = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!forced && governor_.shed_trace_sampling()) {
+      // Ladder level 1: suspend sampled tracing (the cheapest shed — pure
+      // observability, zero scoring impact). Explicit tid= traces are
+      // debugging requests and stay honored.
+      ++shed;
+    } else if (tracer_->sample(forced)) {
+      if (seqs.empty()) seqs.assign(n, kUntraced);
+      seqs[i] = tracer_->next_seq();
+    }
+  }
+  if (shed != 0) overload_shed_traces_total_->add(shed);
+  return seqs;
+}
+
+SubmitTally SessionManager::submit_batch(const std::string& id,
+                                         EventBatch events,
+                                         const std::string& trace_id,
+                                         std::vector<std::uint64_t>* seqs_out) {
+  SubmitTally tally;
+  const std::uint32_t n = events.size();
+  if (n == 0) return tally;
+  const std::size_t capacity = config_.queue_capacity;
   // One sampling decision per event, taken before the queue so the queue
   // span covers the full wait; explicit trace ids always trace. Taken once
   // even if the enqueue below has to retry across an eviction.
-  bool traced = false;
-  std::uint64_t seq = 0;
+  std::vector<std::uint64_t> seqs;
   bool sampled = false;
   bool stale = false;
 
@@ -299,35 +355,30 @@ SubmitResult SessionManager::submit(const std::string& id,
       // Not resident: transparently restore from the snapshot store (the
       // session may have been evicted — possibly by a previous daemon run).
       session = try_restore(id);
-      if (!session) return SubmitResult::kUnknownSession;
+      if (!session) {
+        tally.unknown_session = true;
+        return tally;
+      }
     }
-
     if (!sampled && tracer_->enabled()) {
       sampled = true;
-      const bool forced = !trace_id.empty();
-      if (!forced && governor_.shed_trace_sampling()) {
-        // Ladder level 1: suspend sampled tracing (the cheapest shed —
-        // pure observability, zero scoring impact). Explicit tid= traces
-        // are debugging requests and stay honored.
-        overload_shed_traces_total_->add(1);
-      } else {
-        traced = tracer_->sample(forced);
-        if (traced) {
-          seq = tracer_->next_seq();
-          if (seq_out != nullptr) *seq_out = seq;
-        }
-      }
+      seqs = sample_frame(n, !trace_id.empty());
     }
 
     Worker& worker = *workers_[session->shard];
-    SubmitResult result = SubmitResult::kAccepted;
-    bool rejected = false;
+    std::uint32_t admitted = n;   // events accepted
+    std::uint32_t self_trim = 0;  // accepted events dropped off our front
+    std::size_t victims = 0;      // older queued events dropped for room
     {
       std::unique_lock lock(worker.mu);
+      const auto room = [&] {
+        const std::size_t depth = worker.depth.load(std::memory_order_relaxed);
+        return depth >= capacity ? std::size_t{0} : capacity - depth;
+      };
       if (session->evicted) {
         stale = true;  // evicted between find and lock: re-resolve
-      } else if (worker.queue.size() >= config_.queue_capacity ||
-                 CMARKOV_FAILPOINT("serve.admit_full")) {
+      } else if (room() < n || CMARKOV_FAILPOINT("serve.admit_full")) {
+        const bool forced = room() >= n;  // the failpoint, not the depth
         switch (config_.policy) {
           case BackpressurePolicy::kBlock:
             if (config_.manual_pump) {
@@ -336,58 +387,97 @@ SubmitResult SessionManager::submit(const std::string& id,
               pump_worker(worker);
               lock.lock();
             } else {
+              // A frame larger than the whole queue waits for it to empty.
               worker.cv_space.wait(lock, [&] {
-                return worker.queue.size() < config_.queue_capacity ||
+                return room() >= n ||
+                       worker.depth.load(std::memory_order_relaxed) == 0 ||
                        worker.stop || session->evicted;
               });
-              if (worker.stop) return SubmitResult::kRejected;
+              if (worker.stop) {
+                tally.rejected = n;
+                return tally;
+              }
             }
             if (session->evicted) stale = true;
             break;
           case BackpressurePolicy::kDropOldest: {
-            if (worker.queue.empty()) break;  // failpoint-forced full check
-            Item& victim = worker.queue.front();
-            victim.session->dropped.fetch_add(1, std::memory_order_relaxed);
-            victim.session->pending.fetch_sub(1, std::memory_order_release);
-            dropped_total_->add(1);
-            worker.queue.pop_front();
-            worker.depth.fetch_sub(1, std::memory_order_relaxed);
-            result = SubmitResult::kDroppedOldest;
+            // As if submitted one by one: each event that finds the queue
+            // full evicts the oldest queued one, which past the old
+            // backlog is this frame's own front.
+            const std::size_t depth =
+                worker.depth.load(std::memory_order_relaxed);
+            const std::size_t needed = forced ? n : n - room();
+            victims = std::min(needed, depth);
+            if (n > capacity) {
+              self_trim = static_cast<std::uint32_t>(n - capacity);
+            }
+            drop_oldest_locked(worker, victims);
             break;
           }
           case BackpressurePolicy::kReject:
-            session->rejected.fetch_add(1, std::memory_order_relaxed);
-            rejected_total_->add(1);
-            rejected = true;
+            admitted = forced ? 0 : static_cast<std::uint32_t>(room());
             break;
         }
       }
-      if (!stale && !rejected) {
+      if (!stale && admitted != 0) {
+        if (seqs_out != nullptr && !seqs.empty()) {
+          for (std::uint32_t i = 0; i < admitted; ++i) {
+            if (seqs[i] != kUntraced) seqs_out->push_back(seqs[i]);
+          }
+        }
         // Counted under worker.mu, with the push: a retirement that purges
-        // or freezes this session then sees the event and its count
-        // together.
-        session->pending.fetch_add(1, std::memory_order_relaxed);
-        session->enqueued.fetch_add(1, std::memory_order_relaxed);
-        worker.queue.push_back(Item{session, std::move(event),
-                                    clock_.micros(), trace_id, traced, seq,
-                                    ++worker.pushed});
-        worker.depth.fetch_add(1, std::memory_order_relaxed);
+        // or freezes this session then sees the events and their count
+        // together. Past a drop-oldest self trim, some are left.
+        const std::uint32_t queued = admitted - self_trim;
+        session->pending.fetch_add(queued, std::memory_order_relaxed);
+        session->enqueued.fetch_add(admitted, std::memory_order_relaxed);
+        session->dropped.fetch_add(self_trim, std::memory_order_relaxed);
+        Item item{session,  std::move(events), EventBatch::kHeaderSize,
+                  0,        admitted,          clock_.micros(),
+                  trace_id, std::move(seqs),   ++worker.pushed};
+        if (self_trim != 0) item.trim_front(self_trim);
+        worker.queue.push_back(std::move(item));
+        worker.depth.fetch_add(queued, std::memory_order_relaxed);
+      }
+      if (!stale && admitted != n) {
+        session->rejected.fetch_add(n - admitted, std::memory_order_relaxed);
       }
     }
     if (stale) continue;
-    if (rejected) {
-      // A refused submit is still a pressure observation — under a hard
-      // overload with the reject policy it may be the only one.
-      maybe_update_governor();
-      return SubmitResult::kRejected;
+    tally.accepted = admitted;
+    tally.dropped = victims + self_trim;
+    tally.rejected = n - admitted;
+    if (tally.rejected != 0) rejected_total_->add(tally.rejected);
+    if (self_trim != 0) dropped_total_->add(self_trim);
+    if (admitted != 0) {
+      worker.cv_nonempty.notify_one();
+      session->last_active.store(
+          activity_clock_.fetch_add(1, std::memory_order_relaxed),
+          std::memory_order_relaxed);
+      enqueued_total_->add(admitted);
     }
-    worker.cv_nonempty.notify_one();
-    session->last_active.store(
-        activity_clock_.fetch_add(1, std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    enqueued_total_->add(1);
-    maybe_update_governor();
-    return result;
+    // A refused submit is still a pressure observation — under a hard
+    // overload with the reject policy it may be the only one.
+    maybe_update_governor(n);
+    return tally;
+  }
+}
+
+void SessionManager::drop_oldest_locked(Worker& worker, std::size_t count) {
+  while (count != 0) {
+    Item& victim = worker.queue.front();
+    const auto take =
+        static_cast<std::uint32_t>(std::min<std::size_t>(count, victim.count));
+    victim.session->dropped.fetch_add(take, std::memory_order_relaxed);
+    victim.session->pending.fetch_sub(take, std::memory_order_release);
+    dropped_total_->add(take);
+    worker.depth.fetch_sub(take, std::memory_order_relaxed);
+    count -= take;
+    if (take == victim.count) {
+      worker.queue.pop_front();
+    } else {
+      victim.trim_front(take);
+    }
   }
 }
 
@@ -560,14 +650,16 @@ void SessionManager::refresh_gauges() {
   sync_failpoint_hits();
 }
 
-void SessionManager::maybe_update_governor() {
+void SessionManager::maybe_update_governor(std::uint64_t events) {
   if (!governor_.enabled()) return;
   const std::uint64_t tick =
-      governor_ticks_.fetch_add(1, std::memory_order_relaxed);
+      governor_ticks_.fetch_add(events, std::memory_order_relaxed);
   const bool elevated = governor_.level() != OverloadLevel::kNormal;
-  // Every 64th event in steady state (the update takes a mutex); every
-  // event while elevated, so shedding starts and stops promptly.
-  if (!elevated && (tick & 63u) != 0) return;
+  // Whenever the events [tick, tick + events) hold a multiple of 64 in
+  // steady state (the update takes a mutex); every submit while elevated,
+  // so shedding starts and stops promptly.
+  const std::uint64_t phase = tick & 63u;
+  if (!elevated && phase != 0 && phase + events <= 64) return;
   update_governor();
 }
 
@@ -720,11 +812,13 @@ void SessionManager::retire_locked(Session& session, bool purge) {
     session.evicted = true;
     if (purge) {
       auto& queue = worker.queue;
+      std::size_t purged = 0;  // events, not frames
       const auto keep_end =
           std::remove_if(queue.begin(), queue.end(), [&](const Item& item) {
-            return item.session.get() == &session;
+            if (item.session.get() != &session) return false;
+            purged += item.count;
+            return true;
           });
-      const auto purged = static_cast<std::size_t>(queue.end() - keep_end);
       queue.erase(keep_end, queue.end());
       // Lifecycle loss, not backpressure: accounted on its own counter
       // (events_dropped_total would misattribute it to queue pressure).
@@ -836,91 +930,92 @@ SessionStats SessionManager::stats_from_snapshot(
 }
 
 void SessionManager::process_item(Item& item, BatchCounters& batch) {
-  // The dequeue timestamp only feeds the queue/score span pair, so only
-  // traced events pay the clock read (latency spans enqueue -> done).
-  const double dequeue_micros = item.traced ? clock_.micros() : 0.0;
-  core::MonitorUpdate update;
-  obs::DecisionRecord decision;
-  bool has_decision = false;
+  Session& session = *item.session;
+  const bool traced_frame = !item.seqs.empty();
+  DriftMonitor* drift = drift_monitor_.load(std::memory_order_acquire);
+  if (drift != nullptr && session.model_name != drift_model_name_) {
+    drift = nullptr;
+  }
+  EventCursor cursor(item.events, item.offset);
   {
-    const std::lock_guard lock(item.session->monitor_mu);
-    update = item.session->monitor.on_event(std::move(item.event));
-    if (update.window_complete && update.window != nullptr) {
-      // Must stay under monitor_mu: update.window points into the
-      // monitor's scoring scratch, which a concurrent reload_model ->
-      // rebind clears under this same mutex.
-      DriftMonitor* drift = drift_monitor_.load(std::memory_order_acquire);
-      if (drift != nullptr &&
-          item.session->model_name == drift_model_name_) {
+    // One hold for the whole frame: a reload's rebind or a stats read
+    // lands between frames.
+    const std::lock_guard lock(session.monitor_mu);
+    for (std::uint32_t i = 0; i < item.count; ++i) {
+      const EventView event = cursor.next();
+      const std::uint64_t seq =
+          traced_frame ? item.seqs[item.first + i] : kUntraced;
+      // The dequeue timestamp only feeds the queue/score span pair, so
+      // only traced events pay the clock read (latency spans enqueue ->
+      // done).
+      const double dequeue_micros = seq != kUntraced ? clock_.micros() : 0.0;
+      const core::MonitorUpdate update =
+          session.monitor.on_event(event.kind, event.site, event.callee);
+      if (drift != nullptr && update.window_complete &&
+          update.window != nullptr) {
+        // Must stay under monitor_mu: update.window points into the
+        // monitor's scoring scratch, which a concurrent reload_model ->
+        // rebind clears under this same mutex.
         drift->observe(update.log_likelihood, update.flagged,
                        update.unknown_symbol, *update.window);
       }
-    }
-    if (update.decision != nullptr) {
-      // Stamp ids and the label pin into the monitor's ring copy (served
-      // by TRACE) and take a copy for the service-wide JSONL log while
-      // still under the lock, where the binding cannot change. The labels
-      // view this detector's alphabet, so the record keeps it alive past
-      // any reload. Once the flight-recorder log is full the copy would
-      // only be dropped, so skip it and count the drop instead.
-      obs::DecisionRecord* record = item.session->monitor.last_decision();
-      record->session = item.session->id;
-      record->trace_id = item.trace_id;
-      record->label_owner = item.session->model.detector;
-      if (decision_log_->full()) {
-        decision_log_->drop();
-        decisions_dropped_total_->add(1);
-      } else {
-        decision = *record;
-        has_decision = true;
+      if (update.decision != nullptr) {
+        // Stamp ids and the label pin into the monitor's ring copy (served
+        // by TRACE) and append a copy to the service-wide JSONL log (a
+        // wait-free append) while the binding cannot change. The labels
+        // view this detector's alphabet, so the record keeps it alive past
+        // any reload. Once the flight-recorder log is full the copy would
+        // only be dropped, so skip it and count the drop instead.
+        obs::DecisionRecord* record = session.monitor.last_decision();
+        record->session = session.id;
+        record->trace_id = item.trace_id;
+        record->label_owner = session.model.detector;
+        if (decision_log_->full()) {
+          decision_log_->drop();
+          decisions_dropped_total_->add(1);
+        } else if (decision_log_->append(*record)) {
+          decisions_total_->add(1);
+        } else {
+          decisions_dropped_total_->add(1);
+        }
       }
+      if (update.window_complete) batch.windows += 1;
+      if (update.memo_hit) batch.memo_hits += 1;
+      if (update.alarm) {
+        batch.alarms += 1;
+        log_debug() << "alarm session=" << session.id
+                    << " model=" << session.model_name
+                    << (update.unknown_symbol ? " cause=unknown-context"
+                                              : " cause=low-likelihood");
+      }
+      const double done_micros = clock_.micros();
+      latency_micros_->record(done_micros - item.enqueue_micros);
+      if (seq == kUntraced) continue;
+      if (tracer_->full()) {
+        // Flight recorder exhausted: skip span construction, keep the drop
+        // accounting exact (one queue + one score span per traced event).
+        tracer_->drop(2);
+        spans_dropped_total_->add(2);
+        continue;
+      }
+      const auto make_span = [&](const char* name, double start, double end) {
+        obs::SpanRecord span;
+        span.name = name;
+        span.session = session.id;
+        span.trace_id = item.trace_id;
+        span.seq = seq;
+        span.start_micros = start;
+        span.duration_micros = end - start;
+        span.thread = session.shard;
+        return span;
+      };
+      record_span(make_span("queue", item.enqueue_micros, dequeue_micros));
+      record_span(make_span("score", dequeue_micros, done_micros));
     }
   }
-  if (has_decision) {
-    if (decision_log_->append(std::move(decision))) {
-      decisions_total_->add(1);
-    } else {
-      decisions_dropped_total_->add(1);
-    }
-  }
-  item.session->processed.fetch_add(1, std::memory_order_relaxed);
-  batch.processed += 1;
-  if (update.window_complete) batch.windows += 1;
-  if (update.memo_hit) batch.memo_hits += 1;
-  if (update.alarm) {
-    alarms_total_->add(1);
-    log_debug() << "alarm session=" << item.session->id
-                << " model=" << item.session->model_name
-                << (update.unknown_symbol ? " cause=unknown-context"
-                                          : " cause=low-likelihood");
-  }
-  const double done_micros = clock_.micros();
-  latency_micros_->record(done_micros - item.enqueue_micros);
-  if (item.traced) {
-    if (tracer_->full()) {
-      // Flight recorder exhausted: skip span construction, keep the drop
-      // accounting exact (one queue + one score span per traced event).
-      tracer_->drop(2);
-      spans_dropped_total_->add(2);
-      item.session->pending.fetch_sub(1, std::memory_order_release);
-      item.session.reset();
-      return;
-    }
-    const auto make_span = [&](const char* name, double start, double end) {
-      obs::SpanRecord span;
-      span.name = name;
-      span.session = item.session->id;
-      span.trace_id = item.trace_id;
-      span.seq = item.seq;
-      span.start_micros = start;
-      span.duration_micros = end - start;
-      span.thread = item.session->shard;
-      return span;
-    };
-    record_span(make_span("queue", item.enqueue_micros, dequeue_micros));
-    record_span(make_span("score", dequeue_micros, done_micros));
-  }
-  item.session->pending.fetch_sub(1, std::memory_order_release);
+  session.processed.fetch_add(item.count, std::memory_order_relaxed);
+  batch.processed += item.count;
+  session.pending.fetch_sub(item.count, std::memory_order_release);
   item.session.reset();
 }
 
@@ -936,6 +1031,7 @@ void SessionManager::flush_batch(std::size_t shard,
     kernel_windows_total_->add(batch.windows);
   }
   if (batch.memo_hits > 0) window_memo_hits_total_->add(batch.memo_hits);
+  if (batch.alarms > 0) alarms_total_->add(batch.alarms);
 }
 
 void SessionManager::record_span(obs::SpanRecord span) {
@@ -972,19 +1068,24 @@ std::vector<obs::DecisionRecord> SessionManager::recent_decisions(
 void SessionManager::run_batch(Worker& worker,
                                std::unique_lock<std::mutex>& lock,
                                std::vector<Item>& batch) {
+  std::size_t events = 0;
   while (!worker.queue.empty() && batch.size() < kBatchSize) {
+    events += worker.queue.front().count;
     batch.push_back(std::move(worker.queue.front()));
     worker.queue.pop_front();
   }
   worker.in_flight = batch.front().ticket;
+  // Lowered under worker.mu: a producer's wait predicate reads depth, and
+  // a change it could miss between its check and its wait is a lost
+  // wakeup.
+  worker.depth.fetch_sub(events, std::memory_order_relaxed);
   lock.unlock();
-  worker.depth.fetch_sub(batch.size(), std::memory_order_relaxed);
   worker.cv_space.notify_all();
   BatchCounters counters;
   const double batch_start_micros = clock_.micros();
   for (Item& item : batch) process_item(item, counters);
   note_service_time((clock_.micros() - batch_start_micros) /
-                    static_cast<double>(batch.size()));
+                    static_cast<double>(events));
   // Flushed before in_flight is cleared, so a settle implies the
   // service-wide counters already cover everything it waited for.
   flush_batch(worker.index, counters);

@@ -2,13 +2,21 @@
 // process (a "session"), sharded across a fixed worker pool by session id.
 //
 // Threading model (docs/SERVING.md has the full picture):
-//   - Producers (transport threads) call submit(); the event lands on the
-//     bounded MPSC queue of the worker that owns the session's shard.
-//   - Each worker drains its own queue in FIFO batches, so events of one
-//     session are always scored in arrival order by a single thread.
-//   - Backpressure on a full queue is explicit policy: block the producer,
-//     evict the oldest queued event (counted against the evicted event's
-//     session), or reject the new event (counted against the submitter).
+//   - Producers (transport threads) call submit_batch() with one frame's
+//     events (EventBatch, the frame's own payload bytes); the frame lands,
+//     as one queue item with one ticket, on the bounded MPSC queue of the
+//     worker that owns the session's shard. submit() is the one-event
+//     frame.
+//   - Each worker drains its own queue in FIFO batches of frames and
+//     scores each frame's events in order under one hold of the session's
+//     monitor lock, so events of one session are always scored in arrival
+//     order by a single thread, and a reload or a stats read lands between
+//     frames.
+//   - Queue capacity is counted in events. Backpressure on a full queue is
+//     explicit policy: block the producer until the frame fits, evict the
+//     oldest queued events (counted against the evicted events' sessions),
+//     or reject the events that do not fit (counted against the
+//     submitter).
 //
 // Session lifecycle: resident sessions hold a
 // pool-allocated monitor; when max_resident_sessions is exceeded, the
@@ -41,6 +49,7 @@
 #include "src/obs/metrics_registry.hpp"
 #include "src/obs/trace/decision_log.hpp"
 #include "src/obs/trace/tracer.hpp"
+#include "src/serve/event_batch.hpp"
 #include "src/serve/model_registry.hpp"
 #include "src/serve/overload_governor.hpp"
 #include "src/serve/session_snapshot.hpp"
@@ -60,7 +69,8 @@ std::optional<BackpressurePolicy> parse_backpressure_policy(
 
 struct ServiceConfig {
   std::size_t num_workers = 2;
-  /// Maximum queued events per worker (must be > 0).
+  /// Maximum queued events per worker (must be > 0). Under the block
+  /// policy a frame larger than this waits for an empty queue.
   std::size_t queue_capacity = 1024;
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// Monitor options for sessions opened without explicit options.
@@ -88,6 +98,15 @@ struct ServiceConfig {
   /// and hysteresis hold time. `overload.enabled = false` turns the whole
   /// ladder off (no admission checks, no level gauge movement).
   OverloadOptions overload;
+};
+
+/// What happened to a submitted batch, event by event.
+struct SubmitTally {
+  /// An accepted event that evicted an older one counts in both
+  /// `accepted` and `dropped`.
+  std::uint64_t accepted = 0, dropped = 0, rejected = 0;
+  /// Neither resident nor in the snapshot store; nothing was queued.
+  bool unknown_session = false;
 };
 
 /// What happened to a submitted event.
@@ -142,15 +161,29 @@ class SessionManager {
   void open_session(const std::string& id, const std::string& model,
                     std::optional<core::MonitorOptions> options = std::nullopt);
 
-  /// Queues one event for the session; applies the backpressure policy when
-  /// the shard queue is full. Safe from any thread. Sessions evicted to the
-  /// snapshot store are transparently restored first. A non-empty
-  /// `trace_id` (protocol tid=) forces span tracing for this event
-  /// (sampling bypassed) and is stamped into any decision record the event
-  /// produces. When the event is admitted for tracing, `seq_out` (if
-  /// non-null) receives its span sequence number so the caller can record
-  /// correlated spans (the conversation's "reply" span).
-  SubmitResult submit(const std::string& id, trace::CallEvent event,
+  /// Queues one frame of events for the session as one item, in one
+  /// worker.mu hold with one ticket; applies the backpressure policy, in
+  /// events, when it does not fit:
+  ///   - block: waits until the whole frame fits, or for an empty queue
+  ///     when the frame alone exceeds queue_capacity;
+  ///   - drop-oldest: trims the events it needs off the front of the
+  ///     oldest queued frames (a frame larger than queue_capacity also
+  ///     loses its own front), each counted against its session;
+  ///   - reject: queues the prefix that fits and rejects the rest.
+  /// Safe from any thread. Sessions evicted to the snapshot store are
+  /// transparently restored first. A non-empty `trace_id` (protocol tid=)
+  /// forces span tracing for every event (sampling bypassed) and is
+  /// stamped into any decision record they produce. `seqs_out` (if
+  /// non-null) receives the span sequence numbers of the accepted events
+  /// admitted for tracing, in order, so the caller can record correlated
+  /// spans (the conversation's "reply" spans).
+  SubmitTally submit_batch(const std::string& id, EventBatch events,
+                           const std::string& trace_id = {},
+                           std::vector<std::uint64_t>* seqs_out = nullptr);
+
+  /// submit_batch of a one-event frame. When the event is admitted for
+  /// tracing, `seq_out` (if non-null) receives its span sequence number.
+  SubmitResult submit(const std::string& id, const trace::CallEvent& event,
                       const std::string& trace_id = {},
                       std::uint64_t* seq_out = nullptr);
 
@@ -159,7 +192,7 @@ class SessionManager {
 
   /// Live counters (no drain; may lag concurrent processing). Works for
   /// resident and evicted sessions alike. The monitor counters are read
-  /// under the session's monitor lock, which scoring holds for one event.
+  /// under the session's monitor lock, which scoring holds for one frame.
   SessionStats session_stats(const std::string& id) const;
 
   /// Settles the session's shard (drain(id)), then removes the session and
@@ -182,8 +215,9 @@ class SessionManager {
   /// partial window resets — its ids encode the old alphabet). The old
   /// version is freed once its last session, monitor and decision record
   /// let go of it. Zero-loss: events already queued are not discarded —
-  /// an event scoring when the rebind lands finishes against the old
-  /// version, everything behind it scores against the new one.
+  /// a frame scoring when the rebind lands finishes against the old
+  /// version (the rebind waits for it, at most one frame), every frame
+  /// behind it scores against the new one.
   ReloadReport reload_model(const std::string& name,
                             std::shared_ptr<const core::Detector> detector);
 
@@ -261,14 +295,15 @@ class SessionManager {
   struct Session;
   struct Item;
   struct Worker;
-  /// Service-wide counter deltas a worker accumulates across one batch and
-  /// flushes with a single atomic add each — the per-event hot path touches
-  /// only per-session atomics (ISSUE 7: the serve overhead around the
-  /// kernel is part of the single-core budget).
+  /// Service-wide counter deltas a worker accumulates across one batch of
+  /// frames and flushes with a single atomic add each — the per-event hot
+  /// path touches no shared counter (the serve overhead around the kernel
+  /// is part of the single-core budget).
   struct BatchCounters {
     std::uint64_t processed = 0;
     std::uint64_t windows = 0;
     std::uint64_t memo_hits = 0;
+    std::uint64_t alarms = 0;
   };
 
   std::shared_ptr<Session> find_session(const std::string& id) const;
@@ -293,12 +328,21 @@ class SessionManager {
   /// Caller holds lifecycle_mu_. `keep` is never evicted.
   void enforce_residency_locked(const Session* keep);
   SessionStats stats_from_snapshot(const SessionSnapshot& snapshot) const;
+  /// Scores one frame under one hold of its session's monitor_mu.
   void process_item(Item& item, BatchCounters& batch);
+  /// Evicts `count` events off the front of the oldest queued frames
+  /// (drop-oldest), each counted against its session. Caller holds
+  /// worker.mu; the queue holds at least `count` events.
+  void drop_oldest_locked(Worker& worker, std::size_t count);
+  /// Takes the per-event tracing decisions of an `n`-event frame: its span
+  /// sequence numbers (kUntraced for events not admitted), or empty when
+  /// no event is traced.
+  std::vector<std::uint64_t> sample_frame(std::uint32_t n, bool forced);
   void flush_batch(std::size_t shard, const BatchCounters& batch);
-  /// Scores one batch: moves up to kBatchSize queued items into `batch`
-  /// under `lock` (held on worker.mu), then scores and flushes them with
-  /// the lock released. Returns with the lock held again, in_flight
-  /// cleared and cv_idle notified.
+  /// Scores one batch: moves up to kBatchSize queued frames into `batch`
+  /// and lowers depth under `lock` (held on worker.mu), then scores and
+  /// flushes them with the lock released. Returns with the lock held
+  /// again, in_flight cleared and cv_idle notified.
   void run_batch(Worker& worker, std::unique_lock<std::mutex>& lock,
                  std::vector<Item>& batch);
   /// manual_pump: runs batches on the calling thread until the queue is
@@ -310,10 +354,11 @@ class SessionManager {
   SessionStats snapshot(const Session& session) const;
   SessionSnapshot freeze(Session& session) const;
   void refresh_gauges();
-  /// Submit-path governor tick: cheap counter check, full pressure update
-  /// every 64th event (every event while the ladder is elevated, so
+  /// Submit-path governor tick for `events` submitted events: cheap
+  /// counter check, full pressure update whenever the count crosses a
+  /// multiple of 64 (every submit while the ladder is elevated, so
   /// recovery is observed promptly).
-  void maybe_update_governor();
+  void maybe_update_governor(std::uint64_t events);
   /// Feeds one pressure observation to the governor and reacts to any
   /// transition (counter, log line, level-3 idle shed).
   void update_governor();
@@ -355,7 +400,8 @@ class SessionManager {
   /// traffic (set_drift_monitor contract).
   std::atomic<DriftMonitor*> drift_monitor_{nullptr};
   std::string drift_model_name_;
-  /// Submit counter driving the every-64th governor update cadence.
+  /// Submitted-event counter driving the every-64th governor update
+  /// cadence.
   std::atomic<std::uint64_t> governor_ticks_{0};
   /// Bit pattern of the per-event service-time EMA (double); lock-free
   /// load/store — a lost concurrent sample only delays the estimate.

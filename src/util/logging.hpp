@@ -8,6 +8,7 @@
 // cmarkovd worker pool logs from many threads at once.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -25,23 +26,31 @@ void log_message(LogLevel level, const std::string& message);
 
 namespace detail {
 
-/// Stream-style log statement builder; flushes on destruction.
+/// Stream-style log statement builder; flushes on destruction. Below the
+/// current level it builds no stream and formats nothing, so a suppressed
+/// line costs one atomic load and no allocation.
 class LogLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
+  explicit LogLine(LogLevel level) : level_(level) {
+    if (static_cast<int>(level) >= static_cast<int>(log_level())) {
+      stream_.emplace();
+    }
+  }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
-  ~LogLine() { log_message(level_, stream_.str()); }
+  ~LogLine() {
+    if (stream_) log_message(level_, stream_->str());
+  }
 
   template <typename T>
   LogLine& operator<<(const T& value) {
-    stream_ << value;
+    if (stream_) *stream_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::ostringstream stream_;
+  std::optional<std::ostringstream> stream_;
 };
 
 }  // namespace detail

@@ -1,5 +1,7 @@
 // Tests for the leveled logging facility: line format (level, monotonic
-// timestamp, thread ordinal) and race-freedom under concurrent writers.
+// timestamp, thread ordinal), race-freedom under concurrent writers, and a
+// suppressed line that allocates nothing. This binary replaces the global
+// operator new (allocation_probe.hpp).
 #include <gtest/gtest.h>
 
 #include <regex>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "src/util/logging.hpp"
+#include "tests/allocation_probe.hpp"
 
 namespace cmarkov {
 namespace {
@@ -112,6 +115,21 @@ TEST_F(LoggingTest, BuilderRespectsLevel) {
   const auto lines = captured_lines(capture.text());
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(parse_line(lines[0]).message, "visible");
+}
+
+// A line below the level builds no stream: the worker logs every alarm
+// at debug, and at the default info level that must cost no allocation.
+TEST_F(LoggingTest, SuppressedLineMakesNoAllocation) {
+  set_log_level(LogLevel::kInfo);
+  const std::string session = "a-session-id-longer-than-sso";
+  CerrCapture capture;
+  {
+    test_support::AllocationProbe probe;
+    log_debug() << "alarm session=" << session << " model=gzip"
+                << " windows=" << 42 << " ll=" << -17.25;
+    EXPECT_EQ(probe.calls(), 0u);
+  }
+  EXPECT_TRUE(capture.text().empty());
 }
 
 TEST_F(LoggingTest, TimestampsAreMonotonicAcrossLines) {

@@ -71,7 +71,9 @@ TEST(OnlineMonitorTest, BenignStreamRaisesFewAlarms) {
   const auto collection = workload::collect_traces(fixture().suite, 10, 77);
   std::size_t alarms = 0;
   for (const auto& trace : collection.traces) {
-    alarms += monitor.on_trace(trace);
+    for (const auto& event : trace.events) {
+      if (monitor.on_event(event).alarm) ++alarms;
+    }
     monitor.reset_window();
   }
   const auto& stats = monitor.stats();
@@ -89,7 +91,9 @@ TEST(OnlineMonitorTest, AttackStreamRaisesAlarm) {
       fixture().suite, attack::gzip_payloads(), 5);
   std::size_t alarms = 0;
   for (const auto& attack : attacks) {
-    alarms += monitor.on_trace(attack.trace);
+    for (const auto& event : attack.trace.events) {
+      if (monitor.on_event(event).alarm) ++alarms;
+    }
     monitor.reset_window();
   }
   EXPECT_GT(alarms, 0u);
@@ -125,7 +129,9 @@ TEST(OnlineMonitorTest, HysteresisRequiresConsecutiveWindows) {
       fixture().suite, attack::gzip_payloads(), 5);
   std::size_t alarms = 0;
   for (const auto& attack : attacks) {
-    alarms += monitor.on_trace(attack.trace);
+    for (const auto& event : attack.trace.events) {
+      if (monitor.on_event(event).alarm) ++alarms;
+    }
   }
   EXPECT_EQ(alarms, 0u);
   EXPECT_GT(monitor.stats().windows_flagged, 0u);
@@ -145,8 +151,10 @@ TEST(OnlineMonitorTest, CooldownSuppressesAlarmBursts) {
   std::size_t noisy_alarms = 0;
   std::size_t calm_alarms = 0;
   for (const auto& attack : attacks) {
-    noisy_alarms += monitor_noisy.on_trace(attack.trace);
-    calm_alarms += monitor_calm.on_trace(attack.trace);
+    for (const auto& event : attack.trace.events) {
+      if (monitor_noisy.on_event(event).alarm) ++noisy_alarms;
+      if (monitor_calm.on_event(event).alarm) ++calm_alarms;
+    }
   }
   EXPECT_LE(calm_alarms, noisy_alarms);
   EXPECT_LE(calm_alarms, 1u);
@@ -320,7 +328,7 @@ TEST(OnlineMonitorTest, RebindKeepsStatsAndCooldownResetsWindow) {
       fixture().suite, attack::gzip_payloads(), 5);
   for (const auto& attack : attacks) {
     if (monitor.stats().alarms > 0) break;
-    monitor.on_trace(attack.trace);
+    for (const auto& event : attack.trace.events) monitor.on_event(event);
   }
   ASSERT_GT(monitor.stats().alarms, 0u);
   const MonitorStats before = monitor.stats();

@@ -17,7 +17,7 @@ set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
-verbs='open_session|submit|drain|session_stats|recent_decisions|evict_session|close_session|reload_model|record_span'
+verbs='open_session|submit|submit_batch|drain|session_stats|recent_decisions|evict_session|close_session|reload_model|record_span'
 bad="$(grep -nE "(\.|->|::)($verbs)[[:space:]]*\(" \
   "$repo_root/src/serve/protocol.cpp" \
   "$repo_root/src/serve/net/binary_session.cpp" || true)"

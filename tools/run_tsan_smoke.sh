@@ -37,7 +37,10 @@
 # checks every verdict against the reference recursion), and the one
 # reader of persisted state (model_io_test and util_test feed
 # util::RecordReader lying counts and every truncation and byte flip of a
-# saved model and trainer state, which only ASan and UBSan can vouch for).
+# saved model and trainer state, which only ASan and UBSan can vouch for),
+# and the frame hand-off (serve_frame_test queues EV frames as their
+# payload bytes, trims them under drop-oldest, rebinds between queued frames
+# and waits a frame larger than the queue out on a live worker).
 #
 # CMARKOV_SANITIZE picks the sanitizer: thread (default; data races),
 # address (heap/stack misuse, leaks) or undefined (UB). The first report
@@ -59,14 +62,15 @@ case "$SANITIZER" in
     ;;
 esac
 BUILD_DIR="${BUILD_DIR:-build-$SANITIZER}"
-TESTS='^(serve_test|serve_net_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test|forward_backward_test|detector_test|online_monitor_test|model_io_test|util_test)$'
+TESTS='^(serve_test|serve_net_test|serve_frame_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test|forward_backward_test|detector_test|online_monitor_test|model_io_test|util_test)$'
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMARKOV_SANITIZE="$SANITIZER"
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target serve_test serve_net_test admin_test chaos_test logging_test \
-  --target parallel_test parallel_training_test incremental_training_test \
+  --target serve_test serve_net_test serve_frame_test admin_test chaos_test \
+  --target logging_test parallel_test parallel_training_test \
+  --target incremental_training_test \
   --target obs_test forward_backward_test detector_test online_monitor_test \
   --target model_io_test util_test
 
