@@ -1,5 +1,6 @@
 #include "src/core/online_monitor.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -85,13 +86,7 @@ MonitorUpdate OnlineMonitor::on_event(ir::CallKind kind, std::string_view site,
     at += 1;
     if (at == length) at = 0;
   }
-  // With tracing on, a pass keeps its alpha rows and scales: a flagged
-  // window's record needs them, and whether the window flags is only known
-  // once the pass has run. A memo hit runs no pass and keeps nothing.
-  const bool tracing =
-      options_.decisions.enabled && options_.decisions.ring_capacity > 0;
-  const WindowScore scored =
-      kernel_->score(segment_, scratch_, tracing ? &audit_ : nullptr);
+  const WindowScore scored = kernel_->score(segment_, scratch_);
   const SegmentVerdict& verdict = scored.verdict;
   update.memo_hit = scored.memo_hit;
   update.log_likelihood = verdict.log_likelihood;
@@ -113,28 +108,65 @@ MonitorUpdate OnlineMonitor::on_event(ir::CallKind kind, std::string_view site,
     consecutive_flagged_ = 0;
   }
 
-  if (tracing) {
+  if (options_.decisions.enabled && options_.decisions.ring_capacity > 0) {
     const bool sampled =
         options_.decisions.sample_every > 0 &&
         stats_.windows_scored % options_.decisions.sample_every == 0;
     const bool forced = options_.decisions.always_on_flagged &&
                         (verdict.flagged || update.alarm);
     if (sampled || forced) {
-      // The one pass a hit skipped, run now that its record needs the rows.
-      if (scored.memo_hit) kernel_->score_window(segment_, scratch_, &audit_);
-      obs::DecisionRecord record = detector_->make_decision_record(
-          segment_, verdict, audit_.scales, audit_.alpha);
-      record.window_index = stats_.windows_scored;
-      record.alarm = update.alarm;
-      record.sampled = sampled;
-      decisions_.push_back(std::move(record));
-      while (decisions_.size() > options_.decisions.ring_capacity) {
-        decisions_.pop_front();
-      }
-      update.decision = &decisions_.back();
+      update.decision = &admit_decision(verdict, update.alarm, sampled);
     }
   }
   return update;
+}
+
+DecisionEntry& OnlineMonitor::admit_decision(const SegmentVerdict& verdict,
+                                             bool alarm, bool sampled) {
+  DecisionEntry* entry = nullptr;
+  if (decisions_.size() < options_.decisions.ring_capacity) {
+    entry = &decisions_.emplace_back();
+  } else {
+    entry = &decisions_[decisions_next_];
+    decisions_next_ += 1;
+    if (decisions_next_ == decisions_.size()) decisions_next_ = 0;
+  }
+  // Overwritten in place, so a full ring reuses the entry's id buffer and
+  // takes a new reference only when the model changed.
+  entry->window.assign(segment_.begin(), segment_.end());
+  entry->log_likelihood = verdict.log_likelihood;
+  entry->flagged = verdict.flagged;
+  entry->unknown_symbol = verdict.unknown_symbol;
+  entry->alarm = alarm;
+  entry->sampled = sampled;
+  entry->window_index = stats_.windows_scored;
+  entry->session.clear();
+  entry->trace_id.clear();
+  if (entry->kernel != kernel_) entry->kernel = kernel_;
+  entry->detector = detector_;
+  if (entry->label_owner.get() != detector_) entry->label_owner.reset();
+  return *entry;
+}
+
+std::vector<DecisionEntry> OnlineMonitor::recent_entries(std::size_t n) const {
+  const std::size_t count = std::min(n, decisions_.size());
+  std::vector<DecisionEntry> out;
+  out.reserve(count);
+  // decisions_next_ is the oldest entry; skip all but the newest `count`.
+  std::size_t at = decisions_next_ + (decisions_.size() - count);
+  for (std::size_t i = 0; i < count; ++i, ++at) {
+    out.push_back(decisions_[at % decisions_.size()]);
+  }
+  return out;
+}
+
+std::vector<obs::DecisionRecord> OnlineMonitor::recent_decisions(
+    std::size_t n) const {
+  std::vector<obs::DecisionRecord> out;
+  for (const DecisionEntry& entry : recent_entries(n)) {
+    out.push_back(entry.record());
+  }
+  return out;
 }
 
 void OnlineMonitor::reset_window() {
@@ -198,8 +230,7 @@ void OnlineMonitor::rebind(const Detector& detector,
 std::size_t OnlineMonitor::state_bytes() const {
   return sizeof(OnlineMonitor) +
          (window_.capacity() + segment_.capacity()) * sizeof(std::size_t) +
-         scratch_.capacity_bytes() +
-         (audit_.alpha.capacity() + audit_.scales.capacity()) * sizeof(double);
+         scratch_.capacity_bytes();
 }
 
 MonitorStorage OnlineMonitor::release_storage() {

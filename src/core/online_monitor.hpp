@@ -6,11 +6,13 @@
 // flagged windows + cooldown) to keep alert volume manageable.
 #pragma once
 
-#include <deque>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <vector>
 
+#include "src/core/decision_log.hpp"
 #include "src/core/detector.hpp"
 #include "src/core/scoring_kernel.hpp"
 #include "src/trace/symbolizer.hpp"
@@ -32,26 +34,23 @@ namespace cmarkov::core {
 //     `cooldown_events` events (or every `windows_to_alarm` windows when
 //     the cooldown is 0).
 /// Decision-audit sampling (docs/OBSERVABILITY.md). When enabled, scored
-/// windows selected by the guard get a full `cmarkov.decision.v1`
-/// DecisionRecord (per-symbol forward contributions, argmax states,
-/// unknown-call marks, threshold margin) kept in a bounded ring:
+/// windows selected by the guard are recorded in a bounded ring, and each
+/// can be read back as a full `cmarkov.decision.v1` DecisionRecord
+/// (per-symbol forward contributions, argmax states, unknown-call marks,
+/// threshold margin):
 ///   - every `sample_every`-th scored window is recorded (0 disables the
 ///     periodic sample);
 ///   - flagged windows and alarms are always recorded when
 ///     `always_on_flagged` is set, regardless of the period.
 /// Every window scores through the compiled kernel's memo
-/// (ScoringKernel::score), and no window runs more than one forward pass:
-///   - a window the memo misses runs its one pass, and with tracing
-///     enabled that pass keeps its T alpha rows and scales (WindowAudit)
-///     instead of ping-ponging two rows, which costs the same stores;
-///   - a memo hit the guard admits runs its one pass then, audited,
-///     before the record is built;
-///   - any other hit runs no pass.
-/// The argmax states are derived for admitted windows only. So tracing
-/// costs the sampling branch, record assembly for admitted windows, and a
-/// pass for admitted hits, which a flag-heavy feed would otherwise have
-/// run anyway. Writing argmax states on every pass would cost ~12% of it,
-/// over the 3% tracing budget (BENCH_obs.json).
+/// (ScoringKernel::score): a miss runs one two-row pass and a hit runs
+/// none, recorded or not. No admitted window runs a pass on the scoring
+/// thread. The ring keeps a DecisionEntry (the window's ids, the verdict,
+/// the scoring model), and its alpha rows, scales and argmax states are
+/// recomputed when the record is read (DecisionEntry::record). So tracing
+/// costs the sampling branch and an id copy per admitted window, into an
+/// entry whose buffer the ring reuses; reading a record costs one
+/// kept-rows pass.
 struct DecisionTraceOptions {
   bool enabled = false;
   /// Record every Nth scored window (1 = all, 0 = only flagged/alarms).
@@ -123,10 +122,11 @@ struct MonitorUpdate {
   /// The window's verdict came from the kernel's window memo
   /// (ScoringKernel::score) instead of a forward pass.
   bool memo_hit = false;
-  /// Audit record for this window when decision tracing admitted it; null
-  /// otherwise. Points into the monitor's ring — valid until the next
-  /// on_event / reset_window call on the same monitor.
-  const obs::DecisionRecord* decision = nullptr;
+  /// Audit entry for this window when decision tracing admitted it; null
+  /// otherwise (record() derives the full record). Points into the
+  /// monitor's ring — valid until the next on_event call on the same
+  /// monitor.
+  const DecisionEntry* decision = nullptr;
   /// The completed window's encoded observation ids (oldest first); null
   /// while the window is still filling. Points into the monitor's scoring
   /// scratch — valid until the next on_event / rebind on the same
@@ -165,17 +165,23 @@ class OnlineMonitor {
 
   const MonitorStats& stats() const { return stats_; }
 
-  /// Retained decision records, oldest first (empty unless decision
-  /// tracing is enabled). Bounded by DecisionTraceOptions::ring_capacity.
-  const std::deque<obs::DecisionRecord>& recent_decisions() const {
-    return decisions_;
-  }
+  /// Copies of up to `n` of the newest retained decision entries, oldest
+  /// first (none unless decision tracing is enabled). The ring holds at
+  /// most DecisionTraceOptions::ring_capacity.
+  std::vector<DecisionEntry> recent_entries(
+      std::size_t n = std::numeric_limits<std::size_t>::max()) const;
 
-  /// Newest retained decision record, mutable (null when none). The
-  /// serving tier stamps session / trace ids into it right after the
-  /// on_event call that produced it.
-  obs::DecisionRecord* last_decision() {
-    return decisions_.empty() ? nullptr : &decisions_.back();
+  /// The records of recent_entries(n), each derived by one kept-rows pass
+  /// (DecisionEntry::record). A record scored before a rebind is derived
+  /// from the detector that scored it, which must still be alive.
+  std::vector<obs::DecisionRecord> recent_decisions(
+      std::size_t n = std::numeric_limits<std::size_t>::max()) const;
+
+  /// Newest retained decision entry, mutable (null when none). The
+  /// serving tier stamps session / trace ids and the detector pin into it
+  /// right after the on_event call that produced it.
+  DecisionEntry* last_decision() {
+    return decisions_.empty() ? nullptr : &decisions_[newest_decision()];
   }
 
   /// Clears the window and hysteresis state (e.g. on process restart), but
@@ -210,11 +216,10 @@ class OnlineMonitor {
 
   /// Heap bytes held by this monitor's scoring state (the per-session
   /// memory bill the serving tier budgets): the object itself plus window
-  /// ring, segment scratch, the kernel's flat forward scratch, and, while
-  /// tracing, the kept alpha rows and scales.
-  /// Excludes the decision-audit ring (a debug facility that is empty in
-  /// production configurations) and the shared kernel image, which is
-  /// per-model-version, not per-session (ScoringKernel::image_bytes).
+  /// ring, segment scratch and the kernel's flat forward scratch.
+  /// Excludes the decision-audit ring (a flight recorder, not scoring
+  /// state) and the shared kernel image, which is per-model-version, not
+  /// per-session (ScoringKernel::image_bytes).
   std::size_t state_bytes() const;
 
   /// Moves the window/scratch buffers out for pool recycling. The monitor
@@ -222,18 +227,28 @@ class OnlineMonitor {
   MonitorStorage release_storage();
 
  private:
+  /// Writes the just-scored window into the ring's next entry.
+  DecisionEntry& admit_decision(const SegmentVerdict& verdict, bool alarm,
+                                bool sampled);
+  std::size_t newest_decision() const {
+    return (decisions_next_ == 0 ? decisions_.size() : decisions_next_) - 1;
+  }
+
   const Detector* detector_;
   const trace::Symbolizer* symbolizer_;
   MonitorOptions options_;
   /// Shared compiled model image; scores every window.
   std::shared_ptr<const ScoringKernel> kernel_;
   KernelScratch scratch_;            // flat forward rows, pool-recycled
-  WindowAudit audit_;                // per-step outputs while tracing
   std::vector<std::size_t> window_;  // ring of encoded observation ids
   std::size_t window_head_ = 0;      // index of the oldest id
   std::size_t window_count_ = 0;
   hmm::ObservationSeq segment_;      // scoring scratch, reused per window
-  std::deque<obs::DecisionRecord> decisions_;  // bounded audit ring
+  /// Bounded audit ring. It grows to ring_capacity entries, then the
+  /// oldest (at decisions_next_) is overwritten in place, reusing its id
+  /// buffer.
+  std::vector<DecisionEntry> decisions_;
+  std::size_t decisions_next_ = 0;
   std::size_t consecutive_flagged_ = 0;
   std::size_t cooldown_remaining_ = 0;
   MonitorStats stats_;

@@ -41,8 +41,9 @@ std::size_t carve(std::size_t& cursor, std::size_t bytes) {
   return at;
 }
 
-constexpr std::size_t kMemoSetBits = 11;  // 2048 sets of two entries
-static_assert(ScoringKernel::kMemoEntries == 2u << kMemoSetBits);
+constexpr std::size_t kMemoWays = 4;
+constexpr std::size_t kMemoSetBits = 11;  // 2048 sets of four entries
+static_assert(ScoringKernel::kMemoEntries == kMemoWays << kMemoSetBits);
 
 /// The one way any memo word is accessed.
 inline std::atomic_ref<std::uint64_t> word(std::uint64_t* at) {
@@ -237,8 +238,7 @@ SegmentVerdict ScoringKernel::score_window(std::span<const std::size_t> window,
 }
 
 WindowScore ScoringKernel::score(std::span<const std::size_t> window,
-                                 KernelScratch& scratch,
-                                 WindowAudit* audit) const {
+                                 KernelScratch& scratch) const {
   if (window.size() != window_length_) {
     throw std::invalid_argument(
         "ScoringKernel::score: window of " + std::to_string(window.size()) +
@@ -247,7 +247,7 @@ WindowScore ScoringKernel::score(std::span<const std::size_t> window,
   }
   WindowScore result;
   if (has_unknown(window)) {
-    result.verdict = score_window(window, scratch, audit);
+    result.verdict = score_window(window, scratch);
     return result;
   }
   std::uint64_t hash = 0;
@@ -255,25 +255,28 @@ WindowScore ScoringKernel::score(std::span<const std::size_t> window,
     hash = (hash ^ word) * 0x9e3779b97f4a7c15ull;
   });
   std::uint64_t* const set =
-      memo_sets_ + (hash >> (64 - kMemoSetBits)) * 2 * memo_stride_;
-  std::uint64_t* const way[2] = {set, set + memo_stride_};
+      memo_sets_ + (hash >> (64 - kMemoSetBits)) * kMemoWays * memo_stride_;
+  std::uint64_t* way[kMemoWays];
+  for (std::size_t w = 0; w < kMemoWays; ++w) way[w] = set + w * memo_stride_;
 
-  // Seqlock read of both ways: the sequence word, then key and value with
+  // Seqlock read of every way: the sequence word, then key and value with
   // acquire loads, then the sequence again. A write that overlapped the
   // read changed the sequence, and an odd one is in progress: both miss.
-  const std::uint64_t seq[2] = {word(way[0]).load(std::memory_order_acquire),
-                                word(way[1]).load(std::memory_order_acquire)};
-  bool match[2] = {seq[0] != 0 && seq[0] % 2 == 0,
-                   seq[1] != 0 && seq[1] % 2 == 0};
+  std::uint64_t seq[kMemoWays];
+  bool match[kMemoWays];
+  for (std::size_t w = 0; w < kMemoWays; ++w) {
+    seq[w] = word(way[w]).load(std::memory_order_acquire);
+    match[w] = seq[w] != 0 && seq[w] % 2 == 0;
+  }
   std::size_t at = 2;
   pack_key(window, key_bits_, [&](std::uint64_t key) {
-    match[0] = match[0] &&
-               word(way[0] + at).load(std::memory_order_acquire) == key;
-    match[1] = match[1] &&
-               word(way[1] + at).load(std::memory_order_acquire) == key;
+    for (std::size_t w = 0; w < kMemoWays; ++w) {
+      match[w] = match[w] &&
+                 word(way[w] + at).load(std::memory_order_acquire) == key;
+    }
     ++at;
   });
-  for (std::size_t w = 0; w < 2; ++w) {
+  for (std::size_t w = 0; w < kMemoWays; ++w) {
     if (!match[w]) continue;
     const std::uint64_t bits = word(way[w] + 1).load(std::memory_order_acquire);
     if (word(way[w]).load(std::memory_order_acquire) != seq[w]) continue;
@@ -283,11 +286,14 @@ WindowScore ScoringKernel::score(std::span<const std::size_t> window,
     return result;
   }
 
-  result.verdict = score_window(window, scratch, audit);
-  // Round-robin victim: the parity of the set's completed writes. A
-  // writer claims it with one even -> odd CAS and releases it at the next
-  // even value; losing the claim, or finding it held, skips the insert.
-  const std::size_t victim = ((seq[0] / 2) + (seq[1] / 2)) % 2;
+  result.verdict = score_window(window, scratch);
+  // Round-robin victim: the set's completed writes (half of each sequence)
+  // mod kMemoWays. A writer claims it with one even -> odd CAS and
+  // releases it at the next even value; losing the claim, or finding it
+  // held, skips the insert.
+  std::uint64_t writes = 0;
+  for (std::size_t w = 0; w < kMemoWays; ++w) writes += seq[w] / 2;
+  const std::size_t victim = writes % kMemoWays;
   std::uint64_t claimed = seq[victim];
   if (claimed % 2 != 0 ||
       !word(way[victim]).compare_exchange_strong(claimed, claimed + 1,

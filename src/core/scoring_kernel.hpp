@@ -22,20 +22,24 @@
 //   - blob   : the interned string bytes the slots point into.
 //
 // Its one mutable, concurrent part is the window memo: a fixed table of
-// kMemoEntries exact (window -> log-likelihood) entries in 2-way sets that
-// score() consults before running a pass. Normal behaviour is a small set
+// kMemoEntries exact (window -> log-likelihood) entries, 2048 sets of 4
+// ways, that score() consults before running a pass. Normal behaviour is a small set
 // of short call sequences that keep recurring, so most windows a monitor
 // completes were already scored, by it or by another session on another
 // shard. The key is the window's ids packed at bit_width(M - 1) bits each
 // and stored whole, never only its hash. Every entry is a seqlock of
 // uint64_t words that are only ever read and written through
 // std::atomic_ref (the words come from calloc, so the OS zero-fills their
-// pages on first touch instead of compile() writing 128 KiB of zeros into
+// pages on first touch instead of compile() writing 256 KiB of zeros into
 // every image at daemon start): a reader that sees an odd or changed
 // sequence word counts a miss, and a writer that loses the claim on an
-// entry skips its insert, so no scorer ever waits on another. The memo
-// belongs to its image: a reload's new image starts empty, and the old
-// memo is freed with the old image.
+// entry skips its insert, so no scorer ever waits on another. A miss
+// replaces the set's ways in turn (its completed writes mod 4). Four ways
+// hold the serve models' working sets: on the stream feeds each model
+// recurs over 1.3k-6.4k distinct windows, which 2-way sets of half the
+// size kept only 82% of (DESIGN.md section 7). The memo belongs to its
+// image: a reload's new image starts empty, and the old memo is freed
+// with the old image.
 //
 // Scoring runs against a flat two-row scratch buffer (KernelScratch, owned
 // per monitor and recycled through the serve StatePool) — no ForwardResult
@@ -80,7 +84,8 @@ struct KernelScratch {
 /// alpha[t*N]), and the T scales c_t, which read 0 from an impossible step
 /// on. Rows after that step are not written, and a window holding an
 /// unknown observation runs no pass and writes neither.
-/// Detector::make_decision_record builds the audit record from them.
+/// Detector::make_decision_record builds the audit record from them when
+/// a recorded window is read (DecisionEntry::record).
 struct WindowAudit {
   std::vector<double> alpha;
   std::vector<double> scales;
@@ -89,16 +94,15 @@ struct WindowAudit {
 /// One window's verdict from ScoringKernel::score.
 struct WindowScore {
   SegmentVerdict verdict;
-  /// The verdict came from the window memo: no forward pass ran, and a
-  /// WindowAudit passed to score() was left as it was.
+  /// The verdict came from the window memo: no forward pass ran.
   bool memo_hit = false;
 };
 
 class ScoringKernel {
  public:
-  /// Entries in every kernel's window memo, two per set. At the serve
-  /// models' 90-bit keys (15 ids of 6 bits) that is 128 KiB per image.
-  static constexpr std::size_t kMemoEntries = 4096;
+  /// Entries in every kernel's window memo, four per set. At the serve
+  /// models' 90-bit keys (15 ids of 6 bits) that is 256 KiB per image.
+  static constexpr std::size_t kMemoEntries = 8192;
 
   /// Compiles the immutable image from a trained detector. Throws
   /// std::invalid_argument for untrained detectors (the serve tier never
@@ -126,22 +130,20 @@ class ScoringKernel {
   /// bit-identical to Detector::score_segment (same verdict fields, same
   /// doubles). `scratch` is grown on demand and holds no state across
   /// calls. With `audit`, the pass keeps its alpha rows and scales there
-  /// instead, for a decision record.
+  /// instead: DecisionEntry::record derives a decision record from them.
   SegmentVerdict score_window(std::span<const std::size_t> window,
                               KernelScratch& scratch,
                               WindowAudit* audit = nullptr) const;
 
   /// The monitor's scoring call: score_window through the window memo.
   /// A window this image already scored returns the stored bits and runs
-  /// no pass (memo_hit; `audit` is not written). Otherwise it runs
-  /// score_window with `scratch` and `audit` and stores the result. A
-  /// window holding an unknown id returns before the memo, as from
-  /// score_window. `window` must hold window_length() ids; throws
-  /// std::invalid_argument otherwise. Safe to call from many threads at
-  /// once.
+  /// no pass (memo_hit). Otherwise it runs score_window with `scratch` and
+  /// stores the result. A window holding an unknown id returns before the
+  /// memo, as from score_window. `window` must hold window_length() ids;
+  /// throws std::invalid_argument otherwise. Safe to call from many
+  /// threads at once.
   WindowScore score(std::span<const std::size_t> window,
-                    KernelScratch& scratch,
-                    WindowAudit* audit = nullptr) const;
+                    KernelScratch& scratch) const;
 
   std::size_t num_states() const { return num_states_; }
   std::size_t num_symbols() const { return num_symbols_; }
@@ -198,7 +200,7 @@ class ScoringKernel {
   };
 
   /// Window memo: kMemoEntries entries of memo_stride_ words, {sequence,
-  /// log-likelihood bits, key words}, two per set, the first set at
+  /// log-likelihood bits, key words}, four per set, the first set at
   /// memo_sets_ (64-byte aligned inside memo_). Sequence 0 is an empty
   /// entry, odd is one being written.
   std::size_t window_length_ = 0;

@@ -221,7 +221,7 @@ SessionManager::SessionManager(ModelRegistry& registry, ServiceConfig config)
         "cmarkov_serve_shard_evicted_total_w" + std::to_string(i)));
   }
   tracer_ = std::make_unique<obs::Tracer>(config_.tracing);
-  decision_log_ = std::make_unique<obs::DecisionLog>(kDecisionLogCapacity);
+  decision_log_ = std::make_unique<core::DecisionLog>(kDecisionLogCapacity);
   spans_total_ = &metrics_.counter("cmarkov_trace_spans_total");
   spans_dropped_total_ = &metrics_.counter("cmarkov_trace_spans_dropped_total");
   decisions_total_ = &metrics_.counter("cmarkov_trace_decisions_total");
@@ -960,20 +960,23 @@ void SessionManager::process_item(Item& item, BatchCounters& batch) {
                        update.unknown_symbol, *update.window);
       }
       if (update.decision != nullptr) {
-        // Stamp ids and the label pin into the monitor's ring copy (served
-        // by TRACE) and append a copy to the service-wide JSONL log (a
-        // wait-free append) while the binding cannot change. The labels
-        // view this detector's alphabet, so the record keeps it alive past
-        // any reload. Once the flight-recorder log is full the copy would
-        // only be dropped, so skip it and count the drop instead.
-        obs::DecisionRecord* record = session.monitor.last_decision();
-        record->session = session.id;
-        record->trace_id = item.trace_id;
-        record->label_owner = session.model.detector;
+        // Stamp ids and the detector pin into the monitor's ring entry
+        // (served by TRACE) and append a copy to the service-wide JSONL log
+        // (a wait-free append) while the binding cannot change. A read
+        // derives the record from this detector, so the entry keeps it
+        // alive past any reload; a reused entry that already pins it takes
+        // no new reference. Once the flight-recorder log is full the copy
+        // would only be dropped, so skip it and count the drop instead.
+        core::DecisionEntry* entry = session.monitor.last_decision();
+        entry->session = session.id;
+        entry->trace_id = item.trace_id;
+        if (entry->label_owner != session.model.detector) {
+          entry->label_owner = session.model.detector;
+        }
         if (decision_log_->full()) {
           decision_log_->drop();
           decisions_dropped_total_->add(1);
-        } else if (decision_log_->append(*record)) {
+        } else if (decision_log_->append(*entry)) {
           decisions_total_->add(1);
         } else {
           decisions_dropped_total_->add(1);
@@ -1053,13 +1056,15 @@ std::vector<obs::DecisionRecord> SessionManager::recent_decisions(
   if (!session) {
     throw std::invalid_argument("SessionManager: no session '" + id + "'");
   }
+  std::vector<core::DecisionEntry> entries;
+  {
+    const std::lock_guard lock(session->monitor_mu);
+    entries = session->monitor.recent_entries(n);
+  }
   std::vector<obs::DecisionRecord> out;
-  const std::lock_guard lock(session->monitor_mu);
-  const auto& ring = session->monitor.recent_decisions();
-  const std::size_t count = std::min(n, ring.size());
-  out.reserve(count);
-  for (std::size_t i = ring.size() - count; i < ring.size(); ++i) {
-    out.push_back(ring[i]);
+  out.reserve(entries.size());
+  for (const core::DecisionEntry& entry : entries) {
+    out.push_back(entry.record());
     out.back().session = session->id;
   }
   return out;

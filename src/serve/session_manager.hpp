@@ -26,8 +26,8 @@
 // model reload (reload_model) atomically publishes a new version in the
 // ModelRegistry and rebinds every affected session at a window boundary.
 // A model version lives as long as a shared_ptr to it does: the session's
-// binding, the monitor's kernel, and every decision record whose labels
-// view the detector's alphabet (DecisionRecord::label_owner).
+// binding, the monitor's kernel, and every decision entry and record that
+// may still explain a window with it (DecisionEntry::label_owner).
 //
 // Per-session verdicts are bit-identical to feeding the same events through
 // a standalone core::OnlineMonitor, provided each session has one producer
@@ -47,7 +47,6 @@
 
 #include "src/core/online_monitor.hpp"
 #include "src/obs/metrics_registry.hpp"
-#include "src/obs/trace/decision_log.hpp"
 #include "src/obs/trace/tracer.hpp"
 #include "src/serve/event_batch.hpp"
 #include "src/serve/model_registry.hpp"
@@ -254,7 +253,7 @@ class SessionManager {
   void record_span(obs::SpanRecord span);
 
   /// Service-wide decision log (JSONL sink; --decision-log dumps it).
-  const obs::DecisionLog& decision_log() const { return *decision_log_; }
+  const core::DecisionLog& decision_log() const { return *decision_log_; }
 
   /// Microseconds on the service clock that timestamps every span (so
   /// transport-side spans line up with worker-side ones).
@@ -263,7 +262,10 @@ class SessionManager {
   /// Up to `n` most recent decision records of a session, oldest first
   /// (the TRACE verb). Empty unless the session's monitor has decision
   /// tracing enabled (and empty again right after a restore — the audit
-  /// ring is a flight recorder, not snapshotted state). Throws
+  /// ring is a flight recorder, not snapshotted state). The entries are
+  /// copied under the session's monitor lock and each record is derived
+  /// after it, one kept-rows pass apiece (DecisionEntry::record), so a
+  /// read never stalls the shard worker for its passes. Throws
   /// std::invalid_argument for unknown ids.
   std::vector<obs::DecisionRecord> recent_decisions(const std::string& id,
                                                     std::size_t n) const;
@@ -450,7 +452,7 @@ class SessionManager {
 
   // Tracing sinks (always constructed; zero-capacity / disabled when off).
   std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<obs::DecisionLog> decision_log_;
+  std::unique_ptr<core::DecisionLog> decision_log_;
   obs::Counter* spans_total_;
   obs::Counter* spans_dropped_total_;
   obs::Counter* decisions_total_;

@@ -2,18 +2,23 @@
 // accounting under concurrency, Tracer sampling semantics, per-symbol
 // forward decompositions that sum exactly to the window log-likelihood,
 // DecisionRecord assembly for known/unknown/impossible windows, monitor
-// ring sampling, and golden-file pins for the JSONL and Chrome-trace
-// sinks. Regenerate goldens with CMARKOV_UPDATE_GOLDEN=1.
+// ring sampling, records derived when read (allocation-free admission,
+// the scoring model kept across a rebind, the stored-bits check), and
+// golden-file pins for the JSONL and Chrome-trace sinks. Regenerate goldens
+// with CMARKOV_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "src/core/decision_log.hpp"
 #include "src/core/detector.hpp"
 #include "src/core/online_monitor.hpp"
 #include "src/core/scoring_kernel.hpp"
@@ -21,9 +26,9 @@
 #include "src/obs/run_profile.hpp"
 #include "src/obs/trace/bounded_log.hpp"
 #include "src/obs/trace/chrome_trace.hpp"
-#include "src/obs/trace/decision_log.hpp"
 #include "src/obs/trace/decision_record.hpp"
 #include "src/obs/trace/tracer.hpp"
+#include "tests/allocation_probe.hpp"
 #include "tests/reference_record.hpp"
 
 namespace cmarkov {
@@ -321,9 +326,111 @@ TEST(MonitorDecisionTest, DisabledTracingLeavesNoFootprint) {
   EXPECT_TRUE(monitor.recent_decisions().empty());
 }
 
-TEST(GoldenTest, DecisionJsonlIsByteStable) {
-  obs::DecisionLog log(8);
+/// A second 2-state model with its own alphabet, so a record's labels
+/// tell which model explained it.
+core::Detector other_detector() {
+  hmm::Hmm model;
+  model.transition = Matrix::from_rows({{0.2, 0.8}, {0.9, 0.1}});
+  model.emission = Matrix::from_rows({{0.5, 0.5}, {0.3, 0.7}});
+  model.initial = {0.1, 0.9};
+  hmm::Alphabet alphabet;
+  alphabet.intern("open@main");
+  alphabet.intern("close@main");
+  core::DetectorConfig config;
+  config.pipeline.filter = analysis::CallFilter::kAll;
+  config.segments.length = 3;
+  return core::Detector::from_parts(config, std::move(model),
+                                    std::move(alphabet), kInf,
+                                    /*trained=*/true);
+}
 
+TEST(MonitorDecisionTest, AdmittedWindowsAllocateNothingOnceWarm) {
+  // Every window flags and every window is sampled: each one is admitted.
+  // A warm ring overwrites its oldest entry in place, so admitting a
+  // window copies its ids into a buffer the ring already holds.
+  const core::Detector detector = tiny_detector(kInf);
+  core::MonitorOptions options;
+  options.decisions.enabled = true;
+  options.decisions.sample_every = 1;
+  options.decisions.always_on_flagged = true;
+  options.decisions.ring_capacity = 8;
+  core::OnlineMonitor monitor(detector, nullptr, options);
+  const auto feed = [&monitor](std::size_t events) {
+    std::size_t admitted = 0;
+    for (std::size_t i = 0; i < events; ++i) {
+      const core::MonitorUpdate update = monitor.on_event(
+          ir::CallKind::kLibcall, "main", i % 3 == 0 ? "write" : "read");
+      admitted += update.decision != nullptr;
+    }
+    return admitted;
+  };
+  (void)feed(64);  // fills the ring, the scratch and the memo
+  std::size_t admitted = 0;
+  std::size_t allocations = 0;
+  {
+    const test_support::AllocationProbe probe;
+    admitted = feed(256);
+    allocations = probe.calls();
+  }
+  EXPECT_EQ(admitted, 256u);
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(monitor.recent_entries().size(), 8u);
+}
+
+TEST(MonitorDecisionTest, RecordReadAfterRebindExplainsWithTheScoringModel) {
+  // Records are derived when read, but from the model that scored each
+  // window: the ring's older entries still explain themselves with the
+  // first detector after the monitor moved on to the second.
+  const core::Detector first = tiny_detector(kInf);
+  const core::Detector second = other_detector();
+  core::MonitorOptions options;
+  options.decisions.enabled = true;
+  options.decisions.sample_every = 1;
+  options.decisions.ring_capacity = 16;
+  core::OnlineMonitor monitor(first, nullptr, options);
+  std::vector<std::pair<const core::Detector*, hmm::ObservationSeq>> scored;
+  const auto feed = [&](const core::Detector& by, const char* a,
+                        const char* b) {
+    for (int i = 0; i < 5; ++i) {
+      const core::MonitorUpdate update =
+          monitor.on_event(ir::CallKind::kLibcall, "main", i % 2 ? b : a);
+      if (update.decision != nullptr) scored.emplace_back(&by, *update.window);
+    }
+  };
+  feed(first, "read", "write");
+  monitor.rebind(second);
+  feed(second, "open", "close");
+
+  const std::vector<obs::DecisionRecord> records = monitor.recent_decisions();
+  ASSERT_EQ(records.size(), 6u);
+  ASSERT_EQ(scored.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    test_support::expect_same_record(
+        records[i],
+        test_support::reference_record(*scored[i].first, scored[i].second));
+  }
+  EXPECT_EQ(records.front().symbols[0].label, "read@main");
+  EXPECT_EQ(records.back().symbols[0].label, "open@main");
+  EXPECT_NE(records.front().log_likelihood, -kInf);
+  EXPECT_NE(records.back().log_likelihood, -kInf);
+}
+
+TEST(MonitorDecisionTest, ForgedLogLikelihoodBitsMakeTheReadThrow) {
+  // The read re-runs the window's pass and checks the stored bits, so an
+  // entry whose verdict its own window does not reproduce cannot be read.
+  const core::Detector detector = tiny_detector(kInf);
+  core::MonitorOptions options;
+  options.decisions.enabled = true;
+  options.decisions.sample_every = 1;
+  core::OnlineMonitor monitor(detector, nullptr, options);
+  for (int i = 0; i < 4; ++i) monitor.on_event(event("read"));
+  core::DecisionEntry entry = monitor.recent_entries(1).at(0);
+  EXPECT_NO_THROW((void)entry.record());
+  entry.log_likelihood = std::nextafter(entry.log_likelihood, 0.0);
+  EXPECT_THROW((void)entry.record(), std::logic_error);
+}
+
+TEST(GoldenTest, DecisionJsonlIsByteStable) {
   obs::DecisionRecord flagged;
   flagged.window_index = 7;
   flagged.session = "s1";
@@ -335,7 +442,6 @@ TEST(GoldenTest, DecisionJsonlIsByteStable) {
   flagged.alarm = true;
   flagged.symbols.push_back({0, 0, "read@main", -3.25, 1, false});
   flagged.symbols.push_back({1, 1, "write@main", -9.25, 0, false});
-  log.append(flagged);
 
   obs::DecisionRecord unknown;
   unknown.window_index = 8;
@@ -347,9 +453,12 @@ TEST(GoldenTest, DecisionJsonlIsByteStable) {
   unknown.unknown_symbol = true;
   unknown.sampled = true;
   unknown.symbols.push_back({0, 7, "<unknown>", -kInf, 0, true});
-  log.append(unknown);
 
-  compare_golden("decision.jsonl", log.to_jsonl());
+  // One line per record, as DecisionLog::to_jsonl writes them.
+  compare_golden("decision.jsonl", obs::decision_record_json(flagged) +
+                                       "\n" +
+                                       obs::decision_record_json(unknown) +
+                                       "\n");
 }
 
 TEST(GoldenTest, ChromeTraceProfileIsByteStable) {

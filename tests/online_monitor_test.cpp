@@ -563,13 +563,14 @@ TEST(OnlineMonitorTest, MemoHitsReturnTheReferenceBits) {
 TEST(OnlineMonitorTest, SharedKernelMemoIsExactUnderConcurrentScoring) {
   // Four threads score overlapping random picks from one pool of windows
   // through one kernel, racing on the same memo entries (the pool is
-  // larger than the memo, so inserts also evict). Every verdict must be
-  // the reference recursion's.
+  // larger than the memo, so inserts also evict, whatever its size).
+  // Every verdict must be the reference recursion's.
   const Detector& detector = wide_detector();
   const auto kernel = ScoringKernel::compile(detector);
   const std::size_t length = kernel->window_length();
   Rng rng(11);
-  std::vector<hmm::ObservationSeq> pool(6000, hmm::ObservationSeq(length));
+  std::vector<hmm::ObservationSeq> pool(ScoringKernel::kMemoEntries + 2000,
+                                        hmm::ObservationSeq(length));
   for (auto& window : pool) {
     for (auto& id : window) id = rng.index(kernel->num_symbols());
   }
@@ -599,9 +600,39 @@ TEST(OnlineMonitorTest, SharedKernelMemoIsExactUnderConcurrentScoring) {
   EXPECT_GT(hits.load(), 0u);
 }
 
+TEST(OnlineMonitorTest, MemoHoldsAWorkingSetOfSixThousandWindows) {
+  // The stream models recur over 1.3k-6.4k distinct windows each. Replay
+  // a pool of 6000 distinct 64-symbol windows twice, in the same order,
+  // through one kernel: the second pass must find most of them in the
+  // memo (a 2-way memo of 4096 entries keeps about a fifth), and every
+  // verdict, hit or miss, must be the reference recursion's.
+  const Detector& detector = wide_detector();
+  const auto kernel = ScoringKernel::compile(detector);
+  Rng rng(23);
+  std::vector<hmm::ObservationSeq> pool(
+      6000, hmm::ObservationSeq(kernel->window_length()));
+  for (auto& window : pool) {
+    for (auto& id : window) id = rng.index(kernel->num_symbols());
+  }
+  KernelScratch scratch;
+  std::size_t hits[2] = {0, 0};
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    for (const auto& window : pool) {
+      const WindowScore scored = kernel->score(window, scratch);
+      EXPECT_EQ(scored.verdict.log_likelihood,
+                detector.score_segment(window).log_likelihood);
+      hits[pass] += scored.memo_hit;
+    }
+  }
+  EXPECT_EQ(hits[0], 0u);  // distinct windows: nothing to reuse yet
+  const double share = static_cast<double>(hits[1]) / pool.size();
+  EXPECT_GT(share, 0.5) << hits[1] << " of " << pool.size();
+}
+
 TEST(OnlineMonitorTest, MemoHitRecordsMatchReferenceRecords) {
-  // A sampled or flagged window that hits the memo runs its one pass for
-  // the record; its record must equal the reference recursion's.
+  // A sampled or flagged window that hits the memo runs no pass; the
+  // record derived from its entry when read must equal the reference
+  // recursion's.
   MonitorOptions audited;
   audited.decisions.enabled = true;
   audited.decisions.sample_every = 3;

@@ -1,9 +1,9 @@
 // The decision-audit record the reference recursion yields for a window,
-// and an exact field-by-field comparison. Records in production come from
-// the kernel's audit outputs (ScoringKernel::score_window with a
-// WindowAudit); the tests hold them to this oracle, built from
-// hmm::forward_scaled + per_symbol_log_contributions /
-// per_symbol_argmax_states.
+// and an exact field-by-field comparison. Records in production are
+// derived from a recorded DecisionEntry by the kernel's audit outputs
+// (ScoringKernel::score_window with a WindowAudit); the tests hold them to
+// this oracle, built from hmm::forward_scaled +
+// per_symbol_log_contributions / per_symbol_argmax_states.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/decision_log.hpp"
 #include "src/core/detector.hpp"
 #include "src/hmm/forward_backward.hpp"
 #include "src/obs/trace/decision_record.hpp"
@@ -74,6 +75,12 @@ inline void expect_same_record(const obs::DecisionRecord& actual,
     EXPECT_EQ(a.state, e.state) << "t=" << t;
     EXPECT_EQ(a.unknown, e.unknown) << "t=" << t;
   }
+}
+
+/// expect_same_record of the record an entry derives when read.
+inline void expect_same_record(const core::DecisionEntry& actual,
+                               const obs::DecisionRecord& expected) {
+  expect_same_record(actual.record(), expected);
 }
 
 }  // namespace cmarkov::test_support

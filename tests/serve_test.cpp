@@ -875,6 +875,73 @@ TEST(DecisionAuditTest, DecisionLabelsOutliveAReload) {
   EXPECT_EQ(manager.decision_log().to_jsonl(), log);
 }
 
+// TRACE reads derive each record from its entry while the session's
+// worker keeps scoring and RELOADs rebind it: every read must find the
+// bits it recorded (DecisionEntry::record throws otherwise) and render
+// records whose contributions sum to their log-likelihood, including
+// records of a version the registry no longer holds.
+TEST(DecisionAuditTest, TraceReadsRacingScoringAndReloadsDeriveEveryRecord) {
+  ModelRegistry registry;
+  registry.add("m", *fixture().gzip_model);  // a private copy
+  ServiceConfig config;
+  config.num_workers = 2;
+  config.policy = BackpressurePolicy::kBlock;
+  config.monitor.decisions.enabled = true;
+  config.monitor.decisions.sample_every = 1;
+  SessionManager manager(registry, config);
+  manager.open_session("watched", "m");
+  const std::size_t window =
+      fixture().gzip_model->config().segments.length;
+
+  std::atomic<bool> stop{false};
+  std::thread producer([&] {
+    const auto feed = fixture().events_for(fixture().gzip, 601, 1);
+    for (std::size_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      manager.submit("watched", feed[i % feed.size()]);
+    }
+  });
+  std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> records{0};
+  std::atomic<std::size_t> bad{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const obs::DecisionRecord& record :
+           manager.recent_decisions("watched", 8)) {
+        const bool sums = std::isfinite(record.log_likelihood)
+                              ? record.contribution_sum() ==
+                                    record.log_likelihood
+                              : record.contribution_sum() ==
+                                    -std::numeric_limits<double>::infinity();
+        if (record.symbols.size() != window || !sums ||
+            obs::decision_record_json(record).empty()) {
+          ++bad;
+        }
+        ++records;
+      }
+      ++reads;
+    }
+  });
+
+  while (records.load() == 0) std::this_thread::yield();
+  for (int r = 0; r < 4; ++r) {
+    const auto& model = r % 2 == 0 ? fixture().sed_model
+                                   : fixture().gzip_model;
+    EXPECT_EQ(manager.reload_model("m", model).sessions_rebound, 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::size_t target = reads.load() + 20;
+  while (reads.load() < target) std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  producer.join();
+  reader.join();
+  manager.drain();
+
+  EXPECT_GT(records.load(), 0u);
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(manager.recent_decisions("watched", 32).size(), 32u);
+  manager.close_session("watched");
+}
+
 TEST(MetricsGoldenTest, ScriptedSessionExposition) {
   // Deterministic script under manual_pump: 20 unknown-symbol events into
   // a capacity-8 drop-oldest queue (12 evicted), STATS drains (8 scored),

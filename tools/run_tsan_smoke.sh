@@ -40,7 +40,12 @@
 # saved model and trainer state, which only ASan and UBSan can vouch for),
 # and the frame hand-off (serve_frame_test queues EV frames as their
 # payload bytes, trims them under drop-oldest, rebinds between queued frames
-# and waits a frame larger than the queue out on a live worker).
+# and waits a frame larger than the queue out on a live worker), and the
+# decision records derived when read (decision_trace_test reads a rebound
+# monitor's entries and forges one; serve_test's
+# TraceReadsRacingScoringAndReloadsDeriveEveryRecord derives records from
+# entries copied while the session's worker scores and RELOADs drop the
+# registry's last reference to the model version the entries pin).
 #
 # CMARKOV_SANITIZE picks the sanitizer: thread (default; data races),
 # address (heap/stack misuse, leaks) or undefined (UB). The first report
@@ -62,7 +67,7 @@ case "$SANITIZER" in
     ;;
 esac
 BUILD_DIR="${BUILD_DIR:-build-$SANITIZER}"
-TESTS='^(serve_test|serve_net_test|serve_frame_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test|forward_backward_test|detector_test|online_monitor_test|model_io_test|util_test)$'
+TESTS='^(serve_test|serve_net_test|serve_frame_test|admin_test|chaos_test|logging_test|parallel_test|parallel_training_test|incremental_training_test|obs_test|forward_backward_test|detector_test|online_monitor_test|decision_trace_test|model_io_test|util_test)$'
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -72,7 +77,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target logging_test parallel_test parallel_training_test \
   --target incremental_training_test \
   --target obs_test forward_backward_test detector_test online_monitor_test \
-  --target model_io_test util_test
+  --target decision_trace_test model_io_test util_test
 
 export TSAN_OPTIONS="halt_on_error=1 abort_on_error=1"
 export ASAN_OPTIONS="halt_on_error=1 abort_on_error=1"
