@@ -35,17 +35,49 @@ hmm::ObservationSeq segment_for(const hmm::Hmm& model, std::size_t length) {
 
 // The serve models' state counts (perfbench `stream`), then the paper's
 // larger CMarkov models.
-void scoring_sizes(benchmark::internal::Benchmark* bench) {
-  for (const int states : {25, 36, 39, 50, 128, 372}) bench->Arg(states);
+constexpr int kScoringStates[] = {25, 36, 39, 50, 64, 128, 372};
+
+void reference_sizes(benchmark::internal::Benchmark* bench) {
+  for (const int states : kScoringStates) bench->Arg(states);
+}
+
+// {states, build}: each production pass once per build, 0 = baseline and
+// 1 = AVX2 (hmm::PassBuild).
+void scoring_builds(benchmark::internal::Benchmark* bench) {
+  for (const int build : {0, 1}) {
+    for (const int states : kScoringStates) bench->Args({states, build});
+  }
 }
 
 void serve_sizes(benchmark::internal::Benchmark* bench) {
   for (const int states : {25, 36, 39, 50}) bench->Arg(states);
 }
 
-// Production scoring: hmm::forward_pass over the ForwardTables layout with
-// two ping-pong alpha rows, as the ScoringKernel scores a window.
+void estep_builds(benchmark::internal::Benchmark* bench) {
+  for (const int build : {0, 1}) {
+    for (const int states : {25, 36, 39, 50, 64}) bench->Args({states, build});
+  }
+}
+
+// The build a row runs, or null (the row is skipped) for AVX2 on a CPU
+// without it.
+const hmm::PassBuild* pass_build(benchmark::State& state) {
+  if (state.range(1) == 0) return &hmm::baseline_passes();
+  if (const hmm::PassBuild* avx2 = hmm::avx2_passes()) return avx2;
+  state.SkipWithError("this CPU has no AVX2");
+  return nullptr;
+}
+
+std::string build_label(const benchmark::State& state, const char* what) {
+  return std::string("15-call segment, ") + what +
+         (state.range(1) == 0 ? ", baseline" : ", avx2");
+}
+
+// Production scoring: forward_pass over the ForwardTables layout with two
+// ping-pong alpha rows, as the ScoringKernel scores a window.
 void BM_SegmentScoring(benchmark::State& state) {
+  const hmm::PassBuild* build = pass_build(state);
+  if (build == nullptr) return;
   const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));
   const auto segment = segment_for(model, 15);
   const Matrix emission_t = model.emission.transposed();
@@ -53,11 +85,11 @@ void BM_SegmentScoring(benchmark::State& state) {
   std::vector<double> rows(2 * model.num_states());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        hmm::forward_pass(tables, segment, {.alpha = rows.data()}));
+        build->forward_pass(tables, segment, {.alpha = rows.data()}));
   }
-  state.SetLabel("15-call segment, forward_pass");
+  state.SetLabel(build_label(state, "forward_pass"));
 }
-BENCHMARK(BM_SegmentScoring)->Apply(scoring_sizes);
+BENCHMARK(BM_SegmentScoring)->Apply(scoring_builds);
 
 // The reference recursion (hmm::forward_scaled) the tests hold
 // forward_pass to; it allocates its T x N result on every call.
@@ -69,29 +101,65 @@ void BM_SegmentScoringReference(benchmark::State& state) {
   }
   state.SetLabel("15-call segment, forward_scaled");
 }
-BENCHMARK(BM_SegmentScoringReference)->Apply(scoring_sizes);
+BENCHMARK(BM_SegmentScoringReference)->Apply(reference_sizes);
 
-// The E-step's backward recursion over one 15-call segment.
-void BM_BackwardPass(benchmark::State& state) {
-  const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));
-  const auto segment = segment_for(model, 15);
-  const std::size_t n = model.num_states();
-  const Matrix emission_t = model.emission.transposed();
-  const hmm::ForwardTables tables = hmm::forward_tables(model, emission_t);
-  std::vector<double> alpha(segment.size() * n);
-  std::vector<double> scales(segment.size());
-  std::vector<double> beta(segment.size() * n);
-  hmm::forward_pass(tables, segment,
-                    {.alpha = alpha.data(), .keep_rows = true,
-                     .scales = scales.data()});
-  for (auto _ : state) {
+// The E-step's tables and one 15-call segment's kept forward rows, as the
+// Trainer holds them for its backward pass and expected transitions.
+struct EStepSegment {
+  explicit EStepSegment(std::size_t states)
+      : model(model_with_states(states)),
+        segment(segment_for(model, 15)),
+        emission_t(model.emission.transposed()),
+        transition_t(model.transition.transposed()),
+        tables(hmm::forward_tables(model, emission_t, transition_t)),
+        alpha(segment.size() * states),
+        scales(segment.size()),
+        beta(segment.size() * states) {
+    hmm::forward_pass(tables, segment,
+                      {.alpha = alpha.data(), .keep_rows = true,
+                       .scales = scales.data()});
     hmm::backward_pass(tables, segment, scales, beta.data());
-    benchmark::DoNotOptimize(beta.data());
+  }
+
+  hmm::Hmm model;
+  hmm::ObservationSeq segment;
+  Matrix emission_t;
+  Matrix transition_t;
+  hmm::ForwardTables tables;
+  std::vector<double> alpha;
+  std::vector<double> scales;
+  std::vector<double> beta;
+};
+
+// The E-step's backward recursion: destinations outer over A^T.
+void BM_BackwardPass(benchmark::State& state) {
+  const hmm::PassBuild* build = pass_build(state);
+  if (build == nullptr) return;
+  EStepSegment e(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    build->backward_pass(e.tables, e.segment, e.scales, e.beta.data());
+    benchmark::DoNotOptimize(e.beta.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel("15-call segment, backward_pass");
+  state.SetLabel(build_label(state, "backward_pass"));
 }
-BENCHMARK(BM_BackwardPass)->Apply(serve_sizes);
+BENCHMARK(BM_BackwardPass)->Apply(estep_builds);
+
+// The E-step's xi: one segment's expected transition counts.
+void BM_ExpectedTransitions(benchmark::State& state) {
+  const hmm::PassBuild* build = pass_build(state);
+  if (build == nullptr) return;
+  EStepSegment e(static_cast<std::size_t>(state.range(0)));
+  std::vector<double> counts(e.model.num_states() * e.model.num_states());
+  for (auto _ : state) {
+    build->accumulate_expected_transitions(e.tables, e.segment, e.alpha.data(),
+                                           e.beta.data(), counts.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(build_label(state, "accumulate_expected_transitions"));
+}
+BENCHMARK(BM_ExpectedTransitions)->Apply(estep_builds);
 
 void BM_ViterbiDecode(benchmark::State& state) {
   const auto model = model_with_states(static_cast<std::size_t>(state.range(0)));

@@ -41,9 +41,9 @@ TrainedModel train_model(eval::ModelKind kind,
   if (segments.size() > max_segments) segments.resize(max_segments);
   hmm::TrainingOptions training;
   training.max_iterations = 8;
-  hmm::Trainer trainer(out.model.hmm, training);
+  hmm::Trainer trainer(out.model.hmm(), training);
   trainer.fit(segments);
-  out.model.hmm = trainer.model();
+  out.model.set_hmm(trainer.model());
 
   eval::ScoreSet calibration;
   for (const auto& segment : segments) {

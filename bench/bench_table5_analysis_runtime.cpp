@@ -103,7 +103,7 @@ SuiteCorpus build_suite_corpus(const std::string& name, bool full) {
   std::vector<hmm::ObservationSeq> segments = unique_segments.to_vector();
   const std::size_t cap = full ? 800 : 200;
   if (segments.size() > cap) segments.resize(cap);
-  return {model.hmm, std::move(segments)};
+  return {model.hmm(), std::move(segments)};
 }
 
 TrainTiming time_suite_training(const std::string& name, bool full) {

@@ -124,16 +124,16 @@ MimicryResult craft_mimicry(const eval::BuiltModel& model,
       // Option A: emit the next goal observation now.
       if (remaining_goals > 0) {
         BeamState extended = state;
-        if (advance(model.hmm, extended, goals[state.goals_done], true)) {
+        if (advance(model.hmm(), extended, goals[state.goals_done], true)) {
           next_beam.push_back(std::move(extended));
         }
       }
       // Option B: padding, if the schedule still allows it.
       if (!must_emit_goal) {
         for (std::size_t obs : padding_candidates(
-                 model.hmm, state, options.candidates_per_step)) {
+                 model.hmm(), state, options.candidates_per_step)) {
           BeamState extended = state;
-          if (advance(model.hmm, extended, obs, false)) {
+          if (advance(model.hmm(), extended, obs, false)) {
             next_beam.push_back(std::move(extended));
           }
         }

@@ -91,7 +91,7 @@ SuiteComparison compare_models(const workload::ProgramSuite& suite,
     const auto folds = k_fold_splits(segments, fold_rng, cv);
     for (const auto& fold : folds) {
       Stopwatch watch;
-      hmm::Trainer trainer(model.hmm, training);  // fresh from the init
+      hmm::Trainer trainer(model.hmm(), training);  // fresh from the init
       const hmm::TrainingReport report =
           trainer.fit(fold.train, fold.termination);
       evaluation.train_seconds += watch.seconds();
@@ -100,7 +100,7 @@ SuiteComparison compare_models(const workload::ProgramSuite& suite,
       // Score through a fold-local model so unknown-symbol handling in
       // BuiltModel::score applies.
       BuiltModel fold_model = model;
-      fold_model.hmm = trainer.model();
+      fold_model.set_hmm(trainer.model());
       for (const auto& segment : fold.test) {
         evaluation.scores.normal.push_back(fold_model.score(segment));
       }

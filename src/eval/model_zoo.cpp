@@ -1,6 +1,9 @@
 #include "src/eval/model_zoo.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/hmm/forward_backward.hpp"
 
@@ -73,13 +76,20 @@ hmm::ObservationSeq BuiltModel::encode(
 
 double BuiltModel::score(const hmm::ObservationSeq& segment) const {
   for (std::size_t id : segment) {
-    if (id >= hmm.num_symbols()) {
+    if (id >= hmm_.num_symbols()) {
       // Unknown observation (out-of-alphabet call or out-of-context pair):
       // the model assigns it probability zero.
       return -std::numeric_limits<double>::infinity();
     }
   }
-  return hmm::sequence_log_likelihood(hmm, segment);
+  std::vector<double> rows(2 * hmm_.num_states());
+  return hmm::forward_pass(hmm::forward_tables(hmm_, emission_t_), segment,
+                           {.alpha = rows.data()});
+}
+
+void BuiltModel::set_hmm(hmm::Hmm model) {
+  hmm_ = std::move(model);
+  emission_t_ = hmm_.emission.transposed();
 }
 
 namespace {
@@ -133,9 +143,9 @@ BuiltModel build_static_model(ModelKind kind,
                        model.alphabet);
   hmm::StaticInitResult init = hmm::statically_initialized_hmm(
       reduced, model.encoding, model.alphabet, options.static_init);
-  model.hmm = std::move(init.model);
+  model.set_hmm(std::move(init.model));
   model.state_labels = std::move(init.state_labels);
-  model.num_states = model.hmm.num_states();
+  model.num_states = model.hmm().num_states();
   return model;
 }
 
@@ -156,8 +166,8 @@ BuiltModel build_regular_model(ModelKind kind,
   // The regular HMM's hidden-state count is the size of the observed call
   // set (Section V-A).
   model.num_states = model.alphabet.size();
-  model.hmm = hmm::randomly_initialized_hmm(
-      model.num_states, model.alphabet.size(), rng, options.random_init);
+  model.set_hmm(hmm::randomly_initialized_hmm(
+      model.num_states, model.alphabet.size(), rng, options.random_init));
   return model;
 }
 

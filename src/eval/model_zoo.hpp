@@ -72,7 +72,6 @@ struct BuiltModel {
   analysis::CallFilter filter = analysis::CallFilter::kLibcalls;
   hmm::ObservationEncoding encoding =
       hmm::ObservationEncoding::kContextSensitive;
-  hmm::Hmm hmm;
   hmm::Alphabet alphabet;
   /// Distinct static calls before clustering (Table II column).
   std::size_t static_calls = 0;
@@ -89,7 +88,18 @@ struct BuiltModel {
   hmm::ObservationSeq encode(const attack::EventSegment& segment) const;
 
   /// log P(segment | model); -infinity when any observation is unknown.
+  /// hmm::forward_pass on two ping-pong rows over the cached B^T:
+  /// bit-identical to hmm::forward_scaled.
   double score(const hmm::ObservationSeq& segment) const;
+
+  const hmm::Hmm& hmm() const { return hmm_; }
+  /// Replaces the model (e.g. with a trained one) and rebuilds the B^T
+  /// that score() reads.
+  void set_hmm(hmm::Hmm model);
+
+ private:
+  hmm::Hmm hmm_;
+  Matrix emission_t_;
 };
 
 /// Builds one untrained model. Static kinds run the full analysis pipeline

@@ -8,9 +8,9 @@
 namespace cmarkov::hmm {
 namespace {
 
-// Source rows (forward, backward) or time steps (expected transitions)
-// taken per pass of the O(N^2) loops below, whose blocked bodies are
-// written out for exactly this many.
+// Rows of A (forward's sources, backward's destinations) or time steps
+// (expected transitions) taken per pass of the O(N^2) loops below, whose
+// blocked bodies are written out for exactly this many.
 constexpr std::size_t kBlock = 4;
 
 }  // namespace
@@ -105,22 +105,32 @@ ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t) {
           model.num_states()};
 }
 
-// Starts on a cache-line boundary so that its code layout, and with it
-// the cost of its branches, no longer shifts with the size of unrelated
-// code linked ahead of it: perfbench `stream` moved ~1.5x between builds
-// whose only difference was this function's offset in its 64-byte line
-// (ROADMAP.md item 2, *Code placement*).
-[[gnu::aligned(64)]] double forward_pass(
+ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t,
+                             const Matrix& transition_t) {
+  ForwardTables tables = forward_tables(model, emission_t);
+  tables.transition_t = transition_t.data();
+  return tables;
+}
+
+namespace {
+
+// The one source body of each production pass. Every entry point below is
+// this body inlined under its own target, so the baseline and the AVX2
+// build run the same statements: every vector lane does the same IEEE
+// multiply and add, in the same order, as the scalar code would. With no
+// FMA in either target and -ffp-contract=off on this unit, the compiler can
+// neither fuse a product into its sum nor reassociate one; the two builds
+// differ only in vector width.
+
+[[gnu::always_inline]] inline double forward_body(
     const ForwardTables& tables, std::span<const std::size_t> observations,
     const ForwardOutputs& out) {
   const std::size_t n = tables.num_states;
   const std::size_t t_len = observations.size();
-  const auto row = [&](std::size_t t) {
-    return out.alpha + (out.keep_rows ? t : (t & 1)) * n;
-  };
+  const std::size_t row_mask = out.keep_rows ? ~std::size_t{0} : 1;
   double log_lik = 0.0;
   for (std::size_t t = 0; t < t_len; ++t) {
-    double* cur = row(t);
+    double* cur = out.alpha + (t & row_mask) * n;
     const double* em = tables.emission_t + observations[t] * n;
     double scale = 0.0;
     if (t == 0) {
@@ -136,8 +146,8 @@ ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t) {
       // share one pass over cur, so each cur[j] is loaded and stored once
       // per four rows, yet it still receives its terms one at a time in
       // ascending-i order: not one double differs from forward_scaled.
-      const double* prev = row(t - 1);
-      std::fill(cur, cur + n, 0.0);
+      const double* prev = out.alpha + ((t - 1) & row_mask) * n;
+      for (std::size_t j = 0; j < n; ++j) cur[j] = 0.0;
       const double* from_i = tables.transition;
       std::size_t i = 0;
       for (; i + kBlock <= n; i += kBlock, from_i += kBlock * n) {
@@ -170,7 +180,7 @@ ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t) {
     }
     if (scale <= 0.0) {
       if (out.scales != nullptr) {
-        std::fill(out.scales + t, out.scales + t_len, 0.0);
+        for (std::size_t u = t; u < t_len; ++u) out.scales[u] = 0.0;
       }
       return -std::numeric_limits<double>::infinity();
     }
@@ -181,9 +191,9 @@ ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t) {
   return log_lik;
 }
 
-void backward_pass(const ForwardTables& tables,
-                   std::span<const std::size_t> observations,
-                   std::span<const double> scales, double* beta) {
+[[gnu::always_inline]] inline void backward_body(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    std::span<const double> scales, double* beta) {
   const std::size_t n = tables.num_states;
   const std::size_t t_len = observations.size();
   if (t_len == 0) return;
@@ -193,56 +203,66 @@ void backward_pass(const ForwardTables& tables,
     const double* em = tables.emission_t + observations[t + 1] * n;
     const double* next = beta + (t + 1) * n;
     double* out = beta + t * n;
-    const double* from_i = tables.transition;
-    // Each beta(t, i) is one serial sum, bound by the latency of its adds;
-    // four source rows run as four independent chains over the same j
-    // loop. Every chain keeps its own ascending-j order and backward_scaled's
-    // (A * B) * beta product, so each row's sum is bit-identical.
-    std::size_t i = 0;
-    for (; i + kBlock <= n; i += kBlock, from_i += kBlock * n) {
-      const double* a0 = from_i;
-      const double* a1 = from_i + n;
-      const double* a2 = from_i + 2 * n;
-      const double* a3 = from_i + 3 * n;
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        s0 += a0[j] * em[j] * next[j];
-        s1 += a1[j] * em[j] * next[j];
-        s2 += a2[j] * em[j] * next[j];
-        s3 += a3[j] * em[j] * next[j];
+    // Destinations outer, sources inner, over A^T: row j of transition_t
+    // holds A(*, j), so the inner loop is n independent sums out[i] the
+    // compiler can vectorize. Four destinations share one pass over out,
+    // and each out[i] still receives backward_scaled's
+    // (A(i, j) * B(j, o)) * beta(t+1, j) terms one at a time in ascending
+    // j: every row is bit-identical to it.
+    for (std::size_t i = 0; i < n; ++i) out[i] = 0.0;
+    const double* to_j = tables.transition_t;
+    std::size_t j = 0;
+    for (; j + kBlock <= n; j += kBlock, to_j += kBlock * n) {
+      const double e0 = em[j];
+      const double e1 = em[j + 1];
+      const double e2 = em[j + 2];
+      const double e3 = em[j + 3];
+      const double b0 = next[j];
+      const double b1 = next[j + 1];
+      const double b2 = next[j + 2];
+      const double b3 = next[j + 3];
+      const double* a0 = to_j;
+      const double* a1 = to_j + n;
+      const double* a2 = to_j + 2 * n;
+      const double* a3 = to_j + 3 * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        double c = out[i];
+        c += a0[i] * e0 * b0;
+        c += a1[i] * e1 * b1;
+        c += a2[i] * e2 * b2;
+        c += a3[i] * e3 * b3;
+        out[i] = c;
       }
-      out[i] = s0 / scales[t];
-      out[i + 1] = s1 / scales[t];
-      out[i + 2] = s2 / scales[t];
-      out[i + 3] = s3 / scales[t];
     }
-    for (; i < n; ++i, from_i += n) {
-      double sum = 0.0;
-      for (std::size_t j = 0; j < n; ++j) sum += from_i[j] * em[j] * next[j];
-      out[i] = sum / scales[t];
+    for (; j < n; ++j, to_j += n) {
+      const double e = em[j];
+      const double b = next[j];
+      for (std::size_t i = 0; i < n; ++i) out[i] += to_j[i] * e * b;
     }
+    const double scale = scales[t];
+    for (std::size_t i = 0; i < n; ++i) out[i] /= scale;
   }
 }
 
-void accumulate_expected_transitions(const ForwardTables& tables,
-                                     std::span<const std::size_t> observations,
-                                     const double* alpha, const double* beta,
-                                     double* transition_num) {
+// xi(t, i, j) for one step, skipping a zero alpha(t, i) as the reference
+// E-step does: the fallback for a block that holds one.
+[[gnu::always_inline]] inline void add_expected_step(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const double* alpha, const double* beta, std::size_t t, std::size_t i,
+    const double* a, double* num) {
+  const std::size_t n = tables.num_states;
+  const double x = alpha[t * n + i];
+  if (x == 0.0) return;
+  const double* e = tables.emission_t + observations[t + 1] * n;
+  const double* b = beta + (t + 1) * n;
+  for (std::size_t j = 0; j < n; ++j) num[j] += x * a[j] * e[j] * b[j];
+}
+
+[[gnu::always_inline]] inline void expected_transitions_body(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const double* alpha, const double* beta, double* transition_num) {
   const std::size_t n = tables.num_states;
   const std::size_t steps = observations.empty() ? 0 : observations.size() - 1;
-  // xi(t, i, j) for one step, skipping a zero alpha(t, i) as the reference
-  // E-step does: the fallback for a block that holds one.
-  const auto add_step = [&](std::size_t t, std::size_t i, const double* a,
-                            double* num) {
-    const double x = alpha[t * n + i];
-    if (x == 0.0) return;
-    const double* e = tables.emission_t + observations[t + 1] * n;
-    const double* b = beta + (t + 1) * n;
-    for (std::size_t j = 0; j < n; ++j) num[j] += x * a[j] * e[j] * b[j];
-  };
   // One row of the counts per source state i, four time steps per pass
   // over it: each num(i, j) is loaded and stored once per four steps, yet
   // it still receives its xi terms one at a time in ascending t, each
@@ -258,7 +278,10 @@ void accumulate_expected_transitions(const ForwardTables& tables,
       const double x2 = alpha[(t + 2) * n + i];
       const double x3 = alpha[(t + 3) * n + i];
       if (x0 == 0.0 || x1 == 0.0 || x2 == 0.0 || x3 == 0.0) {
-        for (std::size_t k = 0; k < kBlock; ++k) add_step(t + k, i, a, num);
+        for (std::size_t k = 0; k < kBlock; ++k) {
+          add_expected_step(tables, observations, alpha, beta, t + k, i, a,
+                            num);
+        }
         continue;
       }
       const double* e0 = tables.emission_t + observations[t + 1] * n;
@@ -278,8 +301,105 @@ void accumulate_expected_transitions(const ForwardTables& tables,
         num[j] = c;
       }
     }
-    for (; t < steps; ++t) add_step(t, i, a, num);
+    for (; t < steps; ++t) {
+      add_expected_step(tables, observations, alpha, beta, t, i, a, num);
+    }
   }
+}
+
+// The entry points. Each starts on a cache-line boundary so that its code
+// layout, and with it the cost of its branches, no longer shifts with the
+// size of unrelated code linked ahead of it: perfbench `stream` moved ~1.5x
+// between builds whose only difference was forward_pass's offset in its
+// 64-byte line (ROADMAP.md item 2, *Code placement*).
+
+[[gnu::aligned(64)]] double forward_baseline(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const ForwardOutputs& out) {
+  return forward_body(tables, observations, out);
+}
+
+[[gnu::aligned(64)]] void backward_baseline(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    std::span<const double> scales, double* beta) {
+  backward_body(tables, observations, scales, beta);
+}
+
+[[gnu::aligned(64)]] void expected_transitions_baseline(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const double* alpha, const double* beta, double* transition_num) {
+  expected_transitions_body(tables, observations, alpha, beta,
+                            transition_num);
+}
+
+constexpr PassBuild kBaseline = {forward_baseline, backward_baseline,
+                                 expected_transitions_baseline};
+
+#if defined(__x86_64__)
+// AVX2 only: no "fma", "avx512*" or "arch=" here (ctest check_fp_contract),
+// since a fused multiply-add rounds once where the reference rounds twice.
+[[gnu::aligned(64), gnu::target("avx2")]] double forward_avx2(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const ForwardOutputs& out) {
+  return forward_body(tables, observations, out);
+}
+
+[[gnu::aligned(64), gnu::target("avx2")]] void backward_avx2(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    std::span<const double> scales, double* beta) {
+  backward_body(tables, observations, scales, beta);
+}
+
+[[gnu::aligned(64), gnu::target("avx2")]] void expected_transitions_avx2(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const double* alpha, const double* beta, double* transition_num) {
+  expected_transitions_body(tables, observations, alpha, beta,
+                            transition_num);
+}
+
+constexpr PassBuild kAvx2 = {forward_avx2, backward_avx2,
+                             expected_transitions_avx2};
+
+const PassBuild* detect_avx2() {
+  __builtin_cpu_init();  // may run before the constructors that call it
+  return __builtin_cpu_supports("avx2") ? &kAvx2 : nullptr;
+}
+#else
+const PassBuild* detect_avx2() { return nullptr; }
+#endif
+
+// Chosen once per process. Until this unit's dynamic initializer has run,
+// the pointer reads null, so a pass called from an earlier static
+// initializer takes the baseline build: the same bits either way.
+const PassBuild* const kAvx2Build = detect_avx2();
+
+const PassBuild& chosen_build() {
+  return kAvx2Build != nullptr ? *kAvx2Build : kBaseline;
+}
+
+}  // namespace
+
+const PassBuild& baseline_passes() { return kBaseline; }
+
+const PassBuild* avx2_passes() { return kAvx2Build; }
+
+[[gnu::aligned(64)]] double forward_pass(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const ForwardOutputs& out) {
+  return chosen_build().forward_pass(tables, observations, out);
+}
+
+[[gnu::aligned(64)]] void backward_pass(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    std::span<const double> scales, double* beta) {
+  chosen_build().backward_pass(tables, observations, scales, beta);
+}
+
+[[gnu::aligned(64)]] void accumulate_expected_transitions(
+    const ForwardTables& tables, std::span<const std::size_t> observations,
+    const double* alpha, const double* beta, double* transition_num) {
+  chosen_build().accumulate_expected_transitions(tables, observations, alpha,
+                                                 beta, transition_num);
 }
 
 std::vector<double> per_symbol_log_contributions(const ForwardResult& result) {
@@ -322,12 +442,6 @@ std::vector<std::size_t> per_symbol_argmax_states(const ForwardResult& result) {
 double sequence_log_likelihood(const Hmm& model,
                                std::span<const std::size_t> observations) {
   return forward_scaled(model, observations).log_likelihood;
-}
-
-double sequence_probability(const Hmm& model,
-                            std::span<const std::size_t> observations) {
-  const double log_lik = sequence_log_likelihood(model, observations);
-  return std::isinf(log_lik) ? 0.0 : std::exp(log_lik);
 }
 
 }  // namespace cmarkov::hmm

@@ -35,10 +35,13 @@ Matrix backward_scaled(const Hmm& model,
 // forward_scaled / backward_scaled above are the reference recursions the
 // tests hold everything else to. Production scores through forward_pass /
 // backward_pass / accumulate_expected_transitions below: the Trainer's
-// E-step and holdout scoring, and the serve tier's ScoringKernel, which
-// compiles the same three tables into its arena. They produce the oracle's
-// doubles bit for bit: every O(N^2) loop is register-blocked four rows (or
-// steps) per pass without reordering any floating-point sum.
+// E-step and holdout scoring, threshold calibration, and the serve tier's
+// ScoringKernel, which compiles the same tables into its arena. They
+// produce the oracle's doubles bit for bit: every O(N^2) loop is
+// register-blocked four rows (or steps) per pass without reordering any
+// floating-point sum. Each is compiled twice from one body, a baseline and
+// an AVX2 build (PassBuild below), and runs the AVX2 build when the CPU has
+// it; the choice is made once per process and changes no bit.
 
 /// The parameter arrays the production passes read:
 ///   - initial    : pi, N doubles;
@@ -47,17 +50,28 @@ Matrix backward_scaled(const Hmm& model,
 ///                  outer / destinations inner and streams one contiguous
 ///                  row into N independent accumulators;
 ///   - emission_t : B^T, B(j, k) at [k*N + j], so the observed symbol's
-///                  emission column is one contiguous row.
+///                  emission column is one contiguous row;
+///   - transition_t : A^T, A(i, j) at [j*N + i], read by backward_pass only
+///                  (which iterates destinations outer / sources inner);
+///                  null in tables that never run a backward pass, such as
+///                  the ScoringKernel's.
 struct ForwardTables {
   const double* initial = nullptr;
   const double* transition = nullptr;
   const double* emission_t = nullptr;
   std::size_t num_states = 0;
+  const double* transition_t = nullptr;
 };
 
 /// Tables over `model`'s own pi and A plus a caller-held B^T, which must be
-/// model.emission.transposed() and outlive the view.
+/// model.emission.transposed() and outlive the view. No A^T: enough for
+/// forward_pass and accumulate_expected_transitions.
 ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t);
+
+/// The same plus a caller-held A^T (model.transition.transposed(), which
+/// must outlive the view), as backward_pass needs.
+ForwardTables forward_tables(const Hmm& model, const Matrix& emission_t,
+                             const Matrix& transition_t);
 
 /// Where forward_pass writes.
 struct ForwardOutputs {
@@ -83,11 +97,12 @@ double forward_pass(const ForwardTables& tables,
                     std::span<const std::size_t> observations,
                     const ForwardOutputs& out);
 
-/// Backward pass over the same tables and the forward scales: writes
-/// beta(t, i) at beta[t*N + i] (T*N doubles); bit-identical to
-/// backward_scaled. Must not be called for impossible sequences. Four
-/// source rows run as four independent sums over one pass of j, each in
-/// ascending j with backward_scaled's (A * B) * beta product.
+/// Backward pass over the same tables (transition_t required) and the
+/// forward scales: writes beta(t, i) at beta[t*N + i] (T*N doubles);
+/// bit-identical to backward_scaled. Must not be called for impossible
+/// sequences. Destinations j run outer, four per pass over the beta row,
+/// and the sources i inner over A^T's row j, so each beta(t, i) still gets
+/// backward_scaled's (A * B) * beta terms one at a time in ascending j.
 void backward_pass(const ForwardTables& tables,
                    std::span<const std::size_t> observations,
                    std::span<const double> scales, double* beta);
@@ -105,6 +120,30 @@ void accumulate_expected_transitions(const ForwardTables& tables,
                                      const double* alpha, const double* beta,
                                      double* transition_num);
 
+/// One compiled build of the three passes above. Both builds compile the
+/// same source body and produce the same bits: the AVX2 build only widens
+/// the vector lanes, each of which does the same IEEE multiply and add as
+/// the baseline, with no FMA and no reassociation (forward_backward.cpp).
+/// forward_pass, backward_pass and accumulate_expected_transitions run
+/// avx2_passes() when it is non-null and baseline_passes() otherwise.
+struct PassBuild {
+  double (*forward_pass)(const ForwardTables&, std::span<const std::size_t>,
+                         const ForwardOutputs&);
+  void (*backward_pass)(const ForwardTables&, std::span<const std::size_t>,
+                        std::span<const double>, double*);
+  void (*accumulate_expected_transitions)(const ForwardTables&,
+                                          std::span<const std::size_t>,
+                                          const double*, const double*,
+                                          double*);
+};
+
+/// The baseline build: x86-64's SSE2, or the target's own ISA elsewhere.
+const PassBuild& baseline_passes();
+
+/// The AVX2 build (no FMA), or null when the CPU lacks AVX2 or the target
+/// is not x86-64, where only the baseline is compiled.
+const PassBuild* avx2_passes();
+
 /// Additive per-symbol decomposition of the log-likelihood: entry t is
 /// log(c_t), the log-probability of symbol t given the (scaled) state
 /// distribution after t symbols, and the entries sum to
@@ -121,10 +160,5 @@ std::vector<std::size_t> per_symbol_argmax_states(const ForwardResult& result);
 /// Convenience: log P(observations | model), -infinity when impossible.
 double sequence_log_likelihood(const Hmm& model,
                                std::span<const std::size_t> observations);
-
-/// P(observations | model) in linear space (may underflow to 0 for long
-/// sequences; fine for the paper's 15-call segments).
-double sequence_probability(const Hmm& model,
-                            std::span<const std::size_t> observations);
 
 }  // namespace cmarkov::hmm

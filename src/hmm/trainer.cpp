@@ -307,9 +307,11 @@ TrainingReport Trainer::run_em() {
   const std::size_t m = model_.num_symbols();
 
   WorkerPool pool(options_.exec.threads);
-  // B^T beside the model: with the model's own pi and source-major A, the
-  // ForwardTables layout ScoringKernel compiles. Rebuilt after each M-step.
+  // B^T and A^T beside the model: with the model's own pi and source-major
+  // A, the ForwardTables layout ScoringKernel compiles, plus the A^T that
+  // backward_pass reads. Both are rebuilt after each M-step.
   Matrix emission_t = model_.emission.transposed();
+  Matrix transition_t = model_.transition.transposed();
 
   // Resolve instruments once; hot-loop recording is pointer-guarded.
   obs::MetricsRegistry* metrics = options_.exec.metrics;
@@ -388,7 +390,8 @@ TrainingReport Trainer::run_em() {
     const obs::ScopedTimer iteration_span(profile, "train-iteration");
     Stopwatch stage_watch;
     const std::size_t skip = iter == 0 ? folded : 0;
-    const ForwardTables tables = forward_tables(model_, emission_t);
+    const ForwardTables tables =
+        forward_tables(model_, emission_t, transition_t);
     pool.run(kTrainerMergeSlots, [&](std::size_t slot) {
       SuffStats& acc = partial[slot];
       if (skip == 0) acc.reset();
@@ -452,6 +455,7 @@ TrainingReport Trainer::run_em() {
     stage_watch.reset();
     reestimate(model_, total, options_.pseudocount, observed);
     emission_t = model_.emission.transposed();
+    transition_t = model_.transition.transposed();
     {
       const double mstep_s = stage_watch.seconds();
       if (mstep_seconds != nullptr) mstep_seconds->record(mstep_s);

@@ -49,7 +49,8 @@ TEST(ForwardTest, MatchesBruteForceOnShortSequences) {
       {0}, {1}, {0, 1}, {1, 1, 0}, {0, 0, 1, 1, 0}};
   for (const auto& obs : sequences) {
     const double expected = brute_force_probability(model, obs);
-    EXPECT_NEAR(sequence_probability(model, obs), expected, 1e-12);
+    EXPECT_NEAR(std::exp(sequence_log_likelihood(model, obs)), expected,
+                1e-12);
     EXPECT_NEAR(sequence_log_likelihood(model, obs), std::log(expected),
                 1e-10);
   }
@@ -65,7 +66,7 @@ TEST(ForwardTest, SingleSymbolIsWeightedEmission) {
   const Hmm model = weather_model();
   const std::vector<std::size_t> obs = {0};
   // P = 0.5*0.1 + 0.5*0.8.
-  EXPECT_NEAR(sequence_probability(model, obs), 0.45, 1e-14);
+  EXPECT_NEAR(std::exp(sequence_log_likelihood(model, obs)), 0.45, 1e-14);
 }
 
 TEST(ForwardTest, ImpossibleObservationYieldsMinusInfinity) {
@@ -77,7 +78,7 @@ TEST(ForwardTest, ImpossibleObservationYieldsMinusInfinity) {
   EXPECT_TRUE(result.impossible);
   EXPECT_TRUE(std::isinf(result.log_likelihood));
   EXPECT_LT(result.log_likelihood, 0.0);
-  EXPECT_DOUBLE_EQ(sequence_probability(model, obs), 0.0);
+  EXPECT_DOUBLE_EQ(std::exp(sequence_log_likelihood(model, obs)), 0.0);
 }
 
 TEST(ForwardTest, RejectsOutOfRangeObservation) {
@@ -140,9 +141,9 @@ TEST(ForwardTest, DeterministicChainScoresExactly) {
   model.emission = Matrix::identity(3);
   model.initial = {1.0, 0.0, 0.0};
   const std::vector<std::size_t> good = {0, 1, 2};
-  EXPECT_NEAR(sequence_probability(model, good), 1.0, 1e-12);
+  EXPECT_NEAR(std::exp(sequence_log_likelihood(model, good)), 1.0, 1e-12);
   const std::vector<std::size_t> bad = {0, 2, 1};
-  EXPECT_DOUBLE_EQ(sequence_probability(model, bad), 0.0);
+  EXPECT_DOUBLE_EQ(std::exp(sequence_log_likelihood(model, bad)), 0.0);
 }
 
 }  // namespace

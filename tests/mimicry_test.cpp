@@ -30,9 +30,9 @@ struct Fixture {
     if (segments.size() > 250) segments.resize(250);
     hmm::TrainingOptions training;
     training.max_iterations = 6;
-    hmm::Trainer trainer(model.hmm, training);
+    hmm::Trainer trainer(model.hmm(), training);
     trainer.fit(segments);
-    model.hmm = trainer.model();
+    model.set_hmm(trainer.model());
     return model;
   }
 };

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/eval/model_zoo.hpp"
+#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/trainer.hpp"
 #include "src/workload/testcase_generator.hpp"
 
 namespace cmarkov::eval {
@@ -30,10 +34,10 @@ TEST_P(ModelKindTest, BuildsValidModel) {
   const BuiltModel model =
       build_model(GetParam(), f.suite, f.collection.traces, options, rng);
   EXPECT_EQ(model.kind, GetParam());
-  EXPECT_NO_THROW(model.hmm.validate());
+  EXPECT_NO_THROW(model.hmm().validate());
   EXPECT_GT(model.num_states, 0u);
   EXPECT_GT(model.alphabet.size(), 0u);
-  EXPECT_EQ(model.hmm.num_symbols(), model.alphabet.size());
+  EXPECT_EQ(model.hmm().num_symbols(), model.alphabet.size());
 }
 
 TEST_P(ModelKindTest, EncodingMatchesKind) {
@@ -56,6 +60,44 @@ TEST_P(ModelKindTest, ScoresNormalSegmentsFinitely) {
   const double score = model.score(segment);
   EXPECT_TRUE(std::isfinite(score));
   EXPECT_LT(score, 0.0);
+}
+
+TEST_P(ModelKindTest, ScoreMatchesTheReferenceBitwise) {
+  // score() runs forward_pass over a B^T cached by set_hmm; every window of
+  // a trace, the empty segment and an unknown id must score exactly as
+  // forward_scaled does, before and after a trained model replaces the
+  // built one.
+  auto& f = fixture();
+  ModelBuildOptions options;
+  options.filter = analysis::CallFilter::kSyscalls;
+  Rng rng(4);
+  BuiltModel model =
+      build_model(GetParam(), f.suite, f.collection.traces, options, rng);
+  const auto encoded = model.encode(f.collection.traces.front());
+  ASSERT_GE(encoded.size(), 15u);
+  std::vector<hmm::ObservationSeq> segments = {{}};
+  for (std::size_t start = 0; start + 15 <= encoded.size(); ++start) {
+    segments.emplace_back(encoded.begin() + start,
+                          encoded.begin() + start + 15);
+  }
+  hmm::ObservationSeq unknown = segments.back();
+  unknown[7] = model.hmm().num_symbols();
+
+  const auto check = [&] {
+    for (const hmm::ObservationSeq& segment : segments) {
+      EXPECT_EQ(model.score(segment),
+                hmm::forward_scaled(model.hmm(), segment).log_likelihood);
+    }
+    EXPECT_EQ(model.score({}), 0.0);
+    EXPECT_EQ(model.score(unknown), -std::numeric_limits<double>::infinity());
+  };
+  check();
+  hmm::TrainingOptions training;
+  training.max_iterations = 2;
+  hmm::Trainer trainer(model.hmm(), training);
+  trainer.fit({segments.begin() + 1, segments.end()});
+  model.set_hmm(trainer.model());
+  check();
 }
 
 TEST_P(ModelKindTest, UnknownContextScoresImpossible) {

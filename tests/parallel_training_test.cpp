@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/model_io.hpp"
@@ -226,99 +227,118 @@ TEST(TrainingGuardTest, FixedSeedFitKeepsItsRecordedBits) {
 constexpr std::size_t kBlockStates[] = {1, 2, 3, 4, 5, 7, 8, 13, 25, 36, 39, 50};
 constexpr std::size_t kBlockLengths[] = {1, 2, 3, 4, 5, 9, 20};
 
+// The two builds of the production passes, each run by name: the
+// baseline first, then AVX2 where the CPU has it.
+std::vector<std::pair<const char*, const PassBuild*>> pass_builds() {
+  std::vector<std::pair<const char*, const PassBuild*>> builds = {
+      {"baseline", &baseline_passes()}};
+  if (avx2_passes() != nullptr) builds.emplace_back("avx2", avx2_passes());
+  return builds;
+}
+
 TEST(ForwardPassTest, ForwardBackwardMatchesUncachedBitwise) {
-  // The production passes, run with kept alpha rows as the Trainer E-step
-  // runs them, must reproduce the forward_scaled / backward_scaled oracle
-  // bit for bit — alpha rows, scales, likelihood and beta — including an
-  // impossible sequence (scales zero-filled from the failing step).
-  Rng rng(71);
-  for (const std::size_t n : kBlockStates) {
-    const Hmm model = randomly_initialized_hmm(n, 11, rng);
-    Hmm mute = model;  // no state can emit symbol 3
-    for (std::size_t i = 0; i < n; ++i) mute.emission(i, 3) = 0;
-    const Matrix emission_t = model.emission.transposed();
-    const Matrix mute_emission_t = mute.emission.transposed();
-    for (const std::size_t t_len : kBlockLengths) {
-      for (int trial = 0; trial < 4; ++trial) {
-        SCOPED_TRACE("N=" + std::to_string(n) + " T=" +
-                     std::to_string(t_len) + " trial=" +
-                     std::to_string(trial));
-        const bool impossible = trial == 3;
-        const Hmm& m = impossible ? mute : model;
-        ObservationSeq seq = random_sequence(t_len, m.num_symbols(), rng);
-        if (impossible) seq[std::min<std::size_t>(7, t_len - 1)] = 3;
+  // Both builds of the production passes, run with kept alpha rows as the
+  // Trainer E-step runs them, must reproduce the forward_scaled /
+  // backward_scaled oracle bit for bit — alpha rows, scales, likelihood and
+  // beta — including an impossible sequence (scales zero-filled from the
+  // failing step).
+  for (const auto& [name, build] : pass_builds()) {
+    Rng rng(71);
+    for (const std::size_t n : kBlockStates) {
+      const Hmm model = randomly_initialized_hmm(n, 11, rng);
+      Hmm mute = model;  // no state can emit symbol 3
+      for (std::size_t i = 0; i < n; ++i) mute.emission(i, 3) = 0;
+      const Matrix emission_t = model.emission.transposed();
+      const Matrix mute_emission_t = mute.emission.transposed();
+      const Matrix transition_t = model.transition.transposed();
+      for (const std::size_t t_len : kBlockLengths) {
+        for (int trial = 0; trial < 4; ++trial) {
+          SCOPED_TRACE(std::string(name) + " N=" + std::to_string(n) +
+                       " T=" + std::to_string(t_len) +
+                       " trial=" + std::to_string(trial));
+          const bool impossible = trial == 3;
+          const Hmm& m = impossible ? mute : model;
+          ObservationSeq seq = random_sequence(t_len, m.num_symbols(), rng);
+          if (impossible) seq[std::min<std::size_t>(7, t_len - 1)] = 3;
 
-        const ForwardTables tables =
-            forward_tables(m, impossible ? mute_emission_t : emission_t);
-        Matrix alpha(seq.size(), n);
-        std::vector<double> scales(seq.size(), -1.0);
-        const double ll = forward_pass(
-            tables, seq,
-            {.alpha = alpha.data(), .keep_rows = true, .scales = scales.data()});
-        const ForwardResult oracle = forward_scaled(m, seq);
-        EXPECT_EQ(oracle.impossible, impossible);
-        EXPECT_EQ(oracle.alpha, alpha);
-        EXPECT_EQ(oracle.scales, scales);
-        EXPECT_EQ(oracle.log_likelihood, ll);
-        if (impossible) continue;  // backward is undefined past a zero scale
+          const ForwardTables tables = forward_tables(
+              m, impossible ? mute_emission_t : emission_t, transition_t);
+          Matrix alpha(seq.size(), n);
+          std::vector<double> scales(seq.size(), -1.0);
+          const double ll = build->forward_pass(
+              tables, seq,
+              {.alpha = alpha.data(), .keep_rows = true,
+               .scales = scales.data()});
+          const ForwardResult oracle = forward_scaled(m, seq);
+          EXPECT_EQ(oracle.impossible, impossible);
+          EXPECT_EQ(oracle.alpha, alpha);
+          EXPECT_EQ(oracle.scales, scales);
+          EXPECT_EQ(oracle.log_likelihood, ll);
+          if (impossible) continue;  // backward is undefined past a zero scale
 
-        Matrix beta(seq.size(), n);
-        backward_pass(tables, seq, scales, beta.data());
-        EXPECT_EQ(backward_scaled(m, seq, oracle.scales), beta);
+          Matrix beta(seq.size(), n);
+          build->backward_pass(tables, seq, scales, beta.data());
+          EXPECT_EQ(backward_scaled(m, seq, oracle.scales), beta);
+        }
       }
     }
   }
+  if (avx2_passes() == nullptr) GTEST_SKIP() << "no AVX2: baseline only";
 }
 
 TEST(ExpectedTransitionsTest, MatchesNaiveTripleLoopBitwise) {
-  // accumulate_expected_transitions must add exactly the xi terms of the
-  // naive t / i / j loop, in the same order, into counts that already hold
-  // earlier sequences' sums. State 1 starts with probability 0 and state
-  // N-1 cannot emit symbol 2, so exact-zero alphas fall inside blocks of
-  // four steps and take the per-step fallback.
-  Rng rng(83);
-  std::size_t zero_alphas = 0;
-  for (const std::size_t n : kBlockStates) {
-    Hmm model = randomly_initialized_hmm(n, 6, rng);
-    if (n >= 2) {
-      model.initial[0] += model.initial[1];
-      model.initial[1] = 0.0;
-      model.emission(n - 1, 0) += model.emission(n - 1, 2);
-      model.emission(n - 1, 2) = 0.0;
-    }
-    const Matrix emission_t = model.emission.transposed();
-    const ForwardTables tables = forward_tables(model, emission_t);
-    for (const std::size_t t_len : kBlockLengths) {
-      SCOPED_TRACE("N=" + std::to_string(n) + " T=" + std::to_string(t_len));
-      const ObservationSeq seq = random_sequence(t_len, 6, rng);
-      const ForwardResult fwd = forward_scaled(model, seq);
-      ASSERT_FALSE(fwd.impossible);
-      const Matrix beta = backward_scaled(model, seq, fwd.scales);
-
-      Matrix expected(n, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) expected(i, j) = rng.uniform();
+  // Both builds of accumulate_expected_transitions must add exactly the xi
+  // terms of the naive t / i / j loop, in the same order, into counts that
+  // already hold earlier sequences' sums. State 1 starts with probability
+  // 0 and state N-1 cannot emit symbol 2, so exact-zero alphas fall inside
+  // blocks of four steps and take the per-step fallback.
+  for (const auto& [name, build] : pass_builds()) {
+    Rng rng(83);
+    std::size_t zero_alphas = 0;
+    for (const std::size_t n : kBlockStates) {
+      Hmm model = randomly_initialized_hmm(n, 6, rng);
+      if (n >= 2) {
+        model.initial[0] += model.initial[1];
+        model.initial[1] = 0.0;
+        model.emission(n - 1, 0) += model.emission(n - 1, 2);
+        model.emission(n - 1, 2) = 0.0;
       }
-      Matrix counts = expected;
-      for (std::size_t t = 0; t + 1 < t_len; ++t) {
+      const Matrix emission_t = model.emission.transposed();
+      const ForwardTables tables = forward_tables(model, emission_t);
+      for (const std::size_t t_len : kBlockLengths) {
+        SCOPED_TRACE(std::string(name) + " N=" + std::to_string(n) +
+                     " T=" + std::to_string(t_len));
+        const ObservationSeq seq = random_sequence(t_len, 6, rng);
+        const ForwardResult fwd = forward_scaled(model, seq);
+        ASSERT_FALSE(fwd.impossible);
+        const Matrix beta = backward_scaled(model, seq, fwd.scales);
+
+        Matrix expected(n, n);
         for (std::size_t i = 0; i < n; ++i) {
-          const double a = fwd.alpha(t, i);
-          if (a == 0.0) {
-            ++zero_alphas;
-            continue;
-          }
-          for (std::size_t j = 0; j < n; ++j) {
-            expected(i, j) += a * model.transition(i, j) *
-                              model.emission(j, seq[t + 1]) * beta(t + 1, j);
+          for (std::size_t j = 0; j < n; ++j) expected(i, j) = rng.uniform();
+        }
+        Matrix counts = expected;
+        for (std::size_t t = 0; t + 1 < t_len; ++t) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const double a = fwd.alpha(t, i);
+            if (a == 0.0) {
+              ++zero_alphas;
+              continue;
+            }
+            for (std::size_t j = 0; j < n; ++j) {
+              expected(i, j) += a * model.transition(i, j) *
+                                model.emission(j, seq[t + 1]) * beta(t + 1, j);
+            }
           }
         }
+        build->accumulate_expected_transitions(tables, seq, fwd.alpha.data(),
+                                               beta.data(), counts.data());
+        EXPECT_EQ(expected, counts);
       }
-      accumulate_expected_transitions(tables, seq, fwd.alpha.data(),
-                                      beta.data(), counts.data());
-      EXPECT_EQ(expected, counts);
     }
+    EXPECT_GT(zero_alphas, 0u) << name;
   }
-  EXPECT_GT(zero_alphas, 0u);
+  if (avx2_passes() == nullptr) GTEST_SKIP() << "no AVX2: baseline only";
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ TEST_P(RandomHmmProperty, ForwardProbabilitiesSumToOneOverAllSequences) {
   std::vector<std::size_t> seq(length, 0);
   double total = 0.0;
   while (true) {
-    total += hmm::sequence_probability(model, seq);
+    total += std::exp(hmm::sequence_log_likelihood(model, seq));
     std::size_t pos = 0;
     while (pos < length && ++seq[pos] == symbols) {
       seq[pos] = 0;

@@ -2,16 +2,25 @@
 # Guards the floating-point contract of the HMM recursions: the production
 # passes (hmm::forward_pass, backward_pass, accumulate_expected_transitions)
 # are bit-identical to the reference recursions only because the compiler
-# may neither reassociate a sum nor fuse a multiply-add. So no build file
-# may turn on any of:
-#   - -ffast-math or -Ofast (reassociation, no signed zeros, ...);
-#   - -ffp-contract=fast (fused multiply-add across statements);
-#   - -march=, -mavx* or -mfma (an FMA unit the compiler would contract
-#     onto under a GNU dialect);
-#   - CXX_EXTENSIONS ON (gnu++20, where GCC's default is -ffp-contract=fast).
-# The top-level CMakeLists.txt must also keep CMAKE_CXX_EXTENSIONS OFF,
-# since CMake's own default is ON. Comments are ignored, so a build file
-# may still explain why a flag is absent.
+# may neither reassociate a sum nor fuse a multiply and an add into one FMA
+# (which rounds once where the reference rounds twice). GCC contracts
+# a*b+c into an FMA whenever the target has one, under ISO -std=c++20 as
+# much as under gnu++20: its default is -ffp-contract=fast in C++ either
+# way. (GCC 12.2 compiling forward_backward.cpp -O3 -mavx512f emits 165
+# vfmadd instructions, and parallel_training_test's bitwise checks of the
+# forward and backward passes fail.) So:
+#   - no build file may turn on -ffast-math or -Ofast (reassociation, no
+#     signed zeros, ...), -ffp-contract=fast, -march=, -mavx* or -mfma;
+#   - src/CMakeLists.txt must compile hmm/forward_backward.cpp with
+#     -ffp-contract=off in every build, sanitizer builds included: its one
+#     set_source_files_properties call stands outside any if();
+#   - a target or target_clones attribute (or #pragma GCC target) under
+#     src/ may name only "avx2" and "default": no "fma", "avx512*" or
+#     "arch=", each of which brings an FMA unit with it;
+#   - the top-level CMakeLists.txt must keep CMAKE_CXX_EXTENSIONS OFF
+#     (CMake's own default is ON), and no build file may turn it on.
+# Comments are ignored, so a build file may still explain why a flag is
+# absent.
 #
 # Wired into CTest as `check_fp_contract` (label: train).
 set -eu
@@ -45,4 +54,55 @@ if ! sed 's/#.*//' "$repo_root/CMakeLists.txt" \
   echo "OFF; CMake's default (gnu++20) lets GCC contract multiply-adds" >&2
   exit 1
 fi
-echo "ok: no build file relaxes the floating-point contract"
+
+# The set_source_files_properties call for hmm/forward_backward.cpp, with
+# its nesting depth in if() blocks: "<depth> <text of the whole call>".
+fb_call="$(sed 's/#.*//' "$repo_root/src/CMakeLists.txt" | awk '
+  /^[[:space:]]*if[[:space:]]*\(/ { depth++ }
+  /^[[:space:]]*endif[[:space:]]*\(/ { depth-- }
+  /set_source_files_properties\([[:space:]]*hmm\/forward_backward\.cpp/ {
+    grab = 1; open = 0; text = ""; at = depth + 0
+  }
+  grab {
+    text = text " " $0
+    line = $0
+    open += gsub(/\(/, "", line)
+    line = $0
+    open -= gsub(/\)/, "", line)
+    if (open <= 0) { print at, text; grab = 0 }
+  }')"
+case "$fb_call" in
+  "0 "*-ffp-contract=off*) ;;
+  *)
+    echo "error: src/CMakeLists.txt must compile hmm/forward_backward.cpp" >&2
+    echo "with -ffp-contract=off in every build (one" >&2
+    echo "set_source_files_properties call outside any if()); found:" >&2
+    echo "${fb_call:-(no such call)}" >&2
+    exit 1
+    ;;
+esac
+
+# Every target("...") / target_clones("...") attribute or #pragma GCC
+# target under src/, and each comma-separated option it names.
+targets="$(grep -rnoE 'target(_clones)?[[:space:]]*\([[:space:]]*"[^)]*\)' \
+    "$repo_root/src" --include='*.cpp' --include='*.hpp' --include='*.h' \
+  || true)"
+bad_targets="$(printf '%s\n' "$targets" | while IFS= read -r hit; do
+  [ -n "$hit" ] || continue
+  options="$(printf '%s\n' "${hit#*:*:}" | grep -oE '"[^"]*"' | tr -d '"' \
+    | tr ',' '\n')"
+  for option in $options; do
+    case "$option" in
+      avx2 | default) ;;
+      *) echo "$hit" ;;
+    esac
+  done
+done)"
+if [ -n "$bad_targets" ]; then
+  echo "error: a target attribute under src/ names something other than" >&2
+  echo "avx2 or default (no fma, avx512* or arch=: each can contract" >&2
+  echo "a multiply-add into an FMA):" >&2
+  printf '%s\n' "$bad_targets" | sort -u >&2
+  exit 1
+fi
+echo "ok: no build file or target attribute relaxes the floating-point contract"
