@@ -12,6 +12,7 @@
 #include "src/obs/metrics_registry.hpp"
 #include "src/obs/run_profile.hpp"
 #include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/hmm/random_init.hpp"
 #include "src/hmm/viterbi.hpp"
 #include "src/trace/segmenter.hpp"

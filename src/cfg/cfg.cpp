@@ -135,10 +135,4 @@ std::map<std::string, std::size_t> ModuleCfg::index_by_name() const {
   return index;
 }
 
-std::size_t ModuleCfg::total_blocks() const {
-  std::size_t total = 0;
-  for (const auto& fn : functions) total += fn.block_count();
-  return total;
-}
-
 }  // namespace cmarkov::cfg

@@ -62,9 +62,6 @@ class ModuleCfg {
 
   /// function name -> index into `functions`.
   std::map<std::string, std::size_t> index_by_name() const;
-
-  /// Total basic blocks across all functions.
-  std::size_t total_blocks() const;
 };
 
 }  // namespace cmarkov::cfg

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/hmm/forward_backward.hpp"
-#include "src/hmm/viterbi.hpp"
 #include "src/obs/run_profile.hpp"
 
 namespace cmarkov::core {
@@ -179,36 +178,6 @@ Detector Detector::rebuilt_with(
   return refreshed;
 }
 
-SegmentVerdict Detector::score_segment(
-    const hmm::ObservationSeq& segment) const {
-  return score_segment(segment, nullptr);
-}
-
-SegmentVerdict Detector::score_segment(const hmm::ObservationSeq& segment,
-                                       hmm::ForwardResult* forward) const {
-  SegmentVerdict verdict;
-  for (std::size_t id : segment) {
-    if (id >= hmm_.num_symbols()) {
-      verdict.unknown_symbol = true;
-      verdict.log_likelihood = -std::numeric_limits<double>::infinity();
-      verdict.flagged = true;
-      if (forward != nullptr) {
-        // The forward recursion cannot consume out-of-vocabulary ids;
-        // report an empty impossible pass instead of running it.
-        *forward = hmm::ForwardResult{};
-        forward->impossible = true;
-        forward->log_likelihood = verdict.log_likelihood;
-      }
-      return verdict;
-    }
-  }
-  hmm::ForwardResult local = hmm::forward_scaled(hmm_, segment);
-  verdict.log_likelihood = local.log_likelihood;
-  verdict.flagged = verdict.log_likelihood < threshold_;
-  if (forward != nullptr) *forward = std::move(local);
-  return verdict;
-}
-
 obs::DecisionRecord Detector::make_decision_record(
     const hmm::ObservationSeq& segment, const SegmentVerdict& verdict,
     std::span<const double> scales, std::span<const double> alpha) const {
@@ -256,22 +225,6 @@ obs::DecisionRecord Detector::make_decision_record(
     record.symbols.push_back(entry);
   }
   return record;
-}
-
-std::vector<std::string> Detector::explain_segment(
-    const hmm::ObservationSeq& segment) const {
-  for (std::size_t id : segment) {
-    if (id >= hmm_.num_symbols()) return {};
-  }
-  const hmm::ViterbiResult decoded = hmm::viterbi_decode(hmm_, segment);
-  std::vector<std::string> out;
-  out.reserve(decoded.path.size());
-  for (std::size_t state : decoded.path) {
-    out.push_back(state < state_labels_.size()
-                      ? state_labels_[state]
-                      : "state" + std::to_string(state));
-  }
-  return out;
 }
 
 std::vector<SegmentVerdict> Detector::score_trace_segments(

@@ -19,7 +19,7 @@
 
 #include "src/core/pipeline.hpp"
 #include "src/hmm/baum_welch.hpp"
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/hmm/trainer.hpp"
 #include "src/obs/trace/decision_record.hpp"
 #include "src/trace/event.hpp"
@@ -49,8 +49,7 @@ struct DetectorConfig {
 /// calibration segments under `model`, sorts, and picks the score at the
 /// target_fp quantile (+infinity when the budget covers every segment).
 /// Throws std::out_of_range for an id >= model.num_symbols(). Shared by
-/// Detector::train and the drift-refresh path — serve code must not run
-/// raw forward passes itself (tools/check_scoring_kernel.sh).
+/// Detector::train and the drift-refresh path.
 double calibrate_threshold(const hmm::Hmm& model,
                            const std::vector<hmm::ObservationSeq>& calibration,
                            double target_fp);
@@ -110,7 +109,10 @@ class Detector {
                         const std::vector<hmm::ObservationSeq>& calibration)
       const;
 
-  /// Scores one segment (alphabet-frozen encoding).
+  /// Scores one segment (alphabet-frozen encoding) with the reference
+  /// recursion, hmm::forward_scaled. Both overloads are the oracle the
+  /// production scorers are held to and are defined in the cmarkov_oracle
+  /// library (detector_reference.cpp), which no shipped binary links.
   SegmentVerdict score_segment(const hmm::ObservationSeq& segment) const;
 
   /// Scores one segment and exposes the reference forward pass. Same cost
@@ -133,14 +135,6 @@ class Detector {
   obs::DecisionRecord make_decision_record(
       const hmm::ObservationSeq& segment, const SegmentVerdict& verdict,
       std::span<const double> scales, std::span<const double> alpha) const;
-
-  /// Viterbi attribution: the most likely hidden-state path for a segment,
-  /// rendered with the static state labels ("read@fill_window",
-  /// "cluster{...}") when available, "state<i>" otherwise. Segments with
-  /// unknown observations return an empty path (no state explains them —
-  /// that absence is itself the explanation).
-  std::vector<std::string> explain_segment(
-      const hmm::ObservationSeq& segment) const;
 
   /// Classifies a full symbolized trace.
   TraceVerdict classify(const trace::Trace& trace) const;

@@ -5,20 +5,6 @@
 
 namespace cmarkov::hmm {
 
-std::string observation_encoding_name(ObservationEncoding encoding) {
-  switch (encoding) {
-    case ObservationEncoding::kContextSensitive:
-      return "context";
-    case ObservationEncoding::kContextFree:
-      return "basic";
-    case ObservationEncoding::kSiteSensitive:
-      return "site";
-    case ObservationEncoding::kDeepContext:
-      return "deep";
-  }
-  return "?";
-}
-
 std::string encode_observation(const std::string& call_name,
                                const std::string& caller,
                                ObservationEncoding encoding) {

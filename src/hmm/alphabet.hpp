@@ -35,8 +35,6 @@ enum class ObservationEncoding {
   kDeepContext,
 };
 
-std::string observation_encoding_name(ObservationEncoding encoding);
-
 /// Renders one call event as an observation string. For kSiteSensitive use
 /// encode_site_observation (this overload has no site address and falls
 /// back to caller context).

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "src/util/parallel.hpp"
 
@@ -14,26 +13,6 @@ namespace {
 constexpr std::size_t kScoreChunk = 64;
 
 }  // namespace
-
-double mean_log_likelihood(const Hmm& model,
-                           const std::vector<ObservationSeq>& sequences,
-                           double impossible_penalty,
-                           std::size_t num_threads) {
-  if (sequences.empty()) return 0.0;
-  for (const ObservationSeq& seq : sequences) {
-    for (const std::size_t symbol : seq) {
-      if (symbol >= model.num_symbols()) {
-        throw std::out_of_range(
-            "mean_log_likelihood: observation id out of range");
-      }
-    }
-  }
-  const Matrix emission_t = model.emission.transposed();
-  WorkerPool pool(num_threads);
-  return pooled_log_likelihood_sum(forward_tables(model, emission_t),
-                                   sequences, impossible_penalty, pool) /
-         static_cast<double>(sequences.size());
-}
 
 double pooled_log_likelihood_sum(const ForwardTables& tables,
                                  std::span<const ObservationSeq> sequences,

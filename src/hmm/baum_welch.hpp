@@ -67,21 +67,10 @@ struct TrainingReport {
   std::size_t skipped_sequences = 0;
 };
 
-/// Mean per-sequence log-likelihood over a set. Impossible and empty
-/// sequences count with a large negative penalty instead of -infinity/0 so
-/// means stay finite and match the training-time rejection of such
-/// sequences. Scoring fans out over `num_threads` workers (0 = one per
-/// hardware core); the mean is reduced in sequence order, so the result is
-/// identical at any thread count.
-double mean_log_likelihood(const Hmm& model,
-                           const std::vector<ObservationSeq>& sequences,
-                           double impossible_penalty = -1e4,
-                           std::size_t num_threads = 1);
-
-/// The pooled sequence scorer behind mean_log_likelihood and the Trainer's
-/// holdout scoring: continues the left fold `sum` with each sequence's
-/// forward_pass log-likelihood, in sequence order, counting impossible and
-/// empty sequences as `impossible_penalty`. Scoring fans out over `pool`
+/// The pooled sequence scorer behind the Trainer's holdout scoring:
+/// continues the left fold `sum` with each sequence's forward_pass
+/// log-likelihood, in sequence order, counting impossible and empty
+/// sequences as `impossible_penalty`. Scoring fans out over `pool`
 /// on ping-pong alpha rows (no alpha matrix); the fold runs on the calling
 /// thread, so the result is identical at any thread count. Observation ids
 /// are not range-checked.

@@ -1,8 +1,9 @@
-// Scaled forward/backward recursions. Scaling (Rabiner's c_t normalization)
-// keeps 15-call segment likelihoods representable; log-likelihood is
-// recovered as -sum(log c_t). A segment containing a symbol the model gives
-// zero probability scores -infinity (the "impossible" verdict that drives
-// the paper's detection of out-of-alphabet / out-of-context calls).
+// The production scaled forward/backward passes. Scaling (Rabiner's c_t
+// normalization) keeps 15-call segment likelihoods representable;
+// log-likelihood is recovered as -sum(log c_t). A segment containing a
+// symbol the model gives zero probability scores -infinity (the
+// "impossible" verdict that drives the paper's detection of
+// out-of-alphabet / out-of-context calls).
 #pragma once
 
 #include <span>
@@ -11,34 +12,14 @@
 
 namespace cmarkov::hmm {
 
-struct ForwardResult {
-  /// alpha(t, i): scaled probability of being in state i after t+1 symbols.
-  Matrix alpha;
-  /// Scale factors c_t; empty iff the sequence was empty.
-  std::vector<double> scales;
-  /// log P(observations | model); -infinity when impossible.
-  double log_likelihood = 0.0;
-  /// True when some prefix had zero total probability.
-  bool impossible = false;
-};
-
-/// Forward pass. Observations must be valid alphabet ids (< num_symbols).
-ForwardResult forward_scaled(const Hmm& model,
-                             std::span<const std::size_t> observations);
-
-/// Backward pass reusing the forward scale factors. Returns beta(t, i).
-/// Must not be called for impossible sequences.
-Matrix backward_scaled(const Hmm& model,
-                       std::span<const std::size_t> observations,
-                       std::span<const double> scales);
-
-// forward_scaled / backward_scaled above are the reference recursions the
-// tests hold everything else to. Production scores through forward_pass /
-// backward_pass / accumulate_expected_transitions below: the Trainer's
-// E-step and holdout scoring, threshold calibration, and the serve tier's
-// ScoringKernel, which compiles the same tables into its arena. They
-// produce the oracle's doubles bit for bit: every O(N^2) loop is
-// register-blocked four rows (or steps) per pass without reordering any
+// The reference recursions the tests hold these passes to, forward_scaled
+// and backward_scaled, live in forward_reference.hpp and the cmarkov_oracle
+// library, which no shipped binary links. Production scores through
+// forward_pass / backward_pass / accumulate_expected_transitions below: the
+// Trainer's E-step and holdout scoring, threshold calibration, and the
+// serve tier's ScoringKernel, which compiles the same tables into its
+// arena. They produce the oracle's doubles bit for bit: every O(N^2) loop
+// is register-blocked four rows (or steps) per pass without reordering any
 // floating-point sum. Each is compiled twice from one body, a baseline and
 // an AVX2 build (PassBuild below), and runs the AVX2 build when the CPU has
 // it; the choice is made once per process and changes no bit.
@@ -143,22 +124,5 @@ const PassBuild& baseline_passes();
 /// The AVX2 build (no FMA), or null when the CPU lacks AVX2 or the target
 /// is not x86-64, where only the baseline is compiled.
 const PassBuild* avx2_passes();
-
-/// Additive per-symbol decomposition of the log-likelihood: entry t is
-/// log(c_t), the log-probability of symbol t given the (scaled) state
-/// distribution after t symbols, and the entries sum to
-/// `result.log_likelihood` exactly (same values, same summation order).
-/// For impossible sequences the first zero-scale step contributes
-/// -infinity and every later step 0 — the sum is still -infinity.
-std::vector<double> per_symbol_log_contributions(const ForwardResult& result);
-
-/// Most likely hidden state after each symbol: argmax over the scaled
-/// alpha row (ties break to the lowest state id). For impossible
-/// sequences, steps at and after the zero-scale point report state 0.
-std::vector<std::size_t> per_symbol_argmax_states(const ForwardResult& result);
-
-/// Convenience: log P(observations | model), -infinity when impossible.
-double sequence_log_likelihood(const Hmm& model,
-                               std::span<const std::size_t> observations);
 
 }  // namespace cmarkov::hmm

@@ -1,6 +1,6 @@
 // Viterbi decoding: the most likely hidden-state path for an observation
-// sequence, in log space. Used to attribute anomalous segments to states
-// (which calls/contexts the model believes were executing).
+// sequence, in log space. Built into the cmarkov_oracle library, which
+// tests and benches link and the shipped binaries do not.
 #pragma once
 
 #include <span>

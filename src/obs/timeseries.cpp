@@ -199,31 +199,6 @@ HistogramWindow TimeSeriesCollector::window_locked(
   return window;
 }
 
-double TimeSeriesCollector::counter_rate(std::string_view name) const {
-  const std::lock_guard lock(mu_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second.rate_per_second();
-}
-
-double TimeSeriesCollector::counter_latest(std::string_view name) const {
-  const std::lock_guard lock(mu_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second.latest();
-}
-
-double TimeSeriesCollector::gauge_latest(std::string_view name) const {
-  const std::lock_guard lock(mu_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second.latest();
-}
-
-HistogramWindow TimeSeriesCollector::histogram_window(
-    std::string_view name) const {
-  const std::lock_guard lock(mu_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? HistogramWindow{} : window_locked(it->second);
-}
-
 std::string TimeSeriesCollector::varz_json() const {
   const std::lock_guard lock(mu_);
   std::string out = "{\"schema\":\"cmarkov.varz.v1\"";

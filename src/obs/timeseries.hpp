@@ -25,7 +25,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -131,13 +130,6 @@ class TimeSeriesCollector {
   /// and windowed derivations. Schema "cmarkov.varz.v1"; sorted keys,
   /// format_metric_value numbers (docs/OBSERVABILITY.md).
   std::string varz_json() const;
-
-  // Introspection for tests and `cmarkov top` fallbacks. All return 0 for
-  // unknown names.
-  double counter_rate(std::string_view name) const;
-  double counter_latest(std::string_view name) const;
-  double gauge_latest(std::string_view name) const;
-  HistogramWindow histogram_window(std::string_view name) const;
 
  private:
   struct HistSample {

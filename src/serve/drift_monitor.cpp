@@ -17,8 +17,7 @@ constexpr double kImpossiblePenalty = -1e4;
 DriftMonitor::DriftMonitor(DriftOptions options, obs::MetricsRegistry* metrics)
     : options_(options) {
   if (options_.baseline_windows == 0 || options_.recent_windows == 0 ||
-      options_.buckets == 0 || options_.consecutive_epochs == 0 ||
-      options_.max_absorb_segments == 0) {
+      options_.buckets == 0 || options_.consecutive_epochs == 0) {
     throw std::invalid_argument("DriftMonitor: window/bucket/epoch knobs "
                                 "must be positive");
   }
@@ -114,18 +113,18 @@ void DriftMonitor::observe(double log_likelihood, bool flagged,
   }
 
   if (!flagged && !unknown_symbol) {
-    if (absorb_.size() < options_.max_absorb_segments) {
+    if (absorb_.size() < kMaxAbsorbSegments) {
       absorb_.push_back(window);
     } else {
       // Full: overwrite the oldest so the batch tracks the current
       // workload, not the first windows after the last refresh.
       absorb_[absorb_next_] = window;
-      absorb_next_ = (absorb_next_ + 1) % options_.max_absorb_segments;
+      absorb_next_ = (absorb_next_ + 1) % kMaxAbsorbSegments;
     }
     if (absorb_depth_gauge_ != nullptr) {
       absorb_depth_gauge_->set(
           static_cast<double>(absorb_.size()) /
-          static_cast<double>(options_.max_absorb_segments));
+          static_cast<double>(kMaxAbsorbSegments));
     }
   }
 }

@@ -44,6 +44,10 @@
 
 namespace cmarkov::serve {
 
+/// Absorb buffer capacity: once full, the oldest clean window is replaced
+/// (the buffer tracks the *current* workload).
+inline constexpr std::size_t kMaxAbsorbSegments = 4096;
+
 struct DriftOptions {
   /// Completed windows that freeze the baseline histogram.
   std::size_t baseline_windows = 512;
@@ -58,9 +62,6 @@ struct DriftOptions {
   /// Clean windows required in the absorb buffer before a refresh may
   /// run (too few would retrain on noise).
   std::size_t min_absorb_segments = 32;
-  /// Absorb buffer capacity; once full, the oldest clean window is
-  /// replaced (the buffer tracks the *current* workload).
-  std::size_t max_absorb_segments = 4096;
 };
 
 class DriftMonitor {

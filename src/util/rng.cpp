@@ -33,12 +33,6 @@ double Rng::gaussian(double mean, double stddev) {
   return std::normal_distribution<double>(mean, stddev)(engine_);
 }
 
-std::size_t Rng::session_length(std::size_t min_len, double mean_extra) {
-  if (mean_extra <= 0.0) return min_len;
-  std::geometric_distribution<std::size_t> dist(1.0 / (mean_extra + 1.0));
-  return min_len + dist(engine_);
-}
-
 std::size_t Rng::weighted_index(std::span<const double> weights) {
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
   if (weights.empty() || total <= 0.0) {

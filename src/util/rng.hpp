@@ -39,10 +39,6 @@ class Rng {
   /// Standard normal draw scaled to mean/stddev.
   double gaussian(double mean = 0.0, double stddev = 1.0);
 
-  /// Geometric-ish session length: at least `min_len`, expected
-  /// `min_len + mean_extra`.
-  std::size_t session_length(std::size_t min_len, double mean_extra);
-
   /// Samples an index from an unnormalized non-negative weight vector.
   /// Throws std::invalid_argument if all weights are zero or the span is
   /// empty.

@@ -161,10 +161,17 @@ TEST(TimeSeriesCollectorTest, DerivesCounterRatesFromManualSamples) {
   collector.sample_now(10.0);
 
   EXPECT_EQ(collector.samples_taken(), 2u);
-  EXPECT_EQ(collector.counter_latest("cmarkov_test_events_total"), 150.0);
-  EXPECT_EQ(collector.counter_rate("cmarkov_test_events_total"), 5.0);
-  EXPECT_EQ(collector.gauge_latest("cmarkov_test_depth_open"), 7.0);
-  EXPECT_EQ(collector.counter_rate("cmarkov_unknown_total"), 0.0);
+  const util::JsonValue varz = util::parse_json(collector.varz_json());
+  const util::JsonValue* events_series =
+      varz.find_path("counters.cmarkov_test_events_total");
+  ASSERT_NE(events_series, nullptr);
+  EXPECT_EQ(events_series->find("value")->number_or(0), 150.0);
+  EXPECT_EQ(events_series->find("rate_per_second")->number_or(0), 5.0);
+  const util::JsonValue* depth_series =
+      varz.find_path("gauges.cmarkov_test_depth_open");
+  ASSERT_NE(depth_series, nullptr);
+  EXPECT_EQ(depth_series->find("value")->number_or(0), 7.0);
+  EXPECT_EQ(varz.find_path("counters.cmarkov_unknown_total"), nullptr);
 }
 
 TEST(TimeSeriesCollectorTest, HistogramWindowUsesDeltasNotLifetime) {
@@ -181,13 +188,16 @@ TEST(TimeSeriesCollectorTest, HistogramWindowUsesDeltasNotLifetime) {
   for (int i = 0; i < 10; ++i) hist.record(50.0);
   collector.sample_now(5.0);
 
-  const obs::HistogramWindow window =
-      collector.histogram_window("cmarkov_test_latency_micros");
-  EXPECT_EQ(window.count, 1010u);
-  EXPECT_EQ(window.count_delta, 10u);
-  EXPECT_EQ(window.rate_per_second, 2.0);
-  EXPECT_EQ(window.p50, 100.0);  // all windowed mass in the (10,100] bucket
-  EXPECT_EQ(window.p99, 100.0);
+  const util::JsonValue varz = util::parse_json(collector.varz_json());
+  const util::JsonValue* window =
+      varz.find_path("histograms.cmarkov_test_latency_micros");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->find("count")->number_or(0), 1010.0);
+  EXPECT_EQ(window->find("count_delta")->number_or(0), 10.0);
+  EXPECT_EQ(window->find("rate_per_second")->number_or(0), 2.0);
+  // All windowed mass in the (10,100] bucket:
+  EXPECT_EQ(window->find("p50")->number_or(0), 100.0);
+  EXPECT_EQ(window->find("p99")->number_or(0), 100.0);
   // Lifetime distribution would have said p50 = 1.0:
   EXPECT_EQ(hist.quantile(0.5), 1.0);
 }
@@ -200,11 +210,14 @@ TEST(TimeSeriesCollectorTest, SingleSampleFallsBackToLifetimeQuantiles) {
   for (int i = 0; i < 8; ++i) hist.record(0.5);
   obs::TimeSeriesCollector collector(registry);
   collector.sample_now(0.0);
-  const obs::HistogramWindow window =
-      collector.histogram_window("cmarkov_test_wait_micros");
-  EXPECT_EQ(window.count, 8u);
-  EXPECT_EQ(window.count_delta, 0u);
-  EXPECT_EQ(window.p50, 1.0);  // lifetime fallback until the ring has 2
+  const util::JsonValue varz = util::parse_json(collector.varz_json());
+  const util::JsonValue* window =
+      varz.find_path("histograms.cmarkov_test_wait_micros");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->find("count")->number_or(0), 8.0);
+  EXPECT_EQ(window->find("count_delta")->number_or(0), 0.0);
+  // Lifetime fallback until the ring has 2 samples:
+  EXPECT_EQ(window->find("p50")->number_or(0), 1.0);
 }
 
 TEST(TimeSeriesCollectorTest, VarzJsonParsesWithSchemaAndDerivations) {
@@ -247,7 +260,11 @@ TEST(TimeSeriesCollectorTest, ThreadSamplesAndRunsPreSampleHook) {
   collector.stop();  // idempotent
   EXPECT_GE(collector.samples_taken(), 3u);
   EXPECT_GE(hook_runs.load(), 3);
-  EXPECT_EQ(collector.counter_latest("cmarkov_test_ticks_total"), 1.0);
+  const util::JsonValue varz = util::parse_json(collector.varz_json());
+  const util::JsonValue* ticks =
+      varz.find_path("counters.cmarkov_test_ticks_total");
+  ASSERT_NE(ticks, nullptr);
+  EXPECT_EQ(ticks->find("value")->number_or(0), 1.0);
 }
 
 // -- JSON parser -----------------------------------------------------------

@@ -22,7 +22,7 @@
 #include "src/core/detector.hpp"
 #include "src/core/online_monitor.hpp"
 #include "src/core/scoring_kernel.hpp"
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/obs/run_profile.hpp"
 #include "src/obs/trace/bounded_log.hpp"
 #include "src/obs/trace/chrome_trace.hpp"

@@ -9,7 +9,7 @@
 #include "src/attack/exploit_driver.hpp"
 #include "src/core/detector.hpp"
 #include "src/core/scoring_kernel.hpp"
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/trace/segmenter.hpp"
 #include "src/workload/testcase_generator.hpp"
 
@@ -126,41 +126,6 @@ TEST(DetectorTest, ContextInsensitiveVariantBuilds) {
   detector.train(fixture().collection.traces);
   const auto verdict = detector.classify(fixture().collection.traces[1]);
   EXPECT_GT(verdict.total_segments, 0u);
-}
-
-TEST(DetectorTest, ExplainSegmentAttributesStates) {
-  Detector detector =
-      Detector::build(fixture().suite.module(), quick_config());
-  detector.train(fixture().collection.traces);
-  ASSERT_FALSE(detector.state_labels().empty());
-
-  // A known-good segment decodes to a full path of labeled states.
-  const auto& trace = fixture().collection.traces.front();
-  hmm::ObservationSeq encoded;
-  for (const auto& event : trace.events) {
-    if (event.kind != ir::CallKind::kSyscall) continue;
-    const auto id = detector.alphabet().find(
-        hmm::encode_observation(event.name, event.caller,
-                                hmm::ObservationEncoding::kContextSensitive));
-    ASSERT_TRUE(id.has_value());
-    encoded.push_back(*id);
-    if (encoded.size() == 15) break;
-  }
-  ASSERT_EQ(encoded.size(), 15u);
-  const auto path = detector.explain_segment(encoded);
-  ASSERT_EQ(path.size(), 15u);
-  // The decoded states should mostly be the states whose labels match the
-  // observations (near-deterministic emissions after static init).
-  std::size_t matching = 0;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (path[i] == detector.alphabet().name(encoded[i])) ++matching;
-  }
-  EXPECT_GT(matching, 10u);
-
-  // Unknown observations yield an empty explanation.
-  hmm::ObservationSeq unknown = encoded;
-  unknown[3] = detector.alphabet().size();
-  EXPECT_TRUE(detector.explain_segment(unknown).empty());
 }
 
 TEST(DetectorTest, TrainOnEmptyTracesThrows) {

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 
 namespace cmarkov::hmm {
 namespace {

@@ -9,7 +9,7 @@
 #include "src/core/detector.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/eval/comparison.hpp"
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/workload/testcase_generator.hpp"
 
 namespace cmarkov {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/eval/model_zoo.hpp"
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/hmm/trainer.hpp"
 #include "src/workload/testcase_generator.hpp"
 

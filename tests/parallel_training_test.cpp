@@ -16,8 +16,9 @@
 #include <vector>
 
 #include "src/core/model_io.hpp"
-#include "src/hmm/baum_welch.hpp"  // mean_log_likelihood
+#include "src/hmm/baum_welch.hpp"
 #include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/hmm/trainer.hpp"
 #include "src/hmm/random_init.hpp"
 #include "src/linalg/kmeans.hpp"
@@ -132,36 +133,6 @@ TEST(ParallelTrainingTest, BitIdenticalWithRejectedSequences) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_identical(reference, run);
   }
-}
-
-TEST(ParallelTrainingTest, MeanLogLikelihoodMatchesSequentialBitwise) {
-  Rng rng(5);
-  const Hmm model = without_last_symbol(randomly_initialized_hmm(10, 7, rng));
-  auto data = random_sequences(33, 14, 6, rng);
-  data.push_back(ObservationSeq{6});  // impossible: zero-emission symbol
-
-  const double sequential = mean_log_likelihood(model, data, -1e4, 1);
-  for (std::size_t threads : {2u, 8u}) {
-    EXPECT_EQ(mean_log_likelihood(model, data, -1e4, threads), sequential);
-  }
-}
-
-TEST(ParallelTrainingTest, MeanLogLikelihoodPenalizesEmptySequences) {
-  Rng rng(5);
-  const Hmm model = randomly_initialized_hmm(4, 3, rng);
-  const auto data = random_sequences(4, 10, 3, rng);
-  const double without_empty = mean_log_likelihood(model, data);
-
-  auto with_empty = data;
-  with_empty.push_back(ObservationSeq{});
-  const double with_empty_mean = mean_log_likelihood(model, with_empty);
-  // An empty sequence must drag the mean toward the penalty, not count as
-  // a perfect (log-likelihood 0) observation.
-  EXPECT_LT(with_empty_mean, without_empty);
-  const double expected =
-      (without_empty * static_cast<double>(data.size()) + -1e4) /
-      static_cast<double>(with_empty.size());
-  EXPECT_NEAR(with_empty_mean, expected, 1e-9);
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

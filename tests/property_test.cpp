@@ -8,7 +8,7 @@
 #include "src/analysis/aggregation.hpp"
 #include "src/cfg/cfg_builder.hpp"
 #include "src/hmm/trainer.hpp"
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/hmm/random_init.hpp"
 #include "src/hmm/viterbi.hpp"
 #include "src/ir/lexer.hpp"

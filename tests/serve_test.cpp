@@ -1035,7 +1035,6 @@ TEST(DriftRefreshTest, WorkloadShiftPublishesRefreshedModel) {
   drift.ks_threshold = 0.6;
   drift.consecutive_epochs = 3;
   drift.min_absorb_segments = 16;
-  drift.max_absorb_segments = 256;
   DriftRefresher refresher(manager, registry, "drift", std::move(trainer),
                            drift);
   manager.set_drift_monitor(&refresher.monitor(), "drift");

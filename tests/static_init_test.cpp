@@ -4,7 +4,7 @@
 
 #include "src/analysis/aggregation.hpp"
 #include "src/cfg/cfg_builder.hpp"
-#include "src/hmm/forward_backward.hpp"
+#include "src/hmm/forward_reference.hpp"
 #include "src/hmm/static_init.hpp"
 #include "src/ir/module.hpp"
 #include "src/reduction/cluster_calls.hpp"

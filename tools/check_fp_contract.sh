@@ -11,8 +11,10 @@
 # forward and backward passes fail.) So:
 #   - no build file may turn on -ffast-math or -Ofast (reassociation, no
 #     signed zeros, ...), -ffp-contract=fast, -march=, -mavx* or -mfma;
-#   - src/CMakeLists.txt must compile hmm/forward_backward.cpp with
-#     -ffp-contract=off in every build, sanitizer builds included: its one
+#   - src/CMakeLists.txt must compile hmm/forward_backward.cpp (the
+#     production passes) and hmm/forward_reference.cpp (the reference
+#     recursions, in the cmarkov_oracle library) with -ffp-contract=off in
+#     every build, sanitizer builds included: each one's
 #     set_source_files_properties call stands outside any if();
 #   - a target or target_clones attribute (or #pragma GCC target) under
 #     src/ may name only "avx2" and "default": no "fma", "avx512*" or
@@ -55,32 +57,36 @@ if ! sed 's/#.*//' "$repo_root/CMakeLists.txt" \
   exit 1
 fi
 
-# The set_source_files_properties call for hmm/forward_backward.cpp, with
-# its nesting depth in if() blocks: "<depth> <text of the whole call>".
-fb_call="$(sed 's/#.*//' "$repo_root/src/CMakeLists.txt" | awk '
-  /^[[:space:]]*if[[:space:]]*\(/ { depth++ }
-  /^[[:space:]]*endif[[:space:]]*\(/ { depth-- }
-  /set_source_files_properties\([[:space:]]*hmm\/forward_backward\.cpp/ {
-    grab = 1; open = 0; text = ""; at = depth + 0
-  }
-  grab {
-    text = text " " $0
-    line = $0
-    open += gsub(/\(/, "", line)
-    line = $0
-    open -= gsub(/\)/, "", line)
-    if (open <= 0) { print at, text; grab = 0 }
-  }')"
-case "$fb_call" in
-  "0 "*-ffp-contract=off*) ;;
-  *)
-    echo "error: src/CMakeLists.txt must compile hmm/forward_backward.cpp" >&2
-    echo "with -ffp-contract=off in every build (one" >&2
-    echo "set_source_files_properties call outside any if()); found:" >&2
-    echo "${fb_call:-(no such call)}" >&2
-    exit 1
-    ;;
-esac
+# The units that must round like the reference recursions: the production
+# passes and the reference recursions themselves. For each, its
+# set_source_files_properties call with its nesting depth in if() blocks:
+# "<depth> <text of the whole call>".
+for unit in hmm/forward_backward.cpp hmm/forward_reference.cpp; do
+  call="$(sed 's/#.*//' "$repo_root/src/CMakeLists.txt" | awk -v unit="$unit" '
+    /^[[:space:]]*if[[:space:]]*\(/ { depth++ }
+    /^[[:space:]]*endif[[:space:]]*\(/ { depth-- }
+    /set_source_files_properties\(/ && index($0, "(" unit) > 0 {
+      grab = 1; open = 0; text = ""; at = depth + 0
+    }
+    grab {
+      text = text " " $0
+      line = $0
+      open += gsub(/\(/, "", line)
+      line = $0
+      open -= gsub(/\)/, "", line)
+      if (open <= 0) { print at, text; grab = 0 }
+    }')"
+  case "$call" in
+    "0 "*-ffp-contract=off*) ;;
+    *)
+      echo "error: src/CMakeLists.txt must compile $unit" >&2
+      echo "with -ffp-contract=off in every build (one" >&2
+      echo "set_source_files_properties call outside any if()); found:" >&2
+      echo "${call:-(no such call)}" >&2
+      exit 1
+      ;;
+  esac
+done
 
 # Every target("...") / target_clones("...") attribute or #pragma GCC
 # target under src/, and each comma-separated option it names.
