@@ -14,6 +14,10 @@ namespace cmarkov::serve {
 /// piling into the lowest bucket is itself the drift signal.
 constexpr double kImpossiblePenalty = -1e4;
 
+/// Absorb buffer capacity: once full, the oldest clean window is replaced
+/// (the buffer tracks the *current* workload).
+constexpr std::size_t kMaxAbsorbSegments = 4096;
+
 DriftMonitor::DriftMonitor(DriftOptions options, obs::MetricsRegistry* metrics)
     : options_(options) {
   if (options_.baseline_windows == 0 || options_.recent_windows == 0 ||

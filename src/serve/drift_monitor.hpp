@@ -44,10 +44,6 @@
 
 namespace cmarkov::serve {
 
-/// Absorb buffer capacity: once full, the oldest clean window is replaced
-/// (the buffer tracks the *current* workload).
-inline constexpr std::size_t kMaxAbsorbSegments = 4096;
-
 struct DriftOptions {
   /// Completed windows that freeze the baseline histogram.
   std::size_t baseline_windows = 512;

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <functional>
@@ -23,6 +24,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -36,6 +38,14 @@
 
 namespace cmarkov::serve::net {
 namespace {
+
+/// `object`'s number field `key`, or NaN (which equals nothing) if the
+/// field is missing, so a renamed /varz key fails one assertion.
+double number_at(const util::JsonValue& object, std::string_view key) {
+  const util::JsonValue* field = object.find(key);
+  return field != nullptr ? field->number_or(std::nan(""))
+                          : std::nan("");
+}
 
 core::Detector train_detector(const workload::ProgramSuite& suite,
                               std::uint64_t seed) {
@@ -165,12 +175,12 @@ TEST(TimeSeriesCollectorTest, DerivesCounterRatesFromManualSamples) {
   const util::JsonValue* events_series =
       varz.find_path("counters.cmarkov_test_events_total");
   ASSERT_NE(events_series, nullptr);
-  EXPECT_EQ(events_series->find("value")->number_or(0), 150.0);
-  EXPECT_EQ(events_series->find("rate_per_second")->number_or(0), 5.0);
+  EXPECT_EQ(number_at(*events_series, "value"), 150.0);
+  EXPECT_EQ(number_at(*events_series, "rate_per_second"), 5.0);
   const util::JsonValue* depth_series =
       varz.find_path("gauges.cmarkov_test_depth_open");
   ASSERT_NE(depth_series, nullptr);
-  EXPECT_EQ(depth_series->find("value")->number_or(0), 7.0);
+  EXPECT_EQ(number_at(*depth_series, "value"), 7.0);
   EXPECT_EQ(varz.find_path("counters.cmarkov_unknown_total"), nullptr);
 }
 
@@ -192,12 +202,12 @@ TEST(TimeSeriesCollectorTest, HistogramWindowUsesDeltasNotLifetime) {
   const util::JsonValue* window =
       varz.find_path("histograms.cmarkov_test_latency_micros");
   ASSERT_NE(window, nullptr);
-  EXPECT_EQ(window->find("count")->number_or(0), 1010.0);
-  EXPECT_EQ(window->find("count_delta")->number_or(0), 10.0);
-  EXPECT_EQ(window->find("rate_per_second")->number_or(0), 2.0);
+  EXPECT_EQ(number_at(*window, "count"), 1010.0);
+  EXPECT_EQ(number_at(*window, "count_delta"), 10.0);
+  EXPECT_EQ(number_at(*window, "rate_per_second"), 2.0);
   // All windowed mass in the (10,100] bucket:
-  EXPECT_EQ(window->find("p50")->number_or(0), 100.0);
-  EXPECT_EQ(window->find("p99")->number_or(0), 100.0);
+  EXPECT_EQ(number_at(*window, "p50"), 100.0);
+  EXPECT_EQ(number_at(*window, "p99"), 100.0);
   // Lifetime distribution would have said p50 = 1.0:
   EXPECT_EQ(hist.quantile(0.5), 1.0);
 }
@@ -214,10 +224,10 @@ TEST(TimeSeriesCollectorTest, SingleSampleFallsBackToLifetimeQuantiles) {
   const util::JsonValue* window =
       varz.find_path("histograms.cmarkov_test_wait_micros");
   ASSERT_NE(window, nullptr);
-  EXPECT_EQ(window->find("count")->number_or(0), 8.0);
-  EXPECT_EQ(window->find("count_delta")->number_or(0), 0.0);
+  EXPECT_EQ(number_at(*window, "count"), 8.0);
+  EXPECT_EQ(number_at(*window, "count_delta"), 0.0);
   // Lifetime fallback until the ring has 2 samples:
-  EXPECT_EQ(window->find("p50")->number_or(0), 1.0);
+  EXPECT_EQ(number_at(*window, "p50"), 1.0);
 }
 
 TEST(TimeSeriesCollectorTest, VarzJsonParsesWithSchemaAndDerivations) {
@@ -264,7 +274,7 @@ TEST(TimeSeriesCollectorTest, ThreadSamplesAndRunsPreSampleHook) {
   const util::JsonValue* ticks =
       varz.find_path("counters.cmarkov_test_ticks_total");
   ASSERT_NE(ticks, nullptr);
-  EXPECT_EQ(ticks->find("value")->number_or(0), 1.0);
+  EXPECT_EQ(number_at(*ticks, "value"), 1.0);
 }
 
 // -- JSON parser -----------------------------------------------------------

@@ -5,9 +5,11 @@
 #include <cmath>
 
 #include "src/hmm/baum_welch.hpp"
+#include "src/hmm/forward_backward.hpp"
 #include "src/hmm/forward_reference.hpp"
 #include "src/hmm/random_init.hpp"
 #include "src/hmm/trainer.hpp"
+#include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 
 namespace cmarkov::hmm {
@@ -183,6 +185,41 @@ TEST(BaumWelchTest, PseudocountKeepsParametersPositive) {
       EXPECT_GT(model.emission(i, j), 0.0);
     }
   }
+}
+
+// The Trainer's holdout score: impossible and empty sequences count as the
+// penalty, and the sum does not depend on the thread count.
+TEST(MeanLogLikelihoodTest, PenalizesImpossibleSequences) {
+  Hmm model;
+  model.transition = Matrix::from_rows({{1.0}});
+  model.emission = Matrix::from_rows({{1.0, 0.0}});
+  model.initial = {1.0};
+  const Matrix emission_t = model.emission.transposed();
+  const ForwardTables tables = forward_tables(model, emission_t);
+  WorkerPool one(1);
+  const std::vector<ObservationSeq> data = {{0, 0}, {0, 1}};
+  EXPECT_NEAR(pooled_log_likelihood_sum(tables, data, -100.0, one) / 2,
+              -50.0, 1e-9);  // (0 + -100) / 2
+  // An empty sequence is not a perfect (log-likelihood 0) observation.
+  const std::vector<ObservationSeq> with_empty = {{0, 0}, {0, 1}, {}};
+  EXPECT_NEAR(pooled_log_likelihood_sum(tables, with_empty, -100.0, one) / 3,
+              -200.0 / 3, 1e-9);
+
+  // More sequences than one work item holds, so two threads split them.
+  Rng rng(5);
+  const Hmm truth = ground_truth();
+  const Matrix truth_emission_t = truth.emission.transposed();
+  const ForwardTables truth_tables = forward_tables(truth, truth_emission_t);
+  auto sampled = sample_sequences(truth, rng, 150, 12);
+  const double without_empty =
+      pooled_log_likelihood_sum(truth_tables, sampled, -1e4, one);
+  sampled.push_back(ObservationSeq{});
+  const double sequential =
+      pooled_log_likelihood_sum(truth_tables, sampled, -1e4, one);
+  EXPECT_EQ(sequential, without_empty + -1e4);
+  WorkerPool two(2);
+  EXPECT_EQ(pooled_log_likelihood_sum(truth_tables, sampled, -1e4, two),
+            sequential);
 }
 
 }  // namespace
