@@ -181,14 +181,6 @@ std::vector<std::size_t> CallTransitionMatrix::external_indices() const {
   return out;
 }
 
-Matrix CallTransitionMatrix::to_dense() const {
-  Matrix dense(symbols_.size(), symbols_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    for (const auto& [c, p] : rows_[r]) dense(r, c) = p;
-  }
-  return dense;
-}
-
 std::size_t CallTransitionMatrix::nonzero_count() const {
   std::size_t count = 0;
   for (const auto& row : rows_) count += row.size();

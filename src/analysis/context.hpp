@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/ir/ast.hpp"
-#include "src/linalg/matrix.hpp"
 
 namespace cmarkov::analysis {
 
@@ -100,9 +99,6 @@ class CallTransitionMatrix {
 
   /// Indices of external-call symbols, in symbol order.
   std::vector<std::size_t> external_indices() const;
-
-  /// Dense copy (rows/cols in symbol-index order).
-  Matrix to_dense() const;
 
   /// Number of non-zero cells.
   std::size_t nonzero_count() const;

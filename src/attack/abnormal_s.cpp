@@ -81,9 +81,9 @@ std::vector<EventSegment> generate_abnormal_s(
   if (legitimate.empty()) {
     throw std::invalid_argument("generate_abnormal_s: empty legitimate set");
   }
-  if (options.tail_length == 0 ||
-      options.tail_length > options.segment_length) {
-    throw std::invalid_argument("generate_abnormal_s: bad tail length");
+  if (options.segment_length < kAbnormalTailLength) {
+    throw std::invalid_argument(
+        "generate_abnormal_s: segment shorter than the replaced tail");
   }
 
   std::vector<EventSegment> out;
@@ -95,7 +95,7 @@ std::vector<EventSegment> generate_abnormal_s(
       mutated.resize(options.segment_length);
     }
     const std::size_t tail =
-        std::min(options.tail_length, mutated.size());
+        std::min(kAbnormalTailLength, mutated.size());
     bool changed = false;
     for (std::size_t attempt = 0; attempt < 8 && !changed; ++attempt) {
       for (std::size_t i = mutated.size() - tail; i < mutated.size(); ++i) {

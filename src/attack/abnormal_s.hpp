@@ -54,16 +54,18 @@ std::vector<EventSegment> event_segments(
     const std::vector<trace::Trace>& traces, analysis::CallFilter filter,
     std::size_t length = 15);
 
+/// Trailing calls each Abnormal-S segment replaces (the paper replaces 4).
+inline constexpr std::size_t kAbnormalTailLength = 4;
+
 struct AbnormalSOptions {
+  /// At least kAbnormalTailLength.
   std::size_t segment_length = 15;
-  /// Number of trailing calls replaced (the paper replaces 4).
-  std::size_t tail_length = 4;
 };
 
 /// Generates `count` Abnormal-S segments: each picks a random normal
-/// segment and replaces its tail with random legitimate calls. Segments
-/// that happen to equal their source are re-rolled (a few retries), since
-/// an unchanged segment is not abnormal.
+/// segment and replaces its last kAbnormalTailLength calls with random
+/// legitimate calls. Segments that happen to equal their source are
+/// re-rolled (a few retries), since an unchanged segment is not abnormal.
 std::vector<EventSegment> generate_abnormal_s(
     const std::vector<EventSegment>& normal_segments,
     const std::vector<LegitimateCall>& legitimate, std::size_t count,

@@ -10,6 +10,10 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+/// Padding candidates considered per step (the most probable next
+/// observations under the model); bounds the branching factor.
+constexpr std::size_t kCandidatesPerStep = 12;
+
 struct BeamState {
   hmm::ObservationSeq sequence;
   std::vector<double> alpha;  // scaled forward vector
@@ -131,7 +135,7 @@ MimicryResult craft_mimicry(const eval::BuiltModel& model,
       // Option B: padding, if the schedule still allows it.
       if (!must_emit_goal) {
         for (std::size_t obs : padding_candidates(
-                 model.hmm(), state, options.candidates_per_step)) {
+                 model.hmm(), state, kCandidatesPerStep)) {
           BeamState extended = state;
           if (advance(model.hmm(), extended, obs, false)) {
             next_beam.push_back(std::move(extended));

@@ -20,9 +20,6 @@ struct MimicryOptions {
   std::size_t segment_length = 15;
   /// Beam width of the search.
   std::size_t beam_width = 16;
-  /// Padding candidates considered per step (the most probable next
-  /// observations under the model); bounds the branching factor.
-  std::size_t candidates_per_step = 12;
 };
 
 struct MimicryResult {

@@ -4,6 +4,13 @@
 
 namespace cmarkov::attack {
 
+namespace {
+
+/// Fraction of gadget addresses that land inside a mapped function.
+constexpr double kMappedGadgetFraction = 0.75;
+
+}  // namespace
+
 trace::Trace build_rop_trace(const cfg::ModuleCfg& module,
                              const std::vector<PlannedCall>& calls, Rng& rng,
                              const RopChainOptions& options) {
@@ -39,7 +46,7 @@ trace::Trace build_rop_trace(const cfg::ModuleCfg& module,
         rng.chance(options.reuse_legitimate_site_fraction)) {
       event.site_address = sites->second[rng.index(sites->second.size())];
     } else if (!module.functions.empty() &&
-               rng.chance(options.mapped_gadget_fraction)) {
+               rng.chance(kMappedGadgetFraction)) {
       // Gadget inside a random function: a wrong-but-plausible caller.
       const auto& fn = module.functions[rng.index(module.functions.size())];
       const std::uint64_t span =

@@ -22,9 +22,6 @@ namespace cmarkov::attack {
 using PlannedCall = std::pair<ir::CallKind, std::string>;
 
 struct RopChainOptions {
-  /// Fraction of gadget addresses that land inside a mapped function (the
-  /// rest fall outside the image and symbolize to "?").
-  double mapped_gadget_fraction = 0.75;
   /// Fraction of calls the chain routes through a genuine call site of the
   /// same name (payload stages that call through the program's own PLT
   /// wrappers — these observe a legitimate context). Keeps the
@@ -33,7 +30,9 @@ struct RopChainOptions {
 };
 
 /// Builds an unsymbolized attack trace for the planned calls, assigning
-/// each event a gadget address per the options. Run a Symbolizer over the
+/// each event a gadget address per the options. Of the gadgets not routed
+/// through a genuine site, 75% land inside a mapped function; the rest
+/// fall outside the image and symbolize to "?". Run a Symbolizer over the
 /// result to obtain the attacker-visible contexts.
 trace::Trace build_rop_trace(const cfg::ModuleCfg& module,
                              const std::vector<PlannedCall>& calls, Rng& rng,

@@ -35,10 +35,6 @@ const InternalCallInstr* BasicBlock::internal_call() const {
   return nullptr;
 }
 
-bool BasicBlock::makes_call() const {
-  return external_call() != nullptr || internal_call() != nullptr;
-}
-
 int instr_line(const Instr& instr) {
   return std::visit([](const auto& i) { return i.line; }, instr);
 }

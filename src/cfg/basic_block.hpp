@@ -116,9 +116,6 @@ struct BasicBlock {
   /// per block by construction.
   const ExternalCallInstr* external_call() const;
   const InternalCallInstr* internal_call() const;
-
-  /// True if the block contains any call instruction.
-  bool makes_call() const;
 };
 
 /// Returns the source line of an instruction (for coverage accounting).

@@ -12,6 +12,10 @@ namespace cmarkov::core {
 
 namespace {
 
+/// Fraction of unique training segments held out for both Baum-Welch
+/// termination and threshold calibration (the paper's 20%).
+constexpr double kHoldoutFraction = 0.2;
+
 /// Widens the emission matrix to `new_symbols` columns, giving new symbols
 /// a small floor probability (rows renormalized). Needed when training
 /// traces contain observations the static analysis never produced.
@@ -125,7 +129,7 @@ hmm::TrainingReport Detector::train(
     rng.shuffle(segments);
 
     const auto holdout_count = static_cast<std::size_t>(
-        config_.holdout_fraction * static_cast<double>(segments.size()));
+        kHoldoutFraction * static_cast<double>(segments.size()));
     holdout.assign(
         segments.begin(),
         segments.begin() + static_cast<std::ptrdiff_t>(holdout_count));
@@ -227,36 +231,32 @@ obs::DecisionRecord Detector::make_decision_record(
   return record;
 }
 
-std::vector<SegmentVerdict> Detector::score_trace_segments(
-    const trace::Trace& trace) const {
-  const Matrix emission_t = hmm_.emission.transposed();
-  const hmm::ForwardTables tables = hmm::forward_tables(hmm_, emission_t);
-  std::vector<double> rows(2 * hmm_.num_states());
-  std::vector<SegmentVerdict> verdicts;
-  for (const auto& segment :
-       trace::segment_sequence(encode(trace), config_.segments)) {
-    SegmentVerdict& verdict = verdicts.emplace_back();
-    if (!segment.empty() && std::ranges::max(segment) >= hmm_.num_symbols()) {
-      // score_segment's contract: an unknown observation is impossible,
-      // and no recursion runs.
-      verdict.unknown_symbol = true;
-      verdict.log_likelihood = -std::numeric_limits<double>::infinity();
-      verdict.flagged = true;
-      continue;
-    }
-    verdict.log_likelihood =
-        hmm::forward_pass(tables, segment, {.alpha = rows.data()});
-    verdict.flagged = verdict.log_likelihood < threshold_;
-  }
-  return verdicts;
-}
-
 TraceVerdict Detector::classify(const trace::Trace& trace) const {
   if (!trained_) {
     throw std::logic_error("Detector::classify: train the detector first");
   }
   TraceVerdict verdict;
-  verdict.segments = score_trace_segments(trace);
+  // hmm::forward_pass on two ping-pong rows over one forward_tables:
+  // bit-identical to score_segment's reference recursion, without its
+  // T x N matrix.
+  const Matrix emission_t = hmm_.emission.transposed();
+  const hmm::ForwardTables tables = hmm::forward_tables(hmm_, emission_t);
+  std::vector<double> rows(2 * hmm_.num_states());
+  for (const auto& segment :
+       trace::segment_sequence(encode(trace), config_.segments)) {
+    SegmentVerdict& sv = verdict.segments.emplace_back();
+    if (!segment.empty() && std::ranges::max(segment) >= hmm_.num_symbols()) {
+      // score_segment's contract: an unknown observation is impossible,
+      // and no recursion runs.
+      sv.unknown_symbol = true;
+      sv.log_likelihood = -std::numeric_limits<double>::infinity();
+      sv.flagged = true;
+      continue;
+    }
+    sv.log_likelihood =
+        hmm::forward_pass(tables, segment, {.alpha = rows.data()});
+    sv.flagged = sv.log_likelihood < threshold_;
+  }
   verdict.total_segments = verdict.segments.size();
   verdict.min_log_likelihood = std::numeric_limits<double>::infinity();
   for (const SegmentVerdict& sv : verdict.segments) {
@@ -269,15 +269,6 @@ TraceVerdict Detector::classify(const trace::Trace& trace) const {
   }
   verdict.anomalous = verdict.flagged_segments > 0;
   return verdict;
-}
-
-double Detector::score(const trace::Trace& trace) const {
-  const std::vector<SegmentVerdict> verdicts = score_trace_segments(trace);
-  double min_ll = std::numeric_limits<double>::infinity();
-  for (const SegmentVerdict& sv : verdicts) {
-    min_ll = std::min(min_ll, sv.log_likelihood);
-  }
-  return verdicts.empty() ? 0.0 : min_ll;
 }
 
 }  // namespace cmarkov::core

@@ -34,9 +34,6 @@ struct DetectorConfig {
   /// Calibration: the threshold is set so this fraction of held-out normal
   /// segments would be (wrongly) flagged.
   double target_fp = 0.01;
-  /// Fraction of unique training segments held out for both Baum-Welch
-  /// termination and threshold calibration.
-  double holdout_fraction = 0.2;
   std::uint64_t seed = 1;
   /// When set, train() retains the hmm::TrainerState (corpus + iteration-0
   /// prefix accumulators) so callers can serialize it and later resume
@@ -139,9 +136,6 @@ class Detector {
   /// Classifies a full symbolized trace.
   TraceVerdict classify(const trace::Trace& trace) const;
 
-  /// Lowest segment log-likelihood of a trace (quick score).
-  double score(const trace::Trace& trace) const;
-
   bool trained() const { return trained_; }
   double threshold() const { return threshold_; }
   void set_threshold(double threshold) { threshold_ = threshold; }
@@ -165,11 +159,6 @@ class Detector {
   Detector() = default;
 
   hmm::ObservationSeq encode(const trace::Trace& trace) const;
-  /// Verdicts of a trace's segments, in order, from hmm::forward_pass on
-  /// two ping-pong rows over one forward_tables: bit-identical to
-  /// score_segment's reference recursion, without its T x N matrix.
-  std::vector<SegmentVerdict> score_trace_segments(
-      const trace::Trace& trace) const;
 
   DetectorConfig config_;
   hmm::Hmm hmm_;

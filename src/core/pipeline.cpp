@@ -50,7 +50,7 @@ StaticPipelineResult run_static_pipeline(const ir::ProgramModule& program,
     ScopedPhase phase(result.timings, "clustering");
     const obs::ScopedTimer span(profile, "reduce");
     reduction::ClusteringOptions clustering_options = config.clustering;
-    clustering_options.exec.adopt_runtime(config.exec);
+    clustering_options.exec = config.exec;
     result.clustering =
         reduction::cluster_calls(result.program_matrix, rng,
                                  clustering_options);
@@ -62,8 +62,7 @@ StaticPipelineResult run_static_pipeline(const ir::ProgramModule& program,
     ScopedPhase phase(result.timings, "initialization");
     const obs::ScopedTimer span(profile, "init");
     result.init = hmm::statically_initialized_hmm(
-        result.reduced, result.init_encoding, result.alphabet,
-        config.static_init);
+        result.reduced, result.init_encoding, result.alphabet);
   }
 
   if (config.exec.metrics != nullptr) {

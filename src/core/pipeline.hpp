@@ -26,7 +26,6 @@ struct PipelineConfig {
   ExecContext exec;
   analysis::FunctionMatrixOptions matrix;
   reduction::ClusteringOptions clustering;
-  hmm::StaticInitOptions static_init;
 };
 
 struct StaticPipelineResult {

@@ -201,10 +201,6 @@ std::size_t ScoringKernel::find_observation(std::string_view name,
   return probe(hash, name, true, caller);
 }
 
-std::size_t ScoringKernel::find_symbol(std::string_view observation) const {
-  return probe(fnv1a(kFnvOffset, observation), observation, false, {});
-}
-
 bool ScoringKernel::has_unknown(std::span<const std::size_t> window) const {
   return std::ranges::any_of(
       window, [this](std::size_t id) { return id >= num_symbols_; });

@@ -118,9 +118,6 @@ class ScoringKernel {
   std::size_t find_observation(std::string_view name,
                                std::string_view caller) const;
 
-  /// Id of a fully rendered observation string (tests, tooling).
-  std::size_t find_symbol(std::string_view observation) const;
-
   /// The id assigned to out-of-alphabet observations: alphabet_size(), the
   /// same sentinel the Detector/Alphabet path uses, so window snapshots
   /// are interchangeable between kernel and reference scoring.

@@ -51,11 +51,11 @@ SuiteComparison compare_models(const workload::ProgramSuite& suite,
 
   ModelBuildOptions build = options.build;
   build.filter = filter;
-  build.exec.adopt_runtime(options.exec);
+  build.exec = options.exec;
   hmm::TrainingOptions training = options.training;
-  training.exec.adopt_runtime(options.exec);
+  training.exec = options.exec;
   CrossValidationOptions cv = options.cv;
-  cv.exec.adopt_runtime(options.exec);
+  cv.exec = options.exec;
 
   for (ModelKind kind : options.kinds) {
     Rng model_rng = rng.fork();

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "src/hmm/forward_backward.hpp"
+#include "src/hmm/random_init.hpp"
+#include "src/hmm/static_init.hpp"
 
 namespace cmarkov::eval {
 
@@ -130,7 +132,7 @@ BuiltModel build_static_model(ModelKind kind,
   model.static_calls = program_matrix.external_indices().size();
 
   reduction::ClusteringOptions clustering_options = options.clustering;
-  clustering_options.exec.adopt_runtime(options.exec);
+  clustering_options.exec = options.exec;
   reduction::CallClustering clustering =
       kind == ModelKind::kCMarkov
           ? reduction::cluster_calls(program_matrix, rng, clustering_options)
@@ -142,7 +144,7 @@ BuiltModel build_static_model(ModelKind kind,
   intern_trace_symbols(traces, options.filter, model.encoding,
                        model.alphabet);
   hmm::StaticInitResult init = hmm::statically_initialized_hmm(
-      reduced, model.encoding, model.alphabet, options.static_init);
+      reduced, model.encoding, model.alphabet);
   model.set_hmm(std::move(init.model));
   model.state_labels = std::move(init.state_labels);
   model.num_states = model.hmm().num_states();
@@ -167,7 +169,7 @@ BuiltModel build_regular_model(ModelKind kind,
   // set (Section V-A).
   model.num_states = model.alphabet.size();
   model.set_hmm(hmm::randomly_initialized_hmm(
-      model.num_states, model.alphabet.size(), rng, options.random_init));
+      model.num_states, model.alphabet.size(), rng));
   return model;
 }
 

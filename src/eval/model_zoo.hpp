@@ -14,8 +14,6 @@
 #include "src/attack/abnormal_s.hpp"
 #include "src/hmm/alphabet.hpp"
 #include "src/hmm/hmm.hpp"
-#include "src/hmm/random_init.hpp"
-#include "src/hmm/static_init.hpp"
 #include "src/reduction/cluster_calls.hpp"
 #include "src/trace/event.hpp"
 #include "src/util/exec_context.hpp"
@@ -62,8 +60,6 @@ struct ModelBuildOptions {
   analysis::FunctionMatrixOptions matrix;
   /// Clustering controls for CMarkov (min_calls_for_reduction gates it).
   reduction::ClusteringOptions clustering;
-  hmm::StaticInitOptions static_init;
-  hmm::RandomInitOptions random_init;
 };
 
 /// A built (untrained) model plus everything needed to encode traces.

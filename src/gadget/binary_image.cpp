@@ -1,34 +1,38 @@
 #include "src/gadget/binary_image.hpp"
 
 #include <map>
-#include <stdexcept>
+#include <iterator>
 
 namespace cmarkov::gadget {
 
 namespace {
 
-Opcode pick_filler(Rng& rng, const ImageOptions& options) {
-  static const Opcode kFillerOps[] = {
-      Opcode::kArith, Opcode::kMov,  Opcode::kLoad,   Opcode::kStore,
-      Opcode::kPush,  Opcode::kPop,  Opcode::kCall,   Opcode::kJump,
-      Opcode::kBranch, Opcode::kNop,
-  };
-  if (options.filler_weights.size() != std::size(kFillerOps)) {
-    throw std::invalid_argument("ImageOptions: need 10 filler weights");
-  }
-  return kFillerOps[rng.weighted_index(options.filler_weights)];
-}
+/// Probability that a filler slot is a RET — real x86 code is dense in
+/// unintended 0xc3 bytes, which is what makes ROP viable at all.
+constexpr double kStrayRetRate = 0.02;
+/// Probability that a filler slot decodes to an unintended syscall
+/// instruction (its effective syscall number is attacker-controlled, so
+/// such gadgets count toward the raw census but can never produce a
+/// legitimate (name, caller) observation).
+constexpr double kStraySyscallRate = 0.01;
+/// Benign filler opcodes and their relative weights.
+constexpr Opcode kFillerOps[] = {
+    Opcode::kArith, Opcode::kMov,  Opcode::kLoad,   Opcode::kStore,
+    Opcode::kPush,  Opcode::kPop,  Opcode::kCall,   Opcode::kJump,
+    Opcode::kBranch, Opcode::kNop,
+};
+constexpr double kFillerWeights[] = {24, 22, 12, 10, 6, 6, 6, 4, 8, 2};
+static_assert(std::size(kFillerOps) == std::size(kFillerWeights));
 
-Instruction filler_instruction(std::uint64_t address, Rng& rng,
-                               const ImageOptions& options) {
+Instruction filler_instruction(std::uint64_t address, Rng& rng) {
   Instruction instr;
   instr.address = address;
-  if (rng.chance(options.stray_ret_rate)) {
+  if (rng.chance(kStrayRetRate)) {
     instr.op = Opcode::kRet;
-  } else if (rng.chance(options.stray_syscall_rate)) {
+  } else if (rng.chance(kStraySyscallRate)) {
     instr.op = Opcode::kSyscall;  // unintended decoding, name unknown
   } else {
-    instr.op = pick_filler(rng, options);
+    instr.op = kFillerOps[rng.weighted_index(kFillerWeights)];
   }
   return instr;
 }
@@ -36,8 +40,7 @@ Instruction filler_instruction(std::uint64_t address, Rng& rng,
 }  // namespace
 
 BinaryImage BinaryImage::synthesize(const cfg::ModuleCfg& module,
-                                    std::uint64_t seed,
-                                    const ImageOptions& options) {
+                                    std::uint64_t seed) {
   BinaryImage image;
   image.name_ = module.program_name;
   Rng rng(seed ^ 0xb17a6e);
@@ -67,13 +70,13 @@ BinaryImage BinaryImage::synthesize(const cfg::ModuleCfg& module,
         image.instructions_.push_back({addr, Opcode::kRet, {}});
         continue;
       } else {
-        image.instructions_.push_back(filler_instruction(addr, rng, options));
+        image.instructions_.push_back(filler_instruction(addr, rng));
       }
       // Misaligned decodings: each 4-byte slot offers 3 more positions a
       // ROP compiler can jump into, decoding to unintended instructions.
       for (std::uint64_t sub = 1; sub < stride; ++sub) {
         image.instructions_.push_back(
-            filler_instruction(addr + sub, rng, options));
+            filler_instruction(addr + sub, rng));
       }
     }
   }
@@ -82,8 +85,7 @@ BinaryImage BinaryImage::synthesize(const cfg::ModuleCfg& module,
 
 BinaryImage BinaryImage::synthesize_library(
     std::string name, std::size_t function_count,
-    std::size_t instructions_per_function, std::uint64_t seed,
-    const ImageOptions& options) {
+    std::size_t instructions_per_function, std::uint64_t seed) {
   BinaryImage image;
   image.name_ = std::move(name);
   Rng rng(seed ^ 0x11bc);
@@ -115,7 +117,7 @@ BinaryImage BinaryImage::synthesize_library(
       } else if (i + 1 == instructions_per_function) {
         image.instructions_.push_back({addr, Opcode::kRet, {}});
       } else {
-        image.instructions_.push_back(filler_instruction(addr, rng, options));
+        image.instructions_.push_back(filler_instruction(addr, rng));
       }
     }
     base += instructions_per_function * 4 + 0x40;

@@ -42,36 +42,20 @@ struct Instruction {
   std::string syscall_name;
 };
 
-struct ImageOptions {
-  /// Probability that a filler slot is a RET — real x86 code is dense in
-  /// unintended 0xc3 bytes, which is what makes ROP viable at all.
-  double stray_ret_rate = 0.02;
-  /// Probability that a filler slot decodes to an unintended syscall
-  /// instruction (its effective syscall number is attacker-controlled, so
-  /// such gadgets count toward the raw census but can never produce a
-  /// legitimate (name, caller) observation).
-  double stray_syscall_rate = 0.01;
-  /// Relative weights of benign filler opcodes (arith, mov, load, store,
-  /// push, pop, call, jump, branch, nop).
-  std::vector<double> filler_weights = {24, 22, 12, 10, 6, 6, 6, 4, 8, 2};
-};
-
 class BinaryImage {
  public:
   /// Synthesizes the image of a lowered module: one instruction slot per
   /// address unit, genuine syscall call sites preserved, function
   /// epilogues ending in RET, deterministic given (module, seed).
   static BinaryImage synthesize(const cfg::ModuleCfg& module,
-                                std::uint64_t seed,
-                                const ImageOptions& options = {});
+                                std::uint64_t seed);
 
   /// Synthesizes a shared-library image ("libc.so" row of Table III): no
   /// module, just `function_count` ranges of typical library code.
   static BinaryImage synthesize_library(std::string name,
                                         std::size_t function_count,
                                         std::size_t instructions_per_function,
-                                        std::uint64_t seed,
-                                        const ImageOptions& options = {});
+                                        std::uint64_t seed);
 
   const std::string& name() const { return name_; }
   const std::vector<Instruction>& instructions() const {

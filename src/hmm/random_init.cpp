@@ -6,11 +6,13 @@ namespace cmarkov::hmm {
 
 namespace {
 
-void fill_random_stochastic_row(std::span<double> row, Rng& rng,
-                                double min_weight) {
+/// Floor of every drawn weight before normalization.
+constexpr double kMinWeight = 0.05;
+
+void fill_random_stochastic_row(std::span<double> row, Rng& rng) {
   double total = 0.0;
   for (double& v : row) {
-    v = rng.uniform(min_weight, 1.0);
+    v = rng.uniform(kMinWeight, 1.0);
     total += v;
   }
   for (double& v : row) v /= total;
@@ -19,26 +21,20 @@ void fill_random_stochastic_row(std::span<double> row, Rng& rng,
 }  // namespace
 
 Hmm randomly_initialized_hmm(std::size_t num_states, std::size_t num_symbols,
-                             Rng& rng, const RandomInitOptions& options) {
+                             Rng& rng) {
   if (num_states == 0 || num_symbols == 0) {
     throw std::invalid_argument(
         "randomly_initialized_hmm: need at least one state and symbol");
-  }
-  if (options.min_weight <= 0.0 || options.min_weight >= 1.0) {
-    throw std::invalid_argument(
-        "randomly_initialized_hmm: min_weight must be in (0, 1)");
   }
   Hmm model;
   model.transition = Matrix(num_states, num_states);
   model.emission = Matrix(num_states, num_symbols);
   model.initial.resize(num_states);
   for (std::size_t i = 0; i < num_states; ++i) {
-    fill_random_stochastic_row(model.transition.row(i), rng,
-                               options.min_weight);
-    fill_random_stochastic_row(model.emission.row(i), rng,
-                               options.min_weight);
+    fill_random_stochastic_row(model.transition.row(i), rng);
+    fill_random_stochastic_row(model.emission.row(i), rng);
   }
-  fill_random_stochastic_row(model.initial, rng, options.min_weight);
+  fill_random_stochastic_row(model.initial, rng);
   model.validate();
   return model;
 }

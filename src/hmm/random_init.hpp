@@ -8,14 +8,10 @@
 
 namespace cmarkov::hmm {
 
-struct RandomInitOptions {
-  /// Rows are drawn as uniform(min_weight, 1) then normalized; a positive
-  /// floor keeps every parameter strictly positive.
-  double min_weight = 0.05;
-};
-
 /// A random valid HMM with `num_states` states over `num_symbols` symbols.
+/// Rows are drawn as uniform(0.05, 1) then normalized; the positive floor
+/// keeps every parameter strictly positive.
 Hmm randomly_initialized_hmm(std::size_t num_states, std::size_t num_symbols,
-                             Rng& rng, const RandomInitOptions& options = {});
+                             Rng& rng);
 
 }  // namespace cmarkov::hmm

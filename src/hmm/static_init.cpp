@@ -4,9 +4,16 @@
 
 namespace cmarkov::hmm {
 
+namespace {
+
+/// Smoothing mixed into every row after construction.
+constexpr double kSmoothing = 1e-4;
+
+}  // namespace
+
 StaticInitResult statically_initialized_hmm(
     const reduction::ReducedModel& reduced, ObservationEncoding encoding,
-    Alphabet& alphabet, const StaticInitOptions& options) {
+    Alphabet& alphabet) {
   const std::size_t n = reduced.num_states();
   if (n == 0) {
     throw std::invalid_argument(
@@ -79,7 +86,7 @@ StaticInitResult statically_initialized_hmm(
     for (double& v : model.initial) v = uniform;
   }
 
-  model.smooth(options.smoothing);
+  model.smooth(kSmoothing);
   model.validate();
   return result;
 }

@@ -16,12 +16,6 @@
 
 namespace cmarkov::hmm {
 
-struct StaticInitOptions {
-  /// Smoothing mixed into every row after construction (keeps unseen
-  /// transitions/emissions strictly positive for Baum-Welch).
-  double smoothing = 1e-4;
-};
-
 struct StaticInitResult {
   Hmm model;
   /// For diagnostics: the member call symbols behind each hidden state.
@@ -30,7 +24,9 @@ struct StaticInitResult {
   std::vector<std::string> state_labels;
 };
 
-/// Builds the statically initialized HMM.
+/// Builds the statically initialized HMM. Every row is smoothed by 1e-4
+/// after construction, which keeps unseen transitions/emissions strictly
+/// positive for Baum-Welch.
 ///
 /// `alphabet` is extended with every observation symbol the static model
 /// emits; callers should pre-intern the symbols seen in training traces so
@@ -39,6 +35,6 @@ struct StaticInitResult {
 /// Baum-Welch).
 StaticInitResult statically_initialized_hmm(
     const reduction::ReducedModel& reduced, ObservationEncoding encoding,
-    Alphabet& alphabet, const StaticInitOptions& options = {});
+    Alphabet& alphabet);
 
 }  // namespace cmarkov::hmm

@@ -208,13 +208,6 @@ const Hmm& Trainer::model() const {
   return model_;
 }
 
-const TrainingReport& Trainer::last_report() const {
-  if (history_.empty()) {
-    throw std::logic_error("Trainer: no runs yet; call fit or partial_fit");
-  }
-  return history_.back();
-}
-
 TrainingReport Trainer::fit(std::vector<ObservationSeq> corpus,
                             std::vector<ObservationSeq> holdout) {
   const std::size_t m = state_.initial_model.num_symbols();
@@ -496,12 +489,10 @@ TrainingReport Trainer::run_em() {
     }
     if (score > best_score) best_score = score;
   }
-  if (options_.exec.wants_log(LogLevel::kDebug)) {
-    log_debug() << "trainer: " << report.iterations << " iteration(s)"
-                << (report.converged ? ", converged" : "") << ", "
-                << report.skipped_sequences << " skipped, "
-                << folded << "/" << count << " iteration-0 sequences reused";
-  }
+  log_debug() << "trainer: " << report.iterations << " iteration(s)"
+              << (report.converged ? ", converged" : "") << ", "
+              << report.skipped_sequences << " skipped, "
+              << folded << "/" << count << " iteration-0 sequences reused";
   return report;
 }
 

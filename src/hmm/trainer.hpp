@@ -164,7 +164,6 @@ class Trainer {
   /// ergonomics satellite; scalar per-batch summaries persist in
   /// state().batches across restarts).
   const std::vector<TrainingReport>& history() const { return history_; }
-  const TrainingReport& last_report() const;
 
  private:
   /// Replays EM from θ₀ over the absorbed corpus. Iteration 0 continues

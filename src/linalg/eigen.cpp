@@ -9,6 +9,11 @@ namespace cmarkov {
 
 namespace {
 
+/// Convergence: stop when the squared off-diagonal mass falls below this.
+constexpr double kTolerance = 1e-12;
+/// Safety bound on full sweeps.
+constexpr std::size_t kMaxSweeps = 100;
+
 double off_diagonal_mass(const Matrix& m) {
   double total = 0.0;
   for (std::size_t i = 0; i < m.rows(); ++i) {
@@ -21,8 +26,7 @@ double off_diagonal_mass(const Matrix& m) {
 
 }  // namespace
 
-EigenDecomposition jacobi_eigen(const Matrix& symmetric,
-                                const JacobiOptions& options) {
+EigenDecomposition jacobi_eigen(const Matrix& symmetric) {
   const std::size_t n = symmetric.rows();
   if (n == 0 || symmetric.cols() != n) {
     throw std::invalid_argument("jacobi_eigen: matrix must be square");
@@ -38,8 +42,8 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric,
   Matrix a = symmetric;
   Matrix v = Matrix::identity(n);
 
-  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    if (off_diagonal_mass(a) < options.tolerance) break;
+  for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    if (off_diagonal_mass(a) < kTolerance) break;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
         const double apq = a(p, q);

@@ -17,17 +17,10 @@ struct EigenDecomposition {
   std::vector<std::vector<double>> vectors;
 };
 
-/// Options for the Jacobi solver.
-struct JacobiOptions {
-  /// Stop when the off-diagonal Frobenius mass falls below this.
-  double tolerance = 1e-12;
-  /// Safety bound on full sweeps.
-  std::size_t max_sweeps = 100;
-};
-
-/// Decomposes a symmetric matrix. Throws std::invalid_argument when the
-/// input is not square or not symmetric (within 1e-9 absolute).
-EigenDecomposition jacobi_eigen(const Matrix& symmetric,
-                                const JacobiOptions& options = {});
+/// Decomposes a symmetric matrix. Sweeps stop once the squared
+/// off-diagonal mass falls below 1e-12, after at most 100 sweeps. Throws
+/// std::invalid_argument when the input is not square or not symmetric
+/// (within 1e-9 absolute).
+EigenDecomposition jacobi_eigen(const Matrix& symmetric);
 
 }  // namespace cmarkov

@@ -16,6 +16,10 @@ namespace {
 /// matter how many workers run.
 constexpr std::size_t kSampleChunk = 64;
 
+/// Lloyd's iterations also stop when total centroid movement drops below
+/// this.
+constexpr double kMovementTolerance = 1e-9;
+
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   double total = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -140,7 +144,7 @@ KMeansResult run_once(const Matrix& samples, std::size_t k, Rng& rng,
           squared_distance(next.row(c), result.centroids.row(c));
     }
     result.centroids = std::move(next);
-    if (!changed || movement < options.movement_tolerance) break;
+    if (!changed || movement < kMovementTolerance) break;
   }
 
   // Inertia: per-chunk partial sums merged in chunk order, so the total has

@@ -13,10 +13,9 @@
 namespace cmarkov {
 
 struct KMeansOptions {
+  /// Lloyd's iterations per restart; a run stops earlier once no
+  /// assignment changes (or the centroids all but stop moving).
   std::size_t max_iterations = 100;
-  /// Stop when no assignment changes between iterations.
-  /// Additionally stop when total centroid movement drops below this.
-  double movement_tolerance = 1e-9;
   /// Independent restarts; the run with lowest inertia wins.
   std::size_t restarts = 3;
   /// Execution context: exec.threads drives the assignment/seeding distance

@@ -131,12 +131,6 @@ double Matrix::max_abs_diff(const Matrix& other) const {
   return worst;
 }
 
-double Matrix::frobenius_norm() const {
-  double total = 0.0;
-  for (double v : data_) total += v * v;
-  return std::sqrt(total);
-}
-
 std::string Matrix::to_string(int precision) const {
   std::string out;
   char buf[64];

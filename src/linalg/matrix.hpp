@@ -66,9 +66,6 @@ class Matrix {
   /// Max |a_ij - b_ij| between two equally sized matrices.
   double max_abs_diff(const Matrix& other) const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   bool operator==(const Matrix& other) const = default;
 
   /// Debug rendering with fixed precision.

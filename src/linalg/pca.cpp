@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "src/linalg/eigen.hpp"
@@ -15,6 +16,12 @@ namespace {
 
 /// Sample rows per parallel work item of the row-independent sweeps.
 constexpr std::size_t kRowChunk = 64;
+
+/// Orthogonal-iteration steps of the truncated path.
+constexpr std::size_t kPowerIterations = 12;
+
+/// Seed of the truncated path's random start basis.
+constexpr std::uint64_t kStartBasisSeed = 0x9ca;
 
 /// Total variance = sum of per-column variances (trace of the covariance),
 /// computable without forming the covariance matrix.
@@ -104,7 +111,7 @@ Pca Pca::fit(const Matrix& samples, const PcaOptions& options) {
     });
     const double denom = static_cast<double>(rows - 1);
 
-    Rng rng(options.exec.seed);
+    Rng rng(kStartBasisSeed);
     Matrix q(k, dims);  // rows are the current basis vectors
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t c = 0; c < dims; ++c) q(i, c) = rng.gaussian();
@@ -146,7 +153,7 @@ Pca Pca::fit(const Matrix& samples, const PcaOptions& options) {
       return next;
     };
 
-    for (std::size_t iter = 0; iter < options.power_iterations; ++iter) {
+    for (std::size_t iter = 0; iter < kPowerIterations; ++iter) {
       Matrix next = covariance_step(q);
       orthonormalize_rows(next, rng);
       q = std::move(next);

@@ -25,15 +25,11 @@ struct PcaOptions {
   /// `truncated_components` axes is used instead.
   std::size_t exact_dimension_limit = 160;
   std::size_t truncated_components = 40;
-  /// Orthogonal-iteration controls.
-  std::size_t power_iterations = 12;
   /// Execution context. exec.threads drives the truncated path's covariance
   /// accumulation and transform() (0 = one per hardware core); results are
   /// identical at any value: parallel tasks write disjoint rows, and
-  /// per-cell sums keep their sequential order. exec.seed seeds the
-  /// orthogonal-iteration start basis (the former `seed` field) and is
-  /// preserved by ExecContext::adopt_runtime().
-  ExecContext exec{.threads = 1, .seed = 0x9ca};
+  /// per-cell sums keep their sequential order.
+  ExecContext exec;
 };
 
 /// A fitted PCA model: mean vector + projection basis.

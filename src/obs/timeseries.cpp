@@ -10,6 +10,13 @@
 
 namespace cmarkov::obs {
 
+namespace {
+
+/// Samples each collector ring retains.
+constexpr std::size_t kCollectorRingCapacity = 120;
+
+}  // namespace
+
 TimeSeriesRing::TimeSeriesRing(std::size_t capacity) : buf_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("TimeSeriesRing: capacity must be > 0");
@@ -74,10 +81,6 @@ double bucket_quantile(const std::vector<double>& bounds,
 TimeSeriesCollector::TimeSeriesCollector(const MetricsRegistry& registry,
                                          CollectorOptions options)
     : registry_(registry), options_(std::move(options)) {
-  if (options_.ring_capacity == 0) {
-    throw std::invalid_argument(
-        "TimeSeriesCollector: ring_capacity must be > 0");
-  }
   if (!(options_.period_seconds > 0.0)) {
     throw std::invalid_argument(
         "TimeSeriesCollector: period_seconds must be > 0");
@@ -127,7 +130,7 @@ void TimeSeriesCollector::sample_now(double t_seconds) {
   for (const auto& [name, value] : snap.counters) {
     auto it = counters_.find(name);
     if (it == counters_.end()) {
-      it = counters_.emplace(name, TimeSeriesRing(options_.ring_capacity))
+      it = counters_.emplace(name, TimeSeriesRing(kCollectorRingCapacity))
                .first;
     }
     it->second.push(t_seconds, static_cast<double>(value));
@@ -135,7 +138,7 @@ void TimeSeriesCollector::sample_now(double t_seconds) {
   for (const auto& [name, value] : snap.gauges) {
     auto it = gauges_.find(name);
     if (it == gauges_.end()) {
-      it = gauges_.emplace(name, TimeSeriesRing(options_.ring_capacity)).first;
+      it = gauges_.emplace(name, TimeSeriesRing(kCollectorRingCapacity)).first;
     }
     it->second.push(t_seconds, value);
   }
@@ -143,7 +146,7 @@ void TimeSeriesCollector::sample_now(double t_seconds) {
     HistSeries& series = histograms_[name];
     if (series.bounds.empty()) series.bounds = hist.bounds;
     series.ring.push_back(HistSample{t_seconds, hist.count, hist.buckets});
-    while (series.ring.size() > options_.ring_capacity) {
+    while (series.ring.size() > kCollectorRingCapacity) {
       series.ring.pop_front();
     }
   }
@@ -204,7 +207,7 @@ std::string TimeSeriesCollector::varz_json() const {
   std::string out = "{\"schema\":\"cmarkov.varz.v1\"";
   out += ",\"now_seconds\":" + format_metric_value(last_t_seconds_);
   out += ",\"period_seconds\":" + format_metric_value(options_.period_seconds);
-  out += ",\"ring_capacity\":" + std::to_string(options_.ring_capacity);
+  out += ",\"ring_capacity\":" + std::to_string(kCollectorRingCapacity);
   out += ",\"samples\":" + std::to_string(samples_);
   out += ",\"counters\":{";
   bool first = true;

@@ -81,10 +81,9 @@ double bucket_quantile(const std::vector<double>& bounds,
                        const std::vector<std::uint64_t>& counts, double q);
 
 struct CollectorOptions {
-  /// Samples retained per instrument: the derivation window is
-  /// ring_capacity * period_seconds (default 120 s).
-  std::size_t ring_capacity = 120;
-  /// Collector thread sampling period.
+  /// Collector thread sampling period. Each instrument keeps its last 120
+  /// samples, so the derivation window is 120 * period_seconds (two
+  /// minutes at the default period).
   double period_seconds = 1.0;
   /// Ran on the collector thread immediately before each snapshot —
   /// cmarkovd hooks the serve gauge refresh here so sampled gauges are
@@ -139,7 +138,7 @@ class TimeSeriesCollector {
   };
   struct HistSeries {
     std::vector<double> bounds;
-    std::deque<HistSample> ring;  // capped at ring_capacity
+    std::deque<HistSample> ring;  // capped at 120 samples
   };
 
   void thread_main();

@@ -25,10 +25,11 @@ struct TracerOptions {
   /// Admit every Nth sampling candidate (1 = every event, 0 = only events
   /// that force tracing via an explicit trace id).
   std::uint64_t sample_every = 100;
-  /// Span slots in the bounded log; appends beyond this are dropped and
-  /// counted.
-  std::size_t capacity = 8192;
 };
+
+/// Span slots in an enabled tracer's bounded log; appends beyond this are
+/// dropped and counted.
+inline constexpr std::size_t kTracerCapacity = 8192;
 
 /// One recorded span. Times are microseconds on the owning service's
 /// monotonic clock; `thread` is the worker shard (or 0 for transport-side
@@ -46,7 +47,7 @@ struct SpanRecord {
 class Tracer {
  public:
   explicit Tracer(TracerOptions options)
-      : options_(options), log_(options.enabled ? options.capacity : 0) {}
+      : options_(options), log_(options.enabled ? kTracerCapacity : 0) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 

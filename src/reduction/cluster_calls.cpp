@@ -53,7 +53,7 @@ CallClustering cluster_calls(const analysis::CallTransitionMatrix& matrix,
   Matrix features = std::move(vectors.features);
   if (options.use_pca && features.rows() >= 2) {
     PcaOptions pca_options = options.pca;
-    pca_options.exec.adopt_runtime(options.exec);
+    pca_options.exec = options.exec;
     Pca pca;
     {
       const obs::ScopedTimer timer(profile, "pca-fit");
@@ -70,7 +70,7 @@ CallClustering cluster_calls(const analysis::CallTransitionMatrix& matrix,
   // multi-restart 100-iteration Lloyd's a multi-second affair; cap the
   // search there — with PCA'd features the first run converges quickly.
   KMeansOptions kmeans_options = options.kmeans;
-  kmeans_options.exec.adopt_runtime(options.exec);
+  kmeans_options.exec = options.exec;
   if (n > 500) {
     kmeans_options.restarts = 1;
     kmeans_options.max_iterations =

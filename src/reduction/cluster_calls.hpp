@@ -25,9 +25,8 @@ struct ClusteringOptions {
   std::size_t min_calls_for_reduction = 800;
   /// Skip the PCA step (ablation).
   bool use_pca = true;
-  /// Execution context for PCA and k-means; authoritative — its runtime
-  /// (threads, metrics, profile) overrides pca.exec / kmeans.exec, while
-  /// their seeds are preserved. Clustering results are identical at any
+  /// Execution context for PCA and k-means; authoritative — it replaces
+  /// pca.exec / kmeans.exec. Clustering results are identical at any
   /// thread count.
   ExecContext exec;
   PcaOptions pca;

@@ -20,6 +20,7 @@
 #include "src/serve/protocol.hpp"
 #include "src/util/failpoint.hpp"
 #include "src/util/logging.hpp"
+#include "src/util/parallel.hpp"
 
 namespace cmarkov::serve::net {
 
@@ -94,8 +95,9 @@ struct EpollServer::Loop {
 
 EpollServer::EpollServer(SessionManager& manager, NetOptions options)
     : manager_(manager), options_(std::move(options)) {
-  if (options_.num_loops == 0) {
-    throw std::invalid_argument("EpollServer: num_loops must be > 0");
+  if (options_.num_loops == 0 || options_.num_loops > kMaxThreads) {
+    throw std::invalid_argument("EpollServer: num_loops must be in [1, " +
+                                std::to_string(kMaxThreads) + "]");
   }
   if (options_.outbuf_high_water == 0) {
     throw std::invalid_argument("EpollServer: outbuf_high_water must be > 0");

@@ -44,7 +44,8 @@ struct NetOptions {
   /// 0 = ephemeral (the bound port is available via port() after start).
   std::uint16_t port = 0;
   /// Event-loop threads. One loop handles thousands of idle connections;
-  /// add loops when parse/enqueue work saturates a core.
+  /// add loops when parse/enqueue work saturates a core. At most
+  /// kMaxThreads.
   std::size_t num_loops = 1;
   /// Per-connection write-backlog cap: once the unflushed reply bytes
   /// exceed this, the connection's reads are paused (its kernel receive

@@ -13,6 +13,7 @@
 #include "src/serve/drift_monitor.hpp"
 #include "src/util/failpoint.hpp"
 #include "src/util/logging.hpp"
+#include "src/util/parallel.hpp"
 
 namespace cmarkov::serve {
 
@@ -155,8 +156,9 @@ SessionManager::SessionManager(ModelRegistry& registry, ServiceConfig config)
       config_(config),
       snapshots_(config.snapshot_dir),
       governor_(config.overload) {
-  if (config_.num_workers == 0) {
-    throw std::invalid_argument("SessionManager: num_workers must be > 0");
+  if (config_.num_workers == 0 || config_.num_workers > kMaxThreads) {
+    throw std::invalid_argument("SessionManager: num_workers must be in [1, " +
+                                std::to_string(kMaxThreads) + "]");
   }
   if (config_.queue_capacity == 0) {
     throw std::invalid_argument("SessionManager: queue_capacity must be > 0");

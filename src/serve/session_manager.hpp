@@ -67,6 +67,7 @@ std::optional<BackpressurePolicy> parse_backpressure_policy(
     std::string_view name);
 
 struct ServiceConfig {
+  /// Shard worker threads, in [1, kMaxThreads].
   std::size_t num_workers = 2;
   /// Maximum queued events per worker (must be > 0). Under the block
   /// policy a frame larger than this waits for an empty queue.

@@ -40,9 +40,8 @@ struct Frame {
 
 }  // namespace
 
-Interpreter::Interpreter(const cfg::ModuleCfg& module,
-                         InterpreterOptions options)
-    : module_(module), options_(options), fn_index_(module.index_by_name()) {}
+Interpreter::Interpreter(const cfg::ModuleCfg& module)
+    : module_(module), fn_index_(module.index_by_name()) {}
 
 RunResult Interpreter::run(std::span<const std::int64_t> inputs,
                            ExternalEnvironment& environment,
@@ -59,7 +58,7 @@ RunResult Interpreter::run(std::span<const std::int64_t> inputs,
   std::size_t input_pos = 0;
   auto next_input = [&]() -> std::int64_t {
     if (input_pos < inputs.size()) return inputs[input_pos++];
-    return options_.exhausted_input_value;
+    return 0;
   };
 
   std::vector<Frame> stack;
@@ -96,7 +95,7 @@ RunResult Interpreter::run(std::span<const std::int64_t> inputs,
   };
 
   while (!stack.empty()) {
-    if (++result.steps > options_.max_steps) {
+    if (++result.steps > kMaxInterpreterSteps) {
       result.hit_step_limit = true;
       break;
     }
@@ -136,7 +135,7 @@ RunResult Interpreter::run(std::span<const std::int64_t> inputs,
               regs[op.dst] =
                   environment.on_external_call(op.kind, op.callee, args);
             } else if constexpr (std::is_same_v<T, cfg::InternalCallInstr>) {
-              if (stack.size() >= options_.max_call_depth) {
+              if (stack.size() >= kMaxCallDepth) {
                 result.hit_depth_limit = true;
                 regs[op.dst] = 0;  // treat as failed call; keep running
                 return;

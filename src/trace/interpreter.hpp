@@ -51,21 +51,20 @@ struct RunResult {
   std::size_t steps = 0;
 };
 
-struct InterpreterOptions {
-  std::size_t max_steps = 2'000'000;
-  std::size_t max_call_depth = 256;
-  /// When the input stream is exhausted, input() yields this value.
-  std::int64_t exhausted_input_value = 0;
-};
+/// A run stops (hit_step_limit) after this many executed steps.
+inline constexpr std::size_t kMaxInterpreterSteps = 2'000'000;
+/// An internal call that would push a frame beyond this depth yields 0
+/// instead (hit_depth_limit) and the run continues.
+inline constexpr std::size_t kMaxCallDepth = 256;
 
 /// Executes the module's entry function.
 ///
 /// Semantics: 64-bit signed integers; x/0 == x%0 == 0; comparisons yield
-/// 0/1; &&, || are strict ("both operands evaluated", matching lowering).
+/// 0/1; &&, || are strict ("both operands evaluated", matching lowering);
+/// input() yields 0 once the input stream is exhausted.
 class Interpreter {
  public:
-  explicit Interpreter(const cfg::ModuleCfg& module,
-                       InterpreterOptions options = {});
+  explicit Interpreter(const cfg::ModuleCfg& module);
 
   /// Runs one test case. `coverage` may be null.
   RunResult run(std::span<const std::int64_t> inputs,
@@ -74,7 +73,6 @@ class Interpreter {
 
  private:
   const cfg::ModuleCfg& module_;
-  InterpreterOptions options_;
   std::map<std::string, std::size_t> fn_index_;
 };
 

@@ -6,8 +6,8 @@ namespace cmarkov::trace {
 
 std::vector<hmm::ObservationSeq> segment_sequence(
     const hmm::ObservationSeq& encoded, const SegmentOptions& options) {
-  if (options.length == 0 || options.stride == 0) {
-    throw std::invalid_argument("segment_sequence: length/stride must be > 0");
+  if (options.length == 0) {
+    throw std::invalid_argument("segment_sequence: length must be > 0");
   }
   std::vector<hmm::ObservationSeq> out;
   if (encoded.empty()) return out;
@@ -16,7 +16,7 @@ std::vector<hmm::ObservationSeq> segment_sequence(
     return out;
   }
   for (std::size_t start = 0; start + options.length <= encoded.size();
-       start += options.stride) {
+       ++start) {
     out.emplace_back(encoded.begin() + static_cast<std::ptrdiff_t>(start),
                      encoded.begin() +
                          static_cast<std::ptrdiff_t>(start + options.length));

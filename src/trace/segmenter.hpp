@@ -1,6 +1,6 @@
 // n-gram segmentation of call traces. The paper trains and classifies on
-// sliding windows of 15 calls, with duplicate segments removed from
-// training data to avoid bias.
+// sliding windows of 15 calls, slid one call at a time, with duplicate
+// segments removed from training data to avoid bias.
 #pragma once
 
 #include <cstddef>
@@ -13,13 +13,12 @@ namespace cmarkov::trace {
 
 struct SegmentOptions {
   std::size_t length = 15;  ///< the paper's n
-  std::size_t stride = 1;   ///< sliding-window step
   /// Also emit a final shorter segment when the trace is shorter than
   /// `length` (short traces would otherwise contribute nothing).
   bool keep_short_tail = true;
 };
 
-/// Cuts one encoded trace into segments.
+/// Cuts one encoded trace into its sliding windows (step 1).
 std::vector<hmm::ObservationSeq> segment_sequence(
     const hmm::ObservationSeq& encoded, const SegmentOptions& options = {});
 

@@ -45,12 +45,4 @@ void Symbolizer::symbolize(Trace& trace) const {
   }
 }
 
-std::optional<std::pair<std::uint64_t, std::uint64_t>> Symbolizer::range_of(
-    const std::string& function) const {
-  for (const auto& r : ranges_) {
-    if (r.function == function) return std::make_pair(r.begin, r.end);
-  }
-  return std::nullopt;
-}
-
 }  // namespace cmarkov::trace

@@ -29,10 +29,6 @@ class Symbolizer {
   /// traces.
   void symbolize(Trace& trace) const;
 
-  /// Address range of a function (for attack construction).
-  std::optional<std::pair<std::uint64_t, std::uint64_t>> range_of(
-      const std::string& function) const;
-
  private:
   struct Range {
     std::uint64_t begin;

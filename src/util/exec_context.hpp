@@ -1,8 +1,9 @@
 // ExecContext — the one execution-environment knob bag threaded through
-// every layer's options struct (PR 4 API redesign). It replaces the eight
-// duplicated per-struct `num_threads` fields PR 2 left behind and carries
-// the observability sinks (MetricsRegistry, RunProfile) plus a component
-// RNG seed and log-level hint.
+// every layer's options struct: the worker-thread count plus the
+// observability sinks (MetricsRegistry, RunProfile). Composite stages pass
+// it down whole (`inner.exec = outer.exec`); the enclosing stage's context
+// is authoritative. Log output is filtered by the global level alone
+// (set_log_level), not per component.
 //
 // Ownership: the pointers are non-owning. Callers keep the registry and
 // profile alive for as long as any object holding the context (e.g. a
@@ -10,9 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-
-#include "src/util/logging.hpp"
 
 namespace cmarkov::obs {
 class MetricsRegistry;
@@ -23,34 +21,14 @@ namespace cmarkov {
 
 struct ExecContext {
   /// Worker threads for the component (0 = one per hardware core).
-  /// Instrumented components keep the PR 2 guarantee: results are
+  /// Instrumented components keep the guarantee that results are
   /// bit-identical at any thread count.
   std::size_t threads = 1;
-  /// RNG seed for components without an explicit Rng& parameter (today:
-  /// PCA's orthogonal-iteration start basis). Deliberately NOT copied by
-  /// adopt_runtime() — each component keeps its own default.
-  std::uint64_t seed = 0;
   /// Metrics sink; null disables metric recording entirely.
   obs::MetricsRegistry* metrics = nullptr;
   /// Stage profiler; null disables span recording. A RunProfile is driven
   /// by the orchestrating thread only (it is not thread-safe).
   obs::RunProfile* profile = nullptr;
-  /// Minimum severity the component should emit through the global logger.
-  LogLevel log_level = LogLevel::kWarn;
-
-  /// True when instrumented code should emit a log line at `level`.
-  bool wants_log(LogLevel level) const { return level >= log_level; }
-
-  /// Copies the runtime facilities (threads, sinks, log level) from the
-  /// enclosing component's context while keeping this context's own seed —
-  /// the generalization of PR 2's "the outermost num_threads is
-  /// authoritative" propagation.
-  void adopt_runtime(const ExecContext& parent) {
-    threads = parent.threads;
-    metrics = parent.metrics;
-    profile = parent.profile;
-    log_level = parent.log_level;
-  }
 };
 
 }  // namespace cmarkov

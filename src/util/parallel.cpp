@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/util/stopwatch.hpp"
 
 namespace cmarkov {
 
 std::size_t resolve_num_threads(std::size_t requested) {
+  if (requested > kMaxThreads) {
+    throw std::invalid_argument("thread count " + std::to_string(requested) +
+                                " exceeds the limit of " +
+                                std::to_string(kMaxThreads));
+  }
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

@@ -25,8 +25,14 @@
 
 namespace cmarkov {
 
+/// Largest thread count a caller may request: worker pools, serve shard
+/// workers and event loops all reject more, before any thread starts, so
+/// a count from a flag cannot ask the system for unbounded threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Maps an options-level `num_threads` value to a concrete worker count:
 /// 0 means "one per hardware core" (at least 1), anything else is itself.
+/// Throws std::invalid_argument above kMaxThreads.
 std::size_t resolve_num_threads(std::size_t requested);
 
 /// Utilization accounting for the most recent WorkerPool::run(): wall time

@@ -1,7 +1,10 @@
 #include "src/util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 
 namespace cmarkov {
 
@@ -55,11 +58,16 @@ std::string format_double(double value, int precision) {
   return buf;
 }
 
-std::string format_probability(double value) {
-  if (value == 0.0) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1e", value);
-  return buf;
+std::uint16_t parse_port(std::string_view text) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      value > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument("not a TCP port in [0, 65535]: '" +
+                                std::string(text) + "'");
+  }
+  return static_cast<std::uint16_t>(value);
 }
 
 }  // namespace cmarkov

@@ -2,6 +2,7 @@
 // table printers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,8 +27,9 @@ bool ends_with(std::string_view text, std::string_view suffix);
 /// Formats a double with fixed precision (no locale surprises).
 std::string format_double(double value, int precision);
 
-/// Formats a probability in scientific notation suited to FP/FN tables,
-/// e.g. "3.2e-05"; exact zero prints as "0".
-std::string format_probability(double value);
+/// Parses a TCP port: all of `text` must be a decimal number in
+/// [0, 65535]. Throws std::invalid_argument otherwise (a wider value is
+/// never truncated to 16 bits).
+std::uint16_t parse_port(std::string_view text);
 
 }  // namespace cmarkov

@@ -94,7 +94,7 @@ TEST(AbnormalSTest, RejectsDegenerateInputs) {
   EXPECT_THROW(generate_abnormal_s(normal, {}, 1, rng),
                std::invalid_argument);
   AbnormalSOptions options;
-  options.tail_length = 0;
+  options.segment_length = kAbnormalTailLength - 1;
   EXPECT_THROW(
       generate_abnormal_s(normal, {{"a", "f"}}, 1, rng, options),
       std::invalid_argument);

@@ -26,7 +26,8 @@ TEST(CfgBuilderTest, StraightLineSingleReturnBlock) {
   // Straight-line code without calls stays in the entry block.
   const auto& entry = fn.block(fn.entry);
   EXPECT_TRUE(std::holds_alternative<ReturnTerm>(entry.terminator));
-  EXPECT_FALSE(entry.makes_call());
+  EXPECT_EQ(entry.external_call(), nullptr);
+  EXPECT_EQ(entry.internal_call(), nullptr);
 }
 
 TEST(CfgBuilderTest, CallSplitsBlock) {

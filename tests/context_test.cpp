@@ -90,18 +90,6 @@ TEST(CallTransitionMatrixTest, RowAndColumnSums) {
   EXPECT_DOUBLE_EQ(m.col_sum(a), 0.0);
 }
 
-TEST(CallTransitionMatrixTest, DenseConversionMatches) {
-  CallTransitionMatrix m;
-  const auto a = m.add_symbol(CallSymbol::internal("a"));
-  const auto b = m.add_symbol(CallSymbol::internal("b"));
-  m.set_prob(a, b, 0.4);
-  m.set_prob(b, a, 0.6);
-  const Matrix dense = m.to_dense();
-  EXPECT_DOUBLE_EQ(dense(a, b), 0.4);
-  EXPECT_DOUBLE_EQ(dense(b, a), 0.6);
-  EXPECT_DOUBLE_EQ(dense(a, a), 0.0);
-}
-
 TEST(CallTransitionMatrixTest, ExternalIndicesFiltersKinds) {
   CallTransitionMatrix m;
   m.add_symbol(CallSymbol::entry("f"));

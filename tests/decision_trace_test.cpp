@@ -124,7 +124,7 @@ TEST(TracerTest, DisabledTracerSamplesAndRecordsNothing) {
 }
 
 TEST(TracerTest, PeriodicSamplingAdmitsEveryNth) {
-  obs::Tracer tracer({.enabled = true, .sample_every = 3, .capacity = 8});
+  obs::Tracer tracer({.enabled = true, .sample_every = 3});
   std::vector<bool> admitted;
   for (int i = 0; i < 7; ++i) admitted.push_back(tracer.sample(false));
   EXPECT_EQ(admitted,
@@ -132,21 +132,22 @@ TEST(TracerTest, PeriodicSamplingAdmitsEveryNth) {
 }
 
 TEST(TracerTest, ExplicitTraceIdBypassesSampling) {
-  obs::Tracer tracer({.enabled = true, .sample_every = 0, .capacity = 8});
+  obs::Tracer tracer({.enabled = true, .sample_every = 0});
   EXPECT_FALSE(tracer.sample(false));  // period 0: nothing sampled...
   EXPECT_TRUE(tracer.sample(true));    // ...except forced events
 }
 
 TEST(TracerTest, RecordsUntilFullThenCountsDrops) {
-  obs::Tracer tracer({.enabled = true, .sample_every = 1, .capacity = 2});
+  obs::Tracer tracer({.enabled = true, .sample_every = 1});
   obs::SpanRecord span;
   span.name = "queue";
-  EXPECT_TRUE(tracer.record(span));
-  EXPECT_TRUE(tracer.record(span));
+  for (std::size_t i = 0; i < obs::kTracerCapacity; ++i) {
+    ASSERT_TRUE(tracer.record(span));
+  }
   EXPECT_FALSE(tracer.record(span));
-  EXPECT_EQ(tracer.recorded(), 2u);
+  EXPECT_EQ(tracer.recorded(), obs::kTracerCapacity);
   EXPECT_EQ(tracer.dropped(), 1u);
-  EXPECT_EQ(tracer.snapshot().size(), 2u);
+  EXPECT_EQ(tracer.snapshot().size(), obs::kTracerCapacity);
 }
 
 TEST(ForwardDecompositionTest, ContributionsSumExactlyToLogLikelihood) {

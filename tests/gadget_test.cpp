@@ -141,13 +141,5 @@ TEST(GadgetScannerTest, CountsGrowWithLength) {
   EXPECT_LE(len6.raw, len10.raw);
 }
 
-TEST(ImageOptionsTest, RejectsBadFillerWeights) {
-  const workload::ProgramSuite suite = workload::make_gzip_suite();
-  ImageOptions options;
-  options.filler_weights = {1.0, 2.0};  // needs 10
-  EXPECT_THROW(BinaryImage::synthesize(suite.cfg(), 1, options),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace cmarkov::gadget

@@ -112,10 +112,6 @@ TEST(RandomInitTest, RejectsDegenerateArguments) {
   Rng rng(4);
   EXPECT_THROW(randomly_initialized_hmm(0, 3, rng), std::invalid_argument);
   EXPECT_THROW(randomly_initialized_hmm(3, 0, rng), std::invalid_argument);
-  RandomInitOptions options;
-  options.min_weight = 0.0;
-  EXPECT_THROW(randomly_initialized_hmm(3, 3, rng, options),
-               std::invalid_argument);
 }
 
 }  // namespace

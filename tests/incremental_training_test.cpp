@@ -106,8 +106,8 @@ TEST(IncrementalTrainingTest, PartialFitIsBitIdenticalToBatchFit) {
     const TrainingReport report = incremental.partial_fit(extra);
 
     expect_same_model(batch.model(), incremental.model());
-    EXPECT_EQ(batch.last_report().iterations, report.iterations);
-    EXPECT_EQ(batch.last_report().train_log_likelihood,
+    EXPECT_EQ(batch.history().back().iterations, report.iterations);
+    EXPECT_EQ(batch.history().back().train_log_likelihood,
               report.train_log_likelihood);
   }
 }
@@ -138,7 +138,6 @@ TEST(IncrementalTrainingTest, ChainedPartialFitsMatchSingleBatch) {
   EXPECT_EQ(incremental.state().train.size(), corpus.size());
   // One report per run, oldest first (TrainingReport ergonomics).
   ASSERT_EQ(incremental.history().size(), 3u);
-  EXPECT_EQ(&incremental.history().back(), &incremental.last_report());
 }
 
 // Serialize mid-training, reload in a "new process", partial_fit the rest:
@@ -167,8 +166,8 @@ TEST(IncrementalTrainingTest, SerializedResumeIsBitIdentical) {
   const TrainingReport resumed = second_process.partial_fit(extra);
 
   expect_same_model(uninterrupted.model(), second_process.model());
-  EXPECT_EQ(uninterrupted.last_report().iterations, resumed.iterations);
-  EXPECT_EQ(uninterrupted.last_report().holdout_log_likelihood,
+  EXPECT_EQ(uninterrupted.history().back().iterations, resumed.iterations);
+  EXPECT_EQ(uninterrupted.history().back().holdout_log_likelihood,
             resumed.holdout_log_likelihood);
   // The resumed trainer rematerializes the model lazily; after the run it
   // must report one.
@@ -261,7 +260,7 @@ TEST(IncrementalTrainingTest, ModelAccessBeforeTrainingThrows) {
   Trainer trainer(initial, options_with_threads(1));
   EXPECT_FALSE(trainer.has_model());
   EXPECT_THROW(trainer.model(), std::logic_error);
-  EXPECT_THROW(trainer.last_report(), std::logic_error);
+  EXPECT_TRUE(trainer.history().empty());
   trainer.fit(sample_sequences(ground_truth(), rng, 10, 12));
   expect_same_model(trainer.initial_model(), initial);
 }

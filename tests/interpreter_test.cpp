@@ -34,11 +34,10 @@ class RecordingEnvironment final : public ExternalEnvironment {
 };
 
 RunResult run(const char* source, std::vector<std::int64_t> inputs = {},
-              std::int64_t external_value = 0,
-              InterpreterOptions options = {}) {
+              std::int64_t external_value = 0) {
   const auto module =
       cfg::build_module_cfg(ir::ProgramModule::from_source("t", source));
-  const Interpreter interpreter(module, options);
+  const Interpreter interpreter(module);
   FixedEnvironment environment(external_value);
   return interpreter.run(inputs, environment);
 }
@@ -161,24 +160,27 @@ TEST(InterpreterTest, ExternalCallArgumentsAreEvaluated) {
 }
 
 TEST(InterpreterTest, StepLimitGuardsInfiniteLoops) {
-  InterpreterOptions options;
-  options.max_steps = 1000;
-  const RunResult result =
-      run("fn main() { while (1) { } }", {}, 0, options);
+  const RunResult result = run("fn main() { while (1) { } }");
   EXPECT_FALSE(result.completed);
   EXPECT_TRUE(result.hit_step_limit);
+  EXPECT_EQ(result.steps, kMaxInterpreterSteps + 1);
 }
 
 TEST(InterpreterTest, DepthLimitTurnsCallsIntoZero) {
-  InterpreterOptions options;
-  options.max_call_depth = 16;
+  // Each frame returns the deepest n reached: the call made from
+  // stack depth kMaxCallDepth (main plus down(1..255)) yields 0.
   const RunResult result = run(R"(
-fn forever(n) { return forever(n + 1); }
-fn main() { return forever(0); }
-)",
-                               {}, 0, options);
+fn down(n) {
+  var r = down(n + 1);
+  if (r == 0) { return n; }
+  return r;
+}
+fn main() { return down(1); }
+)");
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.hit_depth_limit);
+  EXPECT_EQ(result.exit_value,
+            static_cast<std::int64_t>(kMaxCallDepth) - 1);
 }
 
 TEST(InterpreterTest, SeededEnvironmentIsDeterministic) {

@@ -18,6 +18,16 @@ TEST(ResolveNumThreadsTest, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(resolve_num_threads(7), 7u);
 }
 
+TEST(ResolveNumThreadsTest, RejectsCountsAboveTheLimit) {
+  // Checked before any thread starts: a pool or parallel_for asked for
+  // too many workers throws without spawning one.
+  EXPECT_EQ(resolve_num_threads(kMaxThreads), kMaxThreads);
+  EXPECT_THROW(resolve_num_threads(kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(WorkerPool(kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(parallel_for(kMaxThreads + 1, 4, [](std::size_t) {}),
+               std::invalid_argument);
+}
+
 TEST(WorkerPoolTest, ExecutesEveryIndexExactlyOnce) {
   for (std::size_t threads : {1u, 2u, 5u}) {
     WorkerPool pool(threads);

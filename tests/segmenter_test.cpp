@@ -22,15 +22,6 @@ TEST(SegmenterTest, SlidingWindowsOfPaperLength) {
   EXPECT_EQ(segments[5][14], 19u);
 }
 
-TEST(SegmenterTest, StrideSkipsWindows) {
-  SegmentOptions options;
-  options.length = 4;
-  options.stride = 3;
-  const auto segments = segment_sequence(iota_sequence(10), options);
-  ASSERT_EQ(segments.size(), 3u);  // starts 0, 3, 6
-  EXPECT_EQ(segments[1][0], 3u);
-}
-
 TEST(SegmenterTest, ShortTraceKeptAsTailWhenEnabled) {
   SegmentOptions options;
   options.length = 15;
@@ -52,13 +43,9 @@ TEST(SegmenterTest, EmptyAndExactLengthTraces) {
   EXPECT_EQ(exact[0].size(), 5u);
 }
 
-TEST(SegmenterTest, RejectsZeroLengthOrStride) {
+TEST(SegmenterTest, RejectsZeroLength) {
   SegmentOptions bad;
   bad.length = 0;
-  EXPECT_THROW(segment_sequence(iota_sequence(5), bad),
-               std::invalid_argument);
-  bad.length = 5;
-  bad.stride = 0;
   EXPECT_THROW(segment_sequence(iota_sequence(5), bad),
                std::invalid_argument);
 }

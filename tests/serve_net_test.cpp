@@ -29,6 +29,7 @@
 #include "src/serve/net/frame.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/session_manager.hpp"
+#include "src/util/parallel.hpp"
 #include "src/util/strings.hpp"
 #include "src/workload/testcase_generator.hpp"
 
@@ -954,6 +955,17 @@ struct ServerHarness {
   }
   ~ServerHarness() { server->stop(); }
 };
+
+TEST(EpollServerTest, RejectsLoopCountAboveTheThreadLimit) {
+  // The constructor refuses before start() could spawn a single loop.
+  auto registry = make_registry();
+  ServiceConfig config;
+  config.manual_pump = true;
+  SessionManager manager(*registry, config);
+  NetOptions net;
+  net.num_loops = kMaxThreads + 1;
+  EXPECT_THROW(EpollServer(manager, net), std::invalid_argument);
+}
 
 TEST(EpollServerTest, TextAndBinaryClientsScoreIdentically) {
   ServerHarness harness;

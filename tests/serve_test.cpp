@@ -19,6 +19,7 @@
 #include "src/core/model_io.hpp"
 #include "src/serve/drift_monitor.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/testcase_generator.hpp"
 
@@ -589,6 +590,13 @@ TEST(SessionManagerTest, LookupsNeverMissASessionMovingBetweenMapAndStore) {
   EXPECT_EQ(misses, 0u) << "has_session missed a live session";
   EXPECT_EQ(throws, 0u) << "recent_decisions threw for a live session";
   manager.close_session("mover");
+}
+
+TEST(SessionManagerTest, RejectsWorkerCountAboveTheThreadLimit) {
+  ServiceConfig config;
+  config.num_workers = kMaxThreads + 1;
+  EXPECT_THROW(SessionManager(fixture().registry, config),
+               std::invalid_argument);
 }
 
 TEST(SessionManagerTest, LifecycleErrorsAreLoud) {

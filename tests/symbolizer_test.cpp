@@ -96,18 +96,6 @@ TEST(SymbolizerTest, ForgedAddressesGetUnknownCaller) {
   EXPECT_EQ(trace.events[0].caller, kUnknownCaller);
 }
 
-TEST(SymbolizerTest, RangeOfReportsFunctionExtent) {
-  const auto module = lower(R"(
-fn a() { sys("x"); }
-fn main() { a(); }
-)");
-  const Symbolizer symbolizer(module);
-  const auto range = symbolizer.range_of("a");
-  ASSERT_TRUE(range.has_value());
-  EXPECT_EQ(range->first, module.require("a").base_address);
-  EXPECT_EQ(symbolizer.range_of("missing"), std::nullopt);
-}
-
 TEST(TraceEncodingTest, FilterAndEncoding) {
   Trace trace;
   trace.program = "t";

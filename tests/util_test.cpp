@@ -189,8 +189,17 @@ TEST(StringsTest, PrefixSuffixChecks) {
 
 TEST(StringsTest, FormatHelpers) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
-  EXPECT_EQ(format_probability(0.0), "0");
-  EXPECT_EQ(format_probability(0.00032), "3.2e-04");
+}
+
+TEST(StringsTest, ParsePortRejectsWhatWouldTruncate) {
+  EXPECT_EQ(parse_port("0"), 0u);
+  EXPECT_EQ(parse_port("8080"), 8080u);
+  EXPECT_EQ(parse_port("65535"), 65535u);
+  EXPECT_THROW(parse_port("65536"), std::invalid_argument);
+  EXPECT_THROW(parse_port("4294967297"), std::invalid_argument);
+  EXPECT_THROW(parse_port("-1"), std::invalid_argument);
+  EXPECT_THROW(parse_port("80x"), std::invalid_argument);
+  EXPECT_THROW(parse_port(""), std::invalid_argument);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

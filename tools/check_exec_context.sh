@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Guards the PR-4 API redesign: thread counts flow through
-# util::ExecContext (options.exec.threads), never through raw
-# `num_threads` *fields* on option structs. Function/constructor
-# parameters named num_threads (WorkerPool, parallel_for, transform)
-# remain legitimate, so the pattern matches only field declarations with
-# a default initializer.
+# Guards the ExecContext API: thread counts flow through util::ExecContext
+# (options.exec.threads), whose fields are the thread count and the two
+# observability sinks (metrics, profile), never through raw `num_threads`
+# *fields* on option structs. Function/constructor parameters named
+# num_threads (WorkerPool, parallel_for, transform) remain legitimate, so
+# the pattern matches only field declarations with a default initializer.
 #
 # Wired into CTest as `check_exec_context` (label: obs).
 set -eu

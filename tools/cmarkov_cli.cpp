@@ -45,6 +45,7 @@
 #include "src/trace/interpreter.hpp"
 #include "src/trace/trace_io.hpp"
 #include "src/util/json.hpp"
+#include "src/util/parallel.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/table_printer.hpp"
 #include "src/workload/testcase_generator.hpp"
@@ -62,6 +63,16 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
 };
+
+/// --threads N (0 = one worker per hardware core). A count above
+/// kMaxThreads is refused here, also by commands whose input turns out too
+/// small to start a worker pool.
+std::size_t threads_flag(const Args& args) {
+  const auto threads =
+      static_cast<std::size_t>(std::stoul(args.get("threads", "0")));
+  resolve_num_threads(threads);
+  return threads;
+}
 
 Args parse_args(int argc, char** argv) {
   Args args;
@@ -152,8 +163,7 @@ int cmd_analyze(const Args& args) {
 
   core::PipelineConfig config;
   config.filter = filter;
-  config.exec.threads =
-      static_cast<std::size_t>(std::stoul(args.get("threads", "0")));
+  config.exec.threads = threads_flag(args);
   Rng rng(1);
   const auto result = core::run_static_pipeline(program, config, rng);
 
@@ -281,8 +291,7 @@ int cmd_train(const Args& args) {
   // can absorb new traces without retraining from scratch.
   const std::string save_state = args.get("save-state", "");
   config.keep_trainer_state = !save_state.empty();
-  const auto threads =
-      static_cast<std::size_t>(std::stoul(args.get("threads", "0")));
+  const std::size_t threads = threads_flag(args);
   config.pipeline.exec.threads = threads;
   config.training.exec.threads = threads;
   if (profile != nullptr) {
@@ -363,8 +372,7 @@ int cmd_compare(const Args& args) {
   eval::ComparisonOptions options =
       eval::default_comparison_options(args.get("full", "0") == "1");
   options.seed = std::stoull(args.get("seed", "1"));
-  options.exec.threads =
-      static_cast<std::size_t>(std::stoul(args.get("threads", "0")));
+  options.exec.threads = threads_flag(args);
 
   const eval::SuiteComparison comparison =
       eval::compare_models(suite, filter, options);
@@ -684,7 +692,7 @@ int cmd_top(const Args& args) {
         "top: need --port <admin-port> (start cmarkovd with --tcp and "
         "--admin-port)");
   }
-  const auto port = static_cast<std::uint16_t>(std::stoul(port_text));
+  const std::uint16_t port = parse_port(port_text);
   const std::string host = args.get("host", "127.0.0.1");
   const auto interval_ms = std::stoull(args.get("interval-ms", "2000"));
   const auto iterations = std::stoull(args.get("iterations", "0"));
@@ -744,7 +752,8 @@ int usage() {
             << "        [--plain 1]               live cmarkovd dashboard\n"
             << "        (polls the --admin-port plane; see docs/SERVING.md)\n"
             << "analyze/train/compare accept --threads N (0 = one worker per\n"
-            << "hardware core, the default); results are identical at any N.\n";
+            << "hardware core, the default; at most 256); results are\n"
+            << "identical at any N.\n";
   return 1;
 }
 

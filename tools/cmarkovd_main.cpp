@@ -64,12 +64,12 @@ struct DaemonOptions {
   std::vector<std::pair<std::string, std::string>> models;  // name -> path
   std::string models_dir;
   std::vector<std::pair<std::string, std::string>> replays;  // model -> trace
-  int tcp_port = 0;
+  std::uint16_t tcp_port = 0;
   std::size_t net_loops = 1;
   std::uint64_t handshake_timeout_ms = 30'000;
   /// --admin-port: HTTP admin plane (/metrics /healthz /varz /statusz) on
   /// its own listener; 0 = disabled. Requires --tcp.
-  int admin_port = 0;
+  std::uint16_t admin_port = 0;
   /// /varz collector sampling period (ring derivation window is
   /// period * 120 samples).
   std::uint64_t collector_period_ms = 1000;
@@ -147,13 +147,13 @@ DaemonOptions parse_options(int argc, char** argv) {
       options.replays.emplace_back(value.substr(0, colon),
                                    value.substr(colon + 1));
     } else if (flag == "--tcp") {
-      options.tcp_port = std::stoi(value);
+      options.tcp_port = parse_port(value);
     } else if (flag == "--net-loops") {
       options.net_loops = std::stoul(value);
     } else if (flag == "--handshake-timeout-ms") {
       options.handshake_timeout_ms = std::stoull(value);
     } else if (flag == "--admin-port") {
-      options.admin_port = std::stoi(value);
+      options.admin_port = parse_port(value);
     } else if (flag == "--collector-period-ms") {
       options.collector_period_ms = std::stoull(value);
       if (options.collector_period_ms == 0) {
@@ -256,7 +256,7 @@ int serve_tcp(serve::SessionManager& sessions, const DaemonOptions& options,
   std::signal(SIGINT, [](int) { g_stop = 1; });
   std::signal(SIGTERM, [](int) { g_stop = 1; });
   serve::net::NetOptions net;
-  net.port = static_cast<std::uint16_t>(options.tcp_port);
+  net.port = options.tcp_port;
   net.num_loops = options.net_loops;
   net.handshake_timeout_micros = options.handshake_timeout_ms * 1000;
 
@@ -281,7 +281,7 @@ int serve_tcp(serve::SessionManager& sessions, const DaemonOptions& options,
     admin->set_collector(collector.get());
     if (refresher != nullptr) admin->set_drift_monitor(&refresher->monitor());
     net.admin = admin.get();
-    net.admin_port = static_cast<std::uint16_t>(options.admin_port);
+    net.admin_port = options.admin_port;
   }
 
   serve::net::EpollServer server(sessions, net);
