@@ -125,7 +125,6 @@ CallGraph CallGraph::build(const ModuleCfg& module) {
       }
       site_counts[{fn.name, call->callee}] += 1;
       graph.out_[fn.name].insert(call->callee);
-      graph.in_[call->callee].insert(fn.name);
     }
   }
   for (const auto& [pair, count] : site_counts) {
@@ -147,29 +146,10 @@ std::vector<std::string> CallGraph::callees(const std::string& caller) const {
   return {it->second.begin(), it->second.end()};
 }
 
-std::vector<std::string> CallGraph::callers(const std::string& callee) const {
-  auto it = in_.find(callee);
-  if (it == in_.end()) return {};
-  return {it->second.begin(), it->second.end()};
-}
-
 bool CallGraph::has_edge(const std::string& caller,
                          const std::string& callee) const {
   auto it = out_.find(caller);
   return it != out_.end() && it->second.contains(callee);
-}
-
-std::set<std::string> CallGraph::reachable_from(
-    const std::string& entry) const {
-  std::set<std::string> seen;
-  std::vector<std::string> frontier{entry};
-  while (!frontier.empty()) {
-    const std::string fn = std::move(frontier.back());
-    frontier.pop_back();
-    if (!seen.insert(fn).second) continue;
-    for (const auto& callee : callees(fn)) frontier.push_back(callee);
-  }
-  return seen;
 }
 
 bool CallGraph::in_cycle_with(const std::string& a,

@@ -33,12 +33,12 @@ class CallGraph {
   /// Callees of `caller` (deduplicated, sorted).
   std::vector<std::string> callees(const std::string& caller) const;
 
-  /// Callers of `callee` (deduplicated, sorted).
-  std::vector<std::string> callers(const std::string& callee) const;
-
   bool has_edge(const std::string& caller, const std::string& callee) const;
 
-  /// Functions reachable from the entry point (inclusive).
+  /// Functions reachable from the entry point (inclusive). A test oracle:
+  /// the suite tests hold every program to reaching (nearly) all of its
+  /// functions from main. Defined in the cmarkov_oracle library
+  /// (call_graph_reference.cpp), which no shipped binary links.
   std::set<std::string> reachable_from(const std::string& entry) const;
 
   /// Strongly connected components in reverse topological order of the
@@ -57,7 +57,6 @@ class CallGraph {
   std::vector<std::string> functions_;
   std::vector<CallEdge> edges_;
   std::map<std::string, std::set<std::string>> out_;
-  std::map<std::string, std::set<std::string>> in_;
   std::vector<std::vector<std::string>> sccs_;
   std::map<std::string, std::size_t> scc_of_;
 };

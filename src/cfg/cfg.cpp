@@ -16,20 +16,6 @@ BasicBlock& FunctionCfg::block(BlockId id) {
   return blocks[id];
 }
 
-std::size_t FunctionCfg::edge_count() const {
-  std::size_t count = 0;
-  for (const auto& b : blocks) count += b.successors().size();
-  return count;
-}
-
-std::vector<std::vector<BlockId>> FunctionCfg::predecessors() const {
-  std::vector<std::vector<BlockId>> preds(blocks.size());
-  for (const auto& b : blocks) {
-    for (BlockId s : b.successors()) preds[s].push_back(b.id);
-  }
-  return preds;
-}
-
 namespace {
 
 enum class Mark : std::uint8_t { kUnvisited, kOnStack, kDone };

@@ -29,12 +29,6 @@ class FunctionCfg {
 
   std::size_t block_count() const { return blocks.size(); }
 
-  /// Total number of CFG edges.
-  std::size_t edge_count() const;
-
-  /// Predecessor lists, indexed by block id.
-  std::vector<std::vector<BlockId>> predecessors() const;
-
   /// Back edges (u, v) found by DFS from the entry: edge u->v where v is on
   /// the current DFS stack. Cutting these yields the acyclic subgraph the
   /// probability propagation runs on (the paper defers loop behaviour to

@@ -15,6 +15,7 @@ OnlineMonitor::OnlineMonitor(const Detector& detector,
       options_(options),
       kernel_(std::move(kernel)),
       window_(std::move(storage.window)),
+      key_(std::move(storage.key)),
       segment_(std::move(storage.segment)) {
   if (!detector.trained()) {
     throw std::invalid_argument("OnlineMonitor: detector is not trained");
@@ -32,6 +33,7 @@ OnlineMonitor::OnlineMonitor(const Detector& detector,
   window_.assign(length, 0);  // reuses donated capacity when large enough
   segment_.clear();
   segment_.reserve(length);
+  rebuild_key();
 }
 
 MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
@@ -62,31 +64,36 @@ MonitorUpdate OnlineMonitor::on_event(ir::CallKind kind, std::string_view site,
   const std::size_t id = kernel_->find_observation(callee, site);
   // Ring arithmetic via conditional subtraction: `length` is the segment
   // length (15 in the paper's setup), not a power of two, so a `%` here
-  // would cost an integer division per event — and 15 more per window in
-  // the copy-out loop below.
+  // would cost an integer division per event.
   const std::size_t length = config.segments.length;
+  const std::size_t symbols = kernel_->num_symbols();
   if (window_count_ < length) {
     std::size_t at = window_head_ + window_count_;
     if (at >= length) at -= length;
     window_[at] = id;
     window_count_ += 1;
   } else {
+    unknown_ids_ -= window_[window_head_] >= symbols;
     window_[window_head_] = id;  // overwrite the id sliding out
     window_head_ += 1;
     if (window_head_ == length) window_head_ = 0;
   }
+  unknown_ids_ += id >= symbols;
+  kernel_->slide_key(key_, id);
+  segment_current_ = false;
   if (window_count_ < length) return update;
 
   update.window_complete = true;
-  update.window = &segment_;
-  segment_.clear();
-  std::size_t at = window_head_;
-  for (std::size_t i = 0; i < length; ++i) {
-    segment_.push_back(window_[at]);
-    at += 1;
-    if (at == length) at = 0;
+  // A window holding an unknown id never reaches the memo; score_window
+  // flags it without a pass. Otherwise the ids are copied out of the ring
+  // only on a miss.
+  WindowScore scored;
+  if (unknown_ids_ > 0) {
+    scored.verdict = kernel_->score_window(window(), scratch_);
+  } else {
+    scored = kernel_->score(std::span<const std::uint64_t>(key_), scratch_,
+                            [this] { return std::span(window()); });
   }
-  const WindowScore scored = kernel_->score(segment_, scratch_);
   const SegmentVerdict& verdict = scored.verdict;
   update.memo_hit = scored.memo_hit;
   update.log_likelihood = verdict.log_likelihood;
@@ -133,7 +140,8 @@ DecisionEntry& OnlineMonitor::admit_decision(const SegmentVerdict& verdict,
   }
   // Overwritten in place, so a full ring reuses the entry's id buffer and
   // takes a new reference only when the model changed.
-  entry->window.assign(segment_.begin(), segment_.end());
+  const hmm::ObservationSeq& ids = window();
+  entry->window.assign(ids.begin(), ids.end());
   entry->log_likelihood = verdict.log_likelihood;
   entry->flagged = verdict.flagged;
   entry->unknown_symbol = verdict.unknown_symbol;
@@ -169,11 +177,37 @@ std::vector<obs::DecisionRecord> OnlineMonitor::recent_decisions(
   return out;
 }
 
+const hmm::ObservationSeq& OnlineMonitor::window() {
+  if (!segment_current_) {
+    const std::size_t length = window_.size();
+    segment_.clear();
+    std::size_t at = window_head_;
+    for (std::size_t i = 0; i < window_count_; ++i) {
+      segment_.push_back(window_[at]);
+      at += 1;
+      if (at == length) at = 0;
+    }
+    segment_current_ = true;
+  }
+  return segment_;
+}
+
+void OnlineMonitor::rebuild_key() {
+  segment_current_ = false;
+  key_.assign(kernel_->key_words(), 0);
+  unknown_ids_ = 0;
+  for (const std::size_t id : window()) {
+    unknown_ids_ += id >= kernel_->num_symbols();
+    kernel_->slide_key(key_, id);
+  }
+}
+
 void OnlineMonitor::reset_window() {
   window_head_ = 0;
   window_count_ = 0;
   consecutive_flagged_ = 0;
   cooldown_remaining_ = 0;
+  rebuild_key();
 }
 
 MonitorSnapshot OnlineMonitor::snapshot() const {
@@ -202,6 +236,7 @@ void OnlineMonitor::restore(const MonitorSnapshot& snapshot) {
   for (std::size_t i = 0; i < window_count_; ++i) {
     window_[i] = snapshot.window[i];
   }
+  rebuild_key();
   consecutive_flagged_ = snapshot.consecutive_flagged;
   cooldown_remaining_ = snapshot.cooldown_remaining;
   stats_ = snapshot.stats;
@@ -224,25 +259,30 @@ void OnlineMonitor::rebind(const Detector& detector,
   segment_.reserve(length);
   window_head_ = 0;
   window_count_ = 0;
+  rebuild_key();  // the new image's key width
   consecutive_flagged_ = 0;  // streak evidence was against the old model
 }
 
 std::size_t OnlineMonitor::state_bytes() const {
   return sizeof(OnlineMonitor) +
          (window_.capacity() + segment_.capacity()) * sizeof(std::size_t) +
-         scratch_.capacity_bytes();
+         key_.capacity() * sizeof(std::uint64_t) + scratch_.capacity_bytes();
 }
 
 MonitorStorage OnlineMonitor::release_storage() {
   MonitorStorage storage;
   storage.window = std::move(window_);
   storage.segment = std::move(segment_);
+  storage.key = std::move(key_);
   storage.scratch = std::move(scratch_.alpha);
   window_.clear();
   segment_.clear();
+  key_.clear();
   scratch_.alpha.clear();
   window_head_ = 0;
   window_count_ = 0;
+  unknown_ids_ = 0;
+  segment_current_ = false;
   return storage;
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string_view>
@@ -48,9 +49,9 @@ namespace cmarkov::core {
 /// thread. The ring keeps a DecisionEntry (the window's ids, the verdict,
 /// the scoring model), and its alpha rows, scales and argmax states are
 /// recomputed when the record is read (DecisionEntry::record). So tracing
-/// costs the sampling branch and an id copy per admitted window, into an
-/// entry whose buffer the ring reuses; reading a record costs one
-/// kept-rows pass.
+/// costs the sampling branch and an id copy out of the window ring per
+/// admitted window, into an entry whose buffer the ring reuses; reading a
+/// record costs one kept-rows pass.
 struct DecisionTraceOptions {
   bool enabled = false;
   /// Record every Nth scored window (1 = all, 0 = only flagged/alarms).
@@ -78,6 +79,8 @@ struct MonitorStats {
 struct MonitorStorage {
   std::vector<std::size_t> window;
   hmm::ObservationSeq segment;
+  /// The window's memo key words (ScoringKernel::slide_key).
+  std::vector<std::uint64_t> key;
   /// Flat forward scratch for the kernel path (two alpha rows).
   std::vector<double> scratch;
 };
@@ -125,14 +128,8 @@ struct MonitorUpdate {
   /// Audit entry for this window when decision tracing admitted it; null
   /// otherwise (record() derives the full record). Points into the
   /// monitor's ring — valid until the next on_event call on the same
-  /// monitor.
+  /// monitor. The window's ids are OnlineMonitor::window().
   const DecisionEntry* decision = nullptr;
-  /// The completed window's encoded observation ids (oldest first); null
-  /// while the window is still filling. Points into the monitor's scoring
-  /// scratch — valid until the next on_event / rebind on the same
-  /// monitor. The serve tier's DriftMonitor copies clean windows from
-  /// here into its absorb buffer for incremental retraining.
-  const hmm::ObservationSeq* window = nullptr;
 };
 
 class OnlineMonitor {
@@ -164,6 +161,15 @@ class OnlineMonitor {
   MonitorUpdate on_event(trace::CallEvent event);
 
   const MonitorStats& stats() const { return stats_; }
+
+  /// The window's encoded observation ids, oldest first: after a complete
+  /// window, the ids it scored. A memo hit reads only the window's key, so
+  /// the ids are copied out of the ring when asked for, once per event.
+  /// Valid until the next on_event, reset_window, restore or rebind on
+  /// this monitor. The serve tier's drift feed reads each completed window
+  /// here; DriftMonitor copies the clean ones into its absorb buffer for
+  /// incremental retraining.
+  const hmm::ObservationSeq& window();
 
   /// Copies of up to `n` of the newest retained decision entries, oldest
   /// first (none unless decision tracing is enabled). The ring holds at
@@ -216,7 +222,8 @@ class OnlineMonitor {
 
   /// Heap bytes held by this monitor's scoring state (the per-session
   /// memory bill the serving tier budgets): the object itself plus window
-  /// ring, segment scratch and the kernel's flat forward scratch.
+  /// ring, segment scratch, window key and the kernel's flat forward
+  /// scratch.
   /// Excludes the decision-audit ring (a flight recorder, not scoring
   /// state) and the shared kernel image, which is per-model-version, not
   /// per-session (ScoringKernel::image_bytes).
@@ -233,6 +240,9 @@ class OnlineMonitor {
   std::size_t newest_decision() const {
     return (decisions_next_ == 0 ? decisions_.size() : decisions_next_) - 1;
   }
+  /// Rebuilds key_ and unknown_ids_ from the ring (snapshots carry only
+  /// the ids). Called by whatever rewrites the ring other than on_event.
+  void rebuild_key();
 
   const Detector* detector_;
   const trace::Symbolizer* symbolizer_;
@@ -243,7 +253,12 @@ class OnlineMonitor {
   std::vector<std::size_t> window_;  // ring of encoded observation ids
   std::size_t window_head_ = 0;      // index of the oldest id
   std::size_t window_count_ = 0;
-  hmm::ObservationSeq segment_;      // scoring scratch, reused per window
+  /// The ring's memo key, slid with every id (ScoringKernel::slide_key),
+  /// and how many of the ring's ids are unknown to the model.
+  std::vector<std::uint64_t> key_;
+  std::size_t unknown_ids_ = 0;
+  hmm::ObservationSeq segment_;      // window() copy-out, reused per window
+  bool segment_current_ = false;     // segment_ holds the ring's ids
   /// Bounded audit ring. It grows to ring_capacity entries, then the
   /// oldest (at decisions_next_) is overwritten in place, reusing its id
   /// buffer.

@@ -42,33 +42,22 @@ std::size_t carve(std::size_t& cursor, std::size_t bytes) {
 }
 
 constexpr std::size_t kMemoWays = 4;
-constexpr std::size_t kMemoSetBits = 11;  // 2048 sets of four entries
+constexpr unsigned kMemoSetBits = 11;  // 2048 sets of four entries
 static_assert(ScoringKernel::kMemoEntries == kMemoWays << kMemoSetBits);
+constexpr std::uint64_t kMemoSetMask = (std::uint64_t{1} << kMemoSetBits) - 1;
 
 /// The one way any memo word is accessed.
 inline std::atomic_ref<std::uint64_t> word(std::uint64_t* at) {
   return std::atomic_ref<std::uint64_t>(*at);
 }
 
-/// Calls emit(word) for each 64-bit word of the memo key: the window's ids
-/// packed `bits` apiece, lowest bits first, ceil(T * bits / 64) words. Ids
-/// are below 2^bits, so distinct windows of one length get distinct keys.
-template <typename Emit>
-inline void pack_key(std::span<const std::size_t> window, unsigned bits,
-                     Emit&& emit) {
-  std::uint64_t word = 0;
-  unsigned filled = 0;
-  for (const std::size_t id : window) {
-    word |= static_cast<std::uint64_t>(id) << filled;
-    filled += bits;
-    if (filled >= 64) {
-      emit(word);
-      filled -= 64;
-      word = filled == 0 ? 0
-                         : static_cast<std::uint64_t>(id) >> (bits - filled);
-    }
-  }
-  if (filled > 0) emit(word);
+/// Hash of a window key. The final shift and multiply carry every key bit
+/// into both set slices that score() takes from the top 22 bits.
+inline std::uint64_t key_hash(std::span<const std::uint64_t> key) {
+  std::uint64_t hash = 0;
+  for (const std::uint64_t w : key) hash = (hash ^ w) * 0x9e3779b97f4a7c15ull;
+  hash ^= hash >> 32;
+  return hash * 0xd6e8feb86659fd93ull;
 }
 
 }  // namespace
@@ -148,11 +137,18 @@ std::shared_ptr<const ScoringKernel> ScoringKernel::compile(
   kernel->slot_mask_ = mask;
   kernel->blob_ = blob;
 
-  // Ids of known windows are < m, so bit_width(m - 1) bits hold each one.
-  kernel->window_length_ = detector.config().segments.length;
-  kernel->key_bits_ = static_cast<unsigned>(std::bit_width(m - 1));
-  const std::size_t key_words =
-      (kernel->window_length_ * kernel->key_bits_ + 63) / 64;
+  // Ids of known windows are < m, so bit_width(m - 1) bits hold each one
+  // (one bit for a one-symbol model, whose keys are all zero).
+  const std::size_t length = detector.config().segments.length;
+  const unsigned bits =
+      std::max(1u, static_cast<unsigned>(std::bit_width(m - 1)));
+  const std::size_t key_words = (length * bits + 63) / 64;
+  kernel->window_length_ = length;
+  kernel->key_bits_ = bits;
+  kernel->key_words_ = key_words;
+  const std::size_t top = length > 0 ? (length - 1) * bits : 0;
+  kernel->top_word_ = top / 64;
+  kernel->top_shift_ = static_cast<unsigned>(top % 64);
   kernel->memo_stride_ = 2 + key_words;
   // Seven spare words let the first set start on a 64-byte line.
   kernel->memo_words_ = kMemoEntries * kernel->memo_stride_ + 7;
@@ -241,72 +237,88 @@ WindowScore ScoringKernel::score(std::span<const std::size_t> window,
         " ids, the image memoizes windows of " +
         std::to_string(window_length_));
   }
-  WindowScore result;
-  if (has_unknown(window)) {
-    result.verdict = score_window(window, scratch);
-    return result;
-  }
-  std::uint64_t hash = 0;
-  pack_key(window, key_bits_, [&hash](std::uint64_t word) {
-    hash = (hash ^ word) * 0x9e3779b97f4a7c15ull;
-  });
-  std::uint64_t* const set =
-      memo_sets_ + (hash >> (64 - kMemoSetBits)) * kMemoWays * memo_stride_;
-  std::uint64_t* way[kMemoWays];
-  for (std::size_t w = 0; w < kMemoWays; ++w) way[w] = set + w * memo_stride_;
+  if (has_unknown(window)) return {score_window(window, scratch), false};
+  std::vector<std::uint64_t> key(key_words_, 0);
+  for (const std::size_t id : window) slide_key(key, id);
+  return score(std::span<const std::uint64_t>(key), scratch,
+               [window] { return window; });
+}
 
-  // Seqlock read of every way: the sequence word, then key and value with
-  // acquire loads, then the sequence again. A write that overlapped the
-  // read changed the sequence, and an odd one is in progress: both miss.
-  std::uint64_t seq[kMemoWays];
-  bool match[kMemoWays];
-  for (std::size_t w = 0; w < kMemoWays; ++w) {
-    seq[w] = word(way[w]).load(std::memory_order_acquire);
-    match[w] = seq[w] != 0 && seq[w] % 2 == 0;
-  }
-  std::size_t at = 2;
-  pack_key(window, key_bits_, [&](std::uint64_t key) {
+bool ScoringKernel::find(std::span<const std::uint64_t> key, MemoProbe& probe,
+                         SegmentVerdict& verdict) const {
+  // Two sets from two slices of one hash, set 0's ways first. A hit in
+  // set 0 leaves set 1 unread; a miss reads both, for remember().
+  const std::uint64_t hash = key_hash(key);
+  const std::uint64_t set_index[2] = {
+      hash >> (64 - kMemoSetBits),
+      (hash >> (64 - 2 * kMemoSetBits)) & kMemoSetMask};
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::uint64_t** const way = probe.way + s * kMemoWays;
+    std::uint64_t* const seq = probe.seq + s * kMemoWays;
+    std::uint64_t* const set =
+        memo_sets_ + set_index[s] * kMemoWays * memo_stride_;
+    // Seqlock read of each way: the sequence word, then key and value with
+    // acquire loads, then the sequence again. A write that overlapped the
+    // read changed the sequence, and an odd one is in progress: both miss.
+    bool match[kMemoWays];
     for (std::size_t w = 0; w < kMemoWays; ++w) {
-      match[w] = match[w] &&
-                 word(way[w] + at).load(std::memory_order_acquire) == key;
+      way[w] = set + w * memo_stride_;
+      seq[w] = word(way[w]).load(std::memory_order_acquire);
+      match[w] = seq[w] != 0 && seq[w] % 2 == 0;
     }
-    ++at;
-  });
-  for (std::size_t w = 0; w < kMemoWays; ++w) {
-    if (!match[w]) continue;
-    const std::uint64_t bits = word(way[w] + 1).load(std::memory_order_acquire);
-    if (word(way[w]).load(std::memory_order_acquire) != seq[w]) continue;
-    result.verdict.log_likelihood = std::bit_cast<double>(bits);
-    result.verdict.flagged = result.verdict.log_likelihood < threshold_;
-    result.memo_hit = true;
-    return result;
+    for (std::size_t k = 0; k < key.size(); ++k) {
+      for (std::size_t w = 0; w < kMemoWays; ++w) {
+        match[w] = match[w] && word(way[w] + 2 + k).load(
+                                   std::memory_order_acquire) == key[k];
+      }
+    }
+    for (std::size_t w = 0; w < kMemoWays; ++w) {
+      if (!match[w]) continue;
+      const std::uint64_t bits =
+          word(way[w] + 1).load(std::memory_order_acquire);
+      if (word(way[w]).load(std::memory_order_acquire) != seq[w]) continue;
+      verdict.log_likelihood = std::bit_cast<double>(bits);
+      verdict.flagged = verdict.log_likelihood < threshold_;
+      return true;
+    }
   }
+  return false;
+}
 
-  result.verdict = score_window(window, scratch);
-  // Round-robin victim: the set's completed writes (half of each sequence)
-  // mod kMemoWays. A writer claims it with one even -> odd CAS and
+void ScoringKernel::remember(std::span<const std::uint64_t> key,
+                             const MemoProbe& probe,
+                             double log_likelihood) const {
+  // The set with fewer filled ways takes the insert (set 0 on a tie).
+  std::size_t filled[2] = {0, 0};
+  for (std::size_t w = 0; w < kProbeWays; ++w) {
+    filled[w / kMemoWays] += probe.seq[w] != 0;
+  }
+  const std::size_t first = filled[1] < filled[0] ? kMemoWays : 0;
+  // Within it, the victim is the set's completed writes (half of each
+  // sequence) mod kMemoWays: the ways fill in order, then turn over
+  // oldest first. A writer claims it with one even -> odd CAS and
   // releases it at the next even value; losing the claim, or finding it
   // held, skips the insert.
   std::uint64_t writes = 0;
-  for (std::size_t w = 0; w < kMemoWays; ++w) writes += seq[w] / 2;
-  const std::size_t victim = writes % kMemoWays;
-  std::uint64_t claimed = seq[victim];
-  if (claimed % 2 != 0 ||
-      !word(way[victim]).compare_exchange_strong(claimed, claimed + 1,
-                                                 std::memory_order_acquire,
-                                                 std::memory_order_relaxed)) {
-    return result;
+  for (std::size_t w = first; w < first + kMemoWays; ++w) {
+    writes += probe.seq[w] / 2;
   }
-  std::uint64_t* const entry = way[victim];
-  word(entry + 1).store(
-      std::bit_cast<std::uint64_t>(result.verdict.log_likelihood),
-      std::memory_order_release);
-  at = 2;
-  pack_key(window, key_bits_, [&](std::uint64_t key) {
-    word(entry + at++).store(key, std::memory_order_release);
-  });
+  const std::size_t victim = first + writes % kMemoWays;
+  std::uint64_t claimed = probe.seq[victim];
+  if (claimed % 2 != 0 ||
+      !word(probe.way[victim])
+           .compare_exchange_strong(claimed, claimed + 1,
+                                    std::memory_order_acquire,
+                                    std::memory_order_relaxed)) {
+    return;
+  }
+  std::uint64_t* const entry = probe.way[victim];
+  word(entry + 1).store(std::bit_cast<std::uint64_t>(log_likelihood),
+                        std::memory_order_release);
+  for (std::size_t k = 0; k < key.size(); ++k) {
+    word(entry + 2 + k).store(key[k], std::memory_order_release);
+  }
   word(entry).store(claimed + 2, std::memory_order_release);
-  return result;
 }
 
 }  // namespace cmarkov::core

@@ -23,23 +23,28 @@
 //
 // Its one mutable, concurrent part is the window memo: a fixed table of
 // kMemoEntries exact (window -> log-likelihood) entries, 2048 sets of 4
-// ways, that score() consults before running a pass. Normal behaviour is a small set
-// of short call sequences that keep recurring, so most windows a monitor
-// completes were already scored, by it or by another session on another
-// shard. The key is the window's ids packed at bit_width(M - 1) bits each
-// and stored whole, never only its hash. Every entry is a seqlock of
+// ways, that score() consults before running a pass. Normal behaviour is a
+// small set of short call sequences that keep recurring, so most windows a
+// monitor completes were already scored, by it or by another session on
+// another shard. The key is the window's ids packed at bit_width(M - 1)
+// bits each and stored whole, never only its hash. A monitor keeps its
+// window's key as the window slides (slide_key), so a hit packs nothing
+// and copies no ids. Each key hashes to two candidate sets, from two
+// slices of one hash: a lookup reads the 8 ways of both (the second set's
+// only if the first misses), and an insert goes into the set with fewer
+// filled ways, in turn within that set (its completed writes mod 4). With two choices, sets overflow only once the memo is
+// nearly full: the stream models' working sets of 1.3k-6.4k distinct
+// windows stay resident, where one 4-way set per key lost a tenth of them
+// to set conflicts (DESIGN.md section 7). Every entry is a seqlock of
 // uint64_t words that are only ever read and written through
 // std::atomic_ref (the words come from calloc, so the OS zero-fills their
 // pages on first touch instead of compile() writing 256 KiB of zeros into
 // every image at daemon start): a reader that sees an odd or changed
 // sequence word counts a miss, and a writer that loses the claim on an
-// entry skips its insert, so no scorer ever waits on another. A miss
-// replaces the set's ways in turn (its completed writes mod 4). Four ways
-// hold the serve models' working sets: on the stream feeds each model
-// recurs over 1.3k-6.4k distinct windows, which 2-way sets of half the
-// size kept only 82% of (DESIGN.md section 7). The memo belongs to its
-// image: a reload's new image starts empty, and the old memo is freed
-// with the old image.
+// entry skips its insert, so no scorer ever waits on another. Two racing
+// misses may store one key in both of its sets; both copies hold the same
+// bits. The memo belongs to its image: a reload's new image starts empty,
+// and the old memo is freed with the old image.
 //
 // Scoring runs against a flat two-row scratch buffer (KernelScratch, owned
 // per monitor and recycled through the serve StatePool) — no ForwardResult
@@ -132,13 +137,56 @@ class ScoringKernel {
                               KernelScratch& scratch,
                               WindowAudit* audit = nullptr) const;
 
+  /// Words in a window's memo key: window_length() ids packed at
+  /// bit_width(num_symbols() - 1) bits apiece (at least one).
+  std::size_t key_words() const { return key_words_; }
+
+  /// Slides one id into a window key, the oldest id out. The key holds
+  /// the window's ids oldest first from its lowest bit, so the whole key
+  /// shifts down one id and `id` lands in the top id's place. After
+  /// window_length() slides from any key, the key is that of the last
+  /// window_length() ids. An unknown id (>= num_symbols()) slides in as
+  /// id 0: a window holding one never reaches the memo, so the caller
+  /// counts them and calls score_window instead of score(). `key` must
+  /// hold key_words() words.
+  void slide_key(std::span<std::uint64_t> key, std::size_t id) const {
+    const std::size_t last = key_words_ - 1;
+    for (std::size_t w = 0; w < last; ++w) {
+      key[w] = (key[w] >> key_bits_) | (key[w + 1] << (64 - key_bits_));
+    }
+    key[last] >>= key_bits_;
+    const std::uint64_t bits = id < num_symbols_ ? id : 0;
+    key[top_word_] |= bits << top_shift_;
+    if (top_shift_ + key_bits_ > 64) {
+      key[top_word_ + 1] |= bits >> (64 - top_shift_);
+    }
+  }
+
   /// The monitor's scoring call: score_window through the window memo.
-  /// A window this image already scored returns the stored bits and runs
-  /// no pass (memo_hit). Otherwise it runs score_window with `scratch` and
-  /// stores the result. A window holding an unknown id returns before the
-  /// memo, as from score_window. `window` must hold window_length() ids;
-  /// throws std::invalid_argument otherwise. Safe to call from many
+  /// `key` is the window's key (slide_key) and must hold no unknown id. A
+  /// window this image already scored returns the stored bits and calls
+  /// nothing else (memo_hit). Otherwise `window()` yields the window's
+  /// window_length() ids, oldest first, score_window scores them with
+  /// `scratch`, and the memo stores the result. Safe to call from many
   /// threads at once.
+  template <typename Window>
+  WindowScore score(std::span<const std::uint64_t> key,
+                    KernelScratch& scratch, Window&& window) const {
+    WindowScore result;
+    MemoProbe probe{};
+    if (find(key, probe, result.verdict)) {
+      result.memo_hit = true;
+      return result;
+    }
+    result.verdict = score_window(window(), scratch);
+    remember(key, probe, result.verdict.log_likelihood);
+    return result;
+  }
+
+  /// score() of a window given as its ids: slides them into a key and
+  /// calls the keyed score(). A window holding an unknown id returns
+  /// score_window's verdict without reaching the memo. `window` must hold
+  /// window_length() ids; throws std::invalid_argument otherwise.
   WindowScore score(std::span<const std::size_t> window,
                     KernelScratch& scratch) const;
 
@@ -178,6 +226,21 @@ class ScoringKernel {
 
   bool has_unknown(std::span<const std::size_t> window) const;
 
+  /// A key's two candidate sets, 8 ways, and the sequence word each way
+  /// held when find() read it: remember() claims its victim from that.
+  static constexpr std::size_t kProbeWays = 8;
+  struct MemoProbe {
+    std::uint64_t* way[kProbeWays];
+    std::uint64_t seq[kProbeWays];
+  };
+  /// Seqlock read of both candidate sets of `key`. On a hit, fills
+  /// `verdict` and returns true.
+  bool find(std::span<const std::uint64_t> key, MemoProbe& probe,
+            SegmentVerdict& verdict) const;
+  /// Stores a miss's result into the emptier set of its probe.
+  void remember(std::span<const std::uint64_t> key, const MemoProbe& probe,
+                double log_likelihood) const;
+
   std::size_t num_states_ = 0;
   std::size_t num_symbols_ = 0;
   std::size_t alphabet_size_ = 0;
@@ -196,12 +259,18 @@ class ScoringKernel {
     void operator()(std::uint64_t* words) const { std::free(words); }
   };
 
+  /// Window key layout: key_bits_ per id, the newest id's bits starting at
+  /// bit top_shift_ of word top_word_.
+  std::size_t window_length_ = 0;
+  unsigned key_bits_ = 0;
+  std::size_t key_words_ = 0;
+  std::size_t top_word_ = 0;
+  unsigned top_shift_ = 0;
+
   /// Window memo: kMemoEntries entries of memo_stride_ words, {sequence,
   /// log-likelihood bits, key words}, four per set, the first set at
   /// memo_sets_ (64-byte aligned inside memo_). Sequence 0 is an empty
   /// entry, odd is one being written.
-  std::size_t window_length_ = 0;
-  unsigned key_bits_ = 0;
   std::size_t memo_stride_ = 0;
   std::size_t memo_words_ = 0;
   std::unique_ptr<std::uint64_t[], FreeMemo> memo_;

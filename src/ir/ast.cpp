@@ -27,13 +27,6 @@ std::string call_kind_name(CallKind kind) {
   return kind == CallKind::kSyscall ? "sys" : "lib";
 }
 
-const Function* Program::find_function(const std::string& name) const {
-  for (const auto& fn : functions) {
-    if (fn.name == name) return &fn;
-  }
-  return nullptr;
-}
-
 ExprPtr make_int(std::int64_t value, int line) {
   auto e = std::make_unique<Expr>();
   e->node = IntLiteral{value};

@@ -137,9 +137,6 @@ struct Function {
 /// A whole MiniC translation unit.
 struct Program {
   std::vector<Function> functions;
-
-  /// Returns the function with the given name, or nullptr.
-  const Function* find_function(const std::string& name) const;
 };
 
 // --- Construction helpers (shared by the parser and the programmatic

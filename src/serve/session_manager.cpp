@@ -953,13 +953,12 @@ void SessionManager::process_item(Item& item, BatchCounters& batch) {
       const double dequeue_micros = seq != kUntraced ? clock_.micros() : 0.0;
       const core::MonitorUpdate update =
           session.monitor.on_event(event.kind, event.site, event.callee);
-      if (drift != nullptr && update.window_complete &&
-          update.window != nullptr) {
-        // Must stay under monitor_mu: update.window points into the
-        // monitor's scoring scratch, which a concurrent reload_model ->
-        // rebind clears under this same mutex.
+      if (drift != nullptr && update.window_complete) {
+        // Must stay under monitor_mu: window() copies the ids out of the
+        // monitor's ring, which a concurrent reload_model -> rebind clears
+        // under this same mutex.
         drift->observe(update.log_likelihood, update.flagged,
-                       update.unknown_symbol, *update.window);
+                       update.unknown_symbol, session.monitor.window());
       }
       if (update.decision != nullptr) {
         // Stamp ids and the detector pin into the monitor's ring entry

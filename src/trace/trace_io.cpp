@@ -24,12 +24,6 @@ void write_trace(std::ostream& out, const Trace& trace) {
   }
 }
 
-std::string trace_to_string(const Trace& trace) {
-  std::ostringstream out;
-  write_trace(out, trace);
-  return out.str();
-}
-
 void write_trace_file(const std::string& path, const Trace& trace) {
   std::ofstream out(path);
   if (!out) {

@@ -32,7 +32,6 @@ class TraceFormatError : public std::runtime_error {
 /// Writes a trace (one event per line, header comment with the program
 /// name).
 void write_trace(std::ostream& out, const Trace& trace);
-std::string trace_to_string(const Trace& trace);
 void write_trace_file(const std::string& path, const Trace& trace);
 
 /// Parses the format back. Unsymbolized events (no bracket part) get an

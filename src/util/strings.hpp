@@ -21,9 +21,6 @@ std::string join(const std::vector<std::string>& items, std::string_view sep);
 /// True if `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
-/// True if `text` ends with `suffix`.
-bool ends_with(std::string_view text, std::string_view suffix);
-
 /// Formats a double with fixed precision (no locale surprises).
 std::string format_double(double value, int precision);
 

@@ -395,7 +395,7 @@ TEST(MonitorDecisionTest, RecordReadAfterRebindExplainsWithTheScoringModel) {
     for (int i = 0; i < 5; ++i) {
       const core::MonitorUpdate update =
           monitor.on_event(ir::CallKind::kLibcall, "main", i % 2 ? b : a);
-      if (update.decision != nullptr) scored.emplace_back(&by, *update.window);
+      if (update.decision != nullptr) scored.emplace_back(&by, monitor.window());
     }
   };
   feed(first, "read", "write");

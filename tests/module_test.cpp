@@ -1,6 +1,9 @@
 // Tests for ProgramModule construction paths and program statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "src/ir/lexer.hpp"
 #include "src/ir/module.hpp"
 #include "src/ir/parser.hpp"
@@ -31,8 +34,12 @@ TEST(ModuleTest, FromSourceParsesAndValidates) {
   const ProgramModule module = ProgramModule::from_source("demo", kSource);
   EXPECT_EQ(module.name(), "demo");
   EXPECT_EQ(module.entry_point(), "main");
-  EXPECT_NE(module.program().find_function("helper"), nullptr);
-  EXPECT_EQ(module.program().find_function("missing"), nullptr);
+  const auto defines = [&](std::string_view name) {
+    return std::ranges::any_of(module.program().functions,
+                               [&](const auto& fn) { return fn.name == name; });
+  };
+  EXPECT_TRUE(defines("helper"));
+  EXPECT_FALSE(defines("missing"));
 }
 
 TEST(ModuleTest, StatsCountTheRightThings) {

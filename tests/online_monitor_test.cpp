@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <thread>
+#include <utility>
 
 #include "src/attack/exploit_driver.hpp"
 #include "src/core/online_monitor.hpp"
@@ -405,7 +407,8 @@ TEST(OnlineMonitorTest, KernelPathBitIdenticalToReferencePath) {
     const MonitorUpdate update = monitor.on_event(event);
     if (!update.window_complete) continue;
     ++windows;
-    const SegmentVerdict ref = fixture().detector.score_segment(*update.window);
+    const SegmentVerdict ref =
+        fixture().detector.score_segment(monitor.window());
     unknown_windows += ref.unknown_symbol;
     flagged_windows += ref.flagged;
     EXPECT_EQ(update.log_likelihood, ref.log_likelihood);  // exact, not near
@@ -440,7 +443,7 @@ TEST(OnlineMonitorTest, KernelAuditRecordsMatchReferenceRecords) {
     unknown_records += update.decision->unknown_symbol;
     test_support::expect_same_record(
         *update.decision,
-        test_support::reference_record(fixture().detector, *update.window));
+        test_support::reference_record(fixture().detector, monitor.window()));
   }
   ASSERT_GT(records, 100u);
   ASSERT_GT(unknown_records, 0u);
@@ -473,7 +476,7 @@ TEST(OnlineMonitorTest, SnapshotRestoresIdenticallyWithAndWithoutAuditing) {
     EXPECT_EQ(a.unknown_symbol, b.unknown_symbol) << i;
     if (a.window_complete) {
       EXPECT_EQ(a.log_likelihood,
-                fixture().detector.score_segment(*a.window).log_likelihood)
+                fixture().detector.score_segment(audited_resumed.window()).log_likelihood)
           << i;
     }
   }
@@ -481,14 +484,23 @@ TEST(OnlineMonitorTest, SnapshotRestoresIdenticallyWithAndWithoutAuditing) {
             frozen.stats.windows_scored);
 }
 
-/// `count` events drawn uniformly from the fixture model's alphabet: each
-/// window of them is, with overwhelming probability, one never seen.
-std::vector<trace::CallEvent> random_alphabet_events(std::size_t count,
-                                                     std::uint64_t seed) {
-  const auto& symbols = fixture().detector.alphabet().symbols();
+/// `count` events drawn uniformly from `detector`'s alphabet: each window
+/// of them is, with overwhelming probability, one never seen. With
+/// `unknown_every`, every unknown_every-th event is instead a call the
+/// model never saw.
+std::vector<trace::CallEvent> random_alphabet_events(
+    std::size_t count, std::uint64_t seed,
+    const Detector& detector = fixture().detector,
+    std::size_t unknown_every = 0) {
+  const auto& symbols = detector.alphabet().symbols();
   Rng rng(seed);
   std::vector<trace::CallEvent> events(count);
-  for (auto& event : events) {
+  for (std::size_t i = 0; i < count; ++i) {
+    trace::CallEvent& event = events[i];
+    if (unknown_every > 0 && i % unknown_every == unknown_every - 1) {
+      event = unknown_event();
+      continue;
+    }
     const std::string& symbol = rng.pick(symbols);
     const std::size_t at = symbol.find('@');
     event.kind = ir::CallKind::kSyscall;
@@ -512,6 +524,20 @@ const Detector& wide_detector() {
   return wide;
 }
 
+/// A 300-symbol model: 9 bits per id, so its 15-id windows take 135 bits,
+/// three key words, and every slide carries bits across two word borders.
+const Detector& wider_detector() {
+  static const Detector wider = [] {
+    Rng rng(9);
+    hmm::Alphabet alphabet;
+    for (int k = 0; k < 300; ++k) alphabet.intern("op" + std::to_string(k));
+    return Detector::from_parts(fixture().detector.config(),
+                                hmm::randomly_initialized_hmm(4, 300, rng),
+                                alphabet, -80.0, true);
+  }();
+  return wider;
+}
+
 TEST(OnlineMonitorTest, MemoHitsReturnTheReferenceBits) {
   // Recurring benign windows, then more distinct windows than the memo
   // holds (evicting most of the first pass), then the benign feed again.
@@ -531,7 +557,8 @@ TEST(OnlineMonitorTest, MemoHitsReturnTheReferenceBits) {
     if (!update.window_complete) continue;
     ++windows;
     hits += update.memo_hit;
-    const SegmentVerdict ref = fixture().detector.score_segment(*update.window);
+    const SegmentVerdict ref =
+        fixture().detector.score_segment(monitor.window());
     EXPECT_EQ(update.log_likelihood, ref.log_likelihood);  // exact bits
     EXPECT_EQ(update.flagged, ref.flagged);
     EXPECT_EQ(update.unknown_symbol, ref.unknown_symbol);
@@ -601,11 +628,12 @@ TEST(OnlineMonitorTest, SharedKernelMemoIsExactUnderConcurrentScoring) {
 }
 
 TEST(OnlineMonitorTest, MemoHoldsAWorkingSetOfSixThousandWindows) {
-  // The stream models recur over 1.3k-6.4k distinct windows each. Replay
+  // The stream models recur over 1.2k-7k distinct windows each. Replay
   // a pool of 6000 distinct 64-symbol windows twice, in the same order,
-  // through one kernel: the second pass must find most of them in the
-  // memo (a 2-way memo of 4096 entries keeps about a fifth), and every
-  // verdict, hit or miss, must be the reference recursion's.
+  // through one kernel: with two candidate sets per key the second pass
+  // must find 99% of them in the memo (one 4-way set per key kept about
+  // two thirds), and every verdict, hit or miss, must be the reference
+  // recursion's.
   const Detector& detector = wide_detector();
   const auto kernel = ScoringKernel::compile(detector);
   Rng rng(23);
@@ -626,7 +654,196 @@ TEST(OnlineMonitorTest, MemoHoldsAWorkingSetOfSixThousandWindows) {
   }
   EXPECT_EQ(hits[0], 0u);  // distinct windows: nothing to reuse yet
   const double share = static_cast<double>(hits[1]) / pool.size();
-  EXPECT_GT(share, 0.5) << hits[1] << " of " << pool.size();
+  EXPECT_GE(share, 0.99) << hits[1] << " of " << pool.size();
+}
+
+/// What a monitor's caller sees of its windows, held to the reference:
+/// the ids it was fed, in a ring of the detector's segment length.
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(const Detector& detector) : detector_(&detector) {}
+
+  /// Feeds `events` to `monitor` (bound to this detector) and checks every
+  /// complete window: window() holds the last segment-length ids fed, the
+  /// ids the drift feed receives, and the verdict is score_segment's, bit
+  /// for bit. Returns the memo hits.
+  std::size_t feed(OnlineMonitor& monitor,
+                   std::span<const trace::CallEvent> events) {
+    const std::size_t length = detector_->config().segments.length;
+    std::size_t hits = 0;
+    for (const trace::CallEvent& event : events) {
+      ids_.push_back(monitor.kernel()->find_observation(event.name,
+                                                        event.caller));
+      if (ids_.size() > length) ids_.erase(ids_.begin());
+      const MonitorUpdate update = monitor.on_event(event);
+      EXPECT_EQ(update.window_complete, ids_.size() == length);
+      EXPECT_EQ(monitor.window(), ids_);
+      if (!update.window_complete) continue;
+      const SegmentVerdict ref = detector_->score_segment(ids_);
+      EXPECT_EQ(update.log_likelihood, ref.log_likelihood);  // exact bits
+      EXPECT_EQ(update.flagged, ref.flagged);
+      EXPECT_EQ(update.unknown_symbol, ref.unknown_symbol);
+      hits += update.memo_hit;
+      windows_ += 1;
+      unknown_windows_ += ref.unknown_symbol;
+    }
+    return hits;
+  }
+
+  /// The window the monitor was reset, rebound or restored to.
+  void restart(const Detector& detector,
+               hmm::ObservationSeq ids = hmm::ObservationSeq()) {
+    detector_ = &detector;
+    ids_ = std::move(ids);
+  }
+  std::size_t windows() const { return windows_; }
+  std::size_t unknown_windows() const { return unknown_windows_; }
+
+ private:
+  const Detector* detector_;
+  hmm::ObservationSeq ids_;
+  std::size_t windows_ = 0;
+  std::size_t unknown_windows_ = 0;
+};
+
+TEST(OnlineMonitorTest, MonitorMemoHoldsThreeQuartersOfItsEntries) {
+  // A stream whose 6144 windows (0.75 x kMemoEntries) are all distinct,
+  // replayed twice through one monitor: two-choice sets keep nearly the
+  // whole working set, so the second pass hits almost all of the 6144
+  // again. Its first length - 1 windows straddle both passes and are new.
+  const Detector& detector = wide_detector();
+  const std::size_t length = detector.config().segments.length;
+  const std::size_t distinct = ScoringKernel::kMemoEntries * 3 / 4;
+  const auto events =
+      random_alphabet_events(distinct + length - 1, 41, detector);
+  OnlineMonitor monitor(detector);
+  ReferenceWindow reference(detector);
+  const std::size_t first = reference.feed(monitor, events);
+  EXPECT_EQ(first, 0u);
+  const std::size_t second = reference.feed(monitor, events);
+  ASSERT_EQ(reference.windows(), 2 * distinct + length - 1);
+  const double share = static_cast<double>(second) / distinct;
+  EXPECT_GE(share, 0.99) << second << " of " << distinct;
+}
+
+TEST(OnlineMonitorTest, SlidingKeyTracksUnknownIdsAndWordBorders) {
+  // Unknown calls slide into and out of the window every 23 events, on
+  // models of one (fixture), two (wide) and three (wider) key words: no
+  // window holding one reaches the memo, and the first known window
+  // after it keys the same as if the unknown id had never been there.
+  for (const Detector* detector :
+       {&std::as_const(fixture().detector), &wide_detector(),
+        &wider_detector()}) {
+    // The stream twice, so its known windows hit the memo.
+    auto events = random_alphabet_events(600, 43, *detector, 23);
+    const auto again = events;
+    events.insert(events.end(), again.begin(), again.end());
+    OnlineMonitor monitor(*detector);
+    ReferenceWindow reference(*detector);
+    EXPECT_GT(reference.feed(monitor, events), 0u);
+    EXPECT_GT(reference.unknown_windows(), 0u);
+    EXPECT_LT(reference.unknown_windows(), reference.windows());
+  }
+
+  // On the three-word model, ids that share their two low bits differ
+  // only in the seven bits that slide in across the border of words 1
+  // and 2 (the newest id sits at bits 126-134).
+  const Detector& wider = wider_detector();
+  EXPECT_EQ(ScoringKernel::compile(wider)->key_words(), 3u);
+  Rng rng(45);
+  std::vector<trace::CallEvent> events(400, unknown_event());
+  for (auto& event : events) {
+    event.name = "op" + std::to_string(4 * rng.index(75));
+    event.caller.clear();
+  }
+  const auto again = events;
+  events.insert(events.end(), again.begin(), again.end());
+  OnlineMonitor monitor(wider);
+  ReferenceWindow reference(wider);
+  EXPECT_GT(reference.feed(monitor, events), 0u);
+  EXPECT_EQ(reference.unknown_windows(), 0u);
+}
+
+/// A kernel whose memo holds every window of `events`, fed through a
+/// monitor of its own.
+std::shared_ptr<const ScoringKernel> warm_kernel(
+    const Detector& detector, std::span<const trace::CallEvent> events) {
+  auto kernel = ScoringKernel::compile(detector);
+  OnlineMonitor warm(detector, nullptr, {}, {}, kernel);
+  for (const trace::CallEvent& event : events) warm.on_event(event);
+  return kernel;
+}
+
+TEST(OnlineMonitorTest, SlidingKeyIsRebuiltFromTheRing) {
+  // Every way a monitor's ring changes other than by one event: restore
+  // of a snapshot (full or mid-window) of another stream, reset_window
+  // with an unknown id in the ring, rebind to models whose keys take 1, 3
+  // and 2 words, and a monitor built from another model's pooled storage.
+  // Each shares a kernel whose memo already holds every window of the
+  // stream fed next, so a key or unknown count left over from the old
+  // ring would hit entries of other ids, or none at all. Each must key its
+  // windows from the ids it holds: the reference's verdicts and window()
+  // ids, and hits once the old ids have slid out.
+  const Detector& wide = wide_detector();
+  const std::size_t length = wide.config().segments.length;
+  const auto stream = random_alphabet_events(400, 47, wide, 31);
+  const auto kernel = warm_kernel(wide, stream);
+  const auto other = random_alphabet_events(2 * length, 71, wide);
+  // Unknown ids sit at every 31st event, so the ring at `cut` holds one.
+  const std::size_t cut = 130;
+
+  for (const std::size_t held : {length + 3, length / 2}) {
+    OnlineMonitor source(wide, nullptr, {}, {}, kernel);
+    for (std::size_t i = 0; i < held; ++i) source.on_event(other[i]);
+    const MonitorSnapshot frozen = source.snapshot();
+
+    OnlineMonitor monitor(wide, nullptr, {}, {}, kernel);
+    ReferenceWindow reference(wide);
+    reference.feed(monitor, std::span(stream).first(cut));
+    monitor.restore(frozen);
+    reference.restart(wide, frozen.window);
+    EXPECT_GT(reference.feed(monitor, std::span(stream).subspan(cut)), 0u);
+  }
+
+  OnlineMonitor monitor(wide, nullptr, {}, {}, kernel);
+  ReferenceWindow reference(wide);
+  reference.feed(monitor, std::span(stream).first(cut));
+  monitor.reset_window();
+  reference.restart(wide);
+  EXPECT_GT(reference.feed(monitor, std::span(stream).subspan(cut)), 0u);
+  reference.feed(monitor, std::span(stream).first(cut));
+  for (const Detector* detector :
+       {&std::as_const(fixture().detector), &wider_detector(), &wide}) {
+    const auto events = random_alphabet_events(120, 53, *detector, 29);
+    monitor.rebind(*detector, detector == &wide ? kernel
+                                                : warm_kernel(*detector, events));
+    reference.restart(*detector);
+    EXPECT_GT(reference.feed(monitor, detector == &wide
+                                          ? std::span(stream).subspan(cut)
+                                          : std::span(events)),
+              0u);
+  }
+
+  // Storage released by a three-word monitor mid-window keys a one-word
+  // monitor, and the other way round.
+  const auto narrow_events = random_alphabet_events(80, 61);
+  const auto wider_events =
+      random_alphabet_events(80, 67, wider_detector(), 23);
+  OnlineMonitor wider_monitor(wider_detector(), nullptr, {}, {},
+                              warm_kernel(wider_detector(), wider_events));
+  ReferenceWindow wider_ref(wider_detector());
+  wider_ref.feed(wider_monitor, std::span(wider_events).first(length + 5));
+  OnlineMonitor narrow(fixture().detector, nullptr, {},
+                       wider_monitor.release_storage(),
+                       warm_kernel(fixture().detector, narrow_events));
+  ReferenceWindow narrow_ref(fixture().detector);
+  EXPECT_GT(narrow_ref.feed(narrow, narrow_events), 0u);
+  OnlineMonitor wider_again(wider_detector(), nullptr, {},
+                            narrow.release_storage(),
+                            warm_kernel(wider_detector(), wider_events));
+  ReferenceWindow wider_again_ref(wider_detector());
+  EXPECT_GT(wider_again_ref.feed(wider_again, wider_events), 0u);
+  EXPECT_GT(wider_again_ref.unknown_windows(), 0u);
 }
 
 TEST(OnlineMonitorTest, MemoHitRecordsMatchReferenceRecords) {
@@ -649,7 +866,7 @@ TEST(OnlineMonitorTest, MemoHitRecordsMatchReferenceRecords) {
     if (update.decision == nullptr) continue;
     test_support::expect_same_record(
         *update.decision,
-        test_support::reference_record(fixture().detector, *update.window));
+        test_support::reference_record(fixture().detector, monitor.window()));
     hit_records += update.memo_hit;
     flagged_hit_records += update.memo_hit && update.flagged;
   }
@@ -681,10 +898,10 @@ TEST(OnlineMonitorTest, EachKernelMemoizesItsOwnModel) {
     if (!update.window_complete) continue;
     ++windows;
     const double ref =
-        new_version.score_segment(*update.window).log_likelihood;
+        new_version.score_segment(monitor.window()).log_likelihood;
     EXPECT_EQ(update.log_likelihood, ref);
     differing +=
-        ref != old_version.score_segment(*update.window).log_likelihood;
+        ref != old_version.score_segment(monitor.window()).log_likelihood;
   }
   ASSERT_GT(windows, 0u);
   EXPECT_GT(differing, 0u);

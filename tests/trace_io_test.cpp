@@ -1,11 +1,19 @@
 // Tests for the strace-like trace serialization format.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/trace/trace_io.hpp"
 #include "src/workload/testcase_generator.hpp"
 
 namespace cmarkov::trace {
 namespace {
+
+std::string to_text(const Trace& trace) {
+  std::ostringstream out;
+  write_trace(out, trace);
+  return out.str();
+}
 
 Trace sample_trace() {
   Trace trace;
@@ -19,7 +27,7 @@ Trace sample_trace() {
 }
 
 TEST(TraceIoTest, WritesExpectedFormat) {
-  const std::string text = trace_to_string(sample_trace());
+  const std::string text = to_text(sample_trace());
   EXPECT_NE(text.find("# program: sample"), std::string::npos);
   EXPECT_NE(text.find("sys read 0x40012c [fill_window]"), std::string::npos);
   EXPECT_NE(text.find("lib memcpy 0x400188 [deflate_block]"),
@@ -30,7 +38,7 @@ TEST(TraceIoTest, WritesExpectedFormat) {
 
 TEST(TraceIoTest, RoundTripsExactly) {
   const Trace original = sample_trace();
-  const Trace parsed = parse_trace(trace_to_string(original));
+  const Trace parsed = parse_trace(to_text(original));
   EXPECT_EQ(parsed.program, original.program);
   ASSERT_EQ(parsed.events.size(), original.events.size());
   for (std::size_t i = 0; i < parsed.events.size(); ++i) {
@@ -45,7 +53,7 @@ TEST(TraceIoTest, RoundTripsRealSuiteTraces) {
   const workload::ProgramSuite suite = workload::make_sed_suite();
   const auto collection = workload::collect_traces(suite, 3, 5);
   for (const auto& trace : collection.traces) {
-    const Trace parsed = parse_trace(trace_to_string(trace));
+    const Trace parsed = parse_trace(to_text(trace));
     ASSERT_EQ(parsed.events.size(), trace.events.size());
     for (std::size_t i = 0; i < parsed.events.size(); ++i) {
       EXPECT_EQ(parsed.events[i].name, trace.events[i].name);
@@ -90,7 +98,7 @@ TEST(TraceIoTest, FileRoundTrip) {
 TEST(TraceIoTest, EmptyTraceRoundTrips) {
   Trace empty;
   empty.program = "nothing";
-  const Trace parsed = parse_trace(trace_to_string(empty));
+  const Trace parsed = parse_trace(to_text(empty));
   EXPECT_EQ(parsed.program, "nothing");
   EXPECT_TRUE(parsed.events.empty());
 }

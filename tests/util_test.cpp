@@ -180,11 +180,9 @@ TEST(StringsTest, JoinConcatenatesWithSeparator) {
   EXPECT_EQ(join({"solo"}, ","), "solo");
 }
 
-TEST(StringsTest, PrefixSuffixChecks) {
+TEST(StringsTest, PrefixChecks) {
   EXPECT_TRUE(starts_with("read@main", "read"));
   EXPECT_FALSE(starts_with("read", "read@"));
-  EXPECT_TRUE(ends_with("read@main", "@main"));
-  EXPECT_FALSE(ends_with("main", "@main"));
 }
 
 TEST(StringsTest, FormatHelpers) {
